@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, action="append")
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--tilt", choices=("none", "level-member", "auto-constant"), default="none")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("scenario", help="replay a pinned scenario with expected verdicts")

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .models import (
     Control,
@@ -217,6 +216,8 @@ def control_conv(
         q90.append(float(np.quantile(allerr, 0.9)))
     positive = [(e, m) for e, m in zip(eps_grid, med) if m > 0]
     if len(positive) >= 2:
+        from scipy import stats  # deferred: importing scipy.stats dominates package import time
+
         fit = stats.linregress(
             np.log([p[0] for p in positive]), np.log([p[1] for p in positive])
         )

@@ -22,9 +22,13 @@ Families
   convolution exactly for constant forcing and is unconditionally
   stable for stiff eigenvalues.
 
-Noise provenance is counter-based: the draw for (master_seed, sample_index)
-never depends on how many other samples were drawn, so estimators are
-reproducible under any execution schedule.
+Noise provenance is counter-based: ``_noise_block`` keys a Philox stream
+by (master_seed, block), so a block never depends on how many other
+blocks were drawn, and estimators are reproducible under any execution
+schedule.  Estimators cut a batch into blocks of ``estimators.CHUNK =
+8192`` samples, which makes that size part of the stream definition:
+``sample_noise(grid, channels, seed, k)`` is block k of size one, i.e.
+estimator sample k * 8192, not estimator sample k.
 """
 
 from __future__ import annotations
@@ -110,9 +114,10 @@ def sample_noise(grid: TimeGrid, channels: int, master_seed: int, sample_index: 
 
     The substream is keyed by (master_seed, sample_index); draws commute
     with each other, so parallel workers can fill samples in any order.
+    It is the size-one block ``sample_index``, which estimators read as
+    their sample ``sample_index * CHUNK`` (see the module docstring).
     """
-    gen = _rng(master_seed, sample_index)
-    inc = gen.standard_normal((grid.steps, channels)) * math.sqrt(grid.dt)
+    inc = _noise_block(grid, channels, master_seed, sample_index, 1)[0]
     return NoiseDraw(grid, inc, master_seed, sample_index)
 
 
@@ -290,26 +295,12 @@ def _noise_apply(spec: NoiseSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _noise_matrix(spec: NoiseSpec, x: np.ndarray, dim: int, channels: int) -> np.ndarray:
-    """Dense d x K matrix G(x) at a single state, for least-squares recovery."""
-    if spec.name == "zero":
-        return np.zeros((dim, channels))
-    if spec.name == "identity":
-        m = np.zeros((dim, channels))
-        for j in range(min(dim, channels)):
-            m[j, j] = 1.0
-        return m
-    if channels != dim:
-        raise ShapeMismatchError("diagonal noise needs channels == dim")
-    g = spec.gains(dim)
-    if spec.name == "diagonal-constant":
-        diag = g
-    elif spec.name == "diagonal-bounded":
-        diag = g * (1.0 + 0.5 * np.sin(x))
-    elif spec.name == "diagonal-linear-growth":
-        diag = g * (1.0 + np.abs(x))
-    else:
-        raise ValueError(f"unknown noise {spec.name!r}")
-    return np.diag(diag)
+    """Dense d x K matrix G(x) at a single state, for least-squares recovery.
+
+    Column j is G(x) applied to the j-th unit vector of R^K.
+    """
+    states = np.tile(np.reshape(x, dim), (channels, 1))
+    return _noise_apply(spec, states, np.eye(channels)).T
 
 
 @dataclass(frozen=True)
@@ -492,13 +483,34 @@ def _simulate_translated_family(
     return core + start[0]
 
 
-def _simulate_finite_sde(
-    model: FiniteSDE, x, eps: float, control_values, increments: np.ndarray, dt: float
+def _simulate_stepped(
+    model: FiniteSDE | GalerkinSPDE, x, eps: float, control_values, increments: np.ndarray, dt: float
 ) -> np.ndarray:
+    """Step the state-dependent families one increment at a time.
+
+    Each step forms the driving term w = sqrt(eps) dW_i + u_i dt and
+    applies the family's one-step map to (state, w).
+    """
     start = model._as_state(x)
     b, steps, k = increments.shape
     if k != model.channels:
         raise ShapeMismatchError(f"noise has {k} channels, model wants {model.channels}")
+    if isinstance(model, FiniteSDE):
+        label = "finite SDE"
+
+        def step(state, w):
+            return state + _drift_apply(model.drift, state) * dt + _noise_apply(model.noise, state, w)
+
+    else:
+        label = "spectral SPDE"
+        a = model.eigenvalues()
+        decay = np.exp(-a * dt)
+        factor = _phi1(-a * dt)
+
+        def step(state, w):
+            forcing = _drift_apply(model.drift, state) * dt + _noise_apply(model.noise, state, w)
+            return decay * state + factor * forcing
+
     seps = math.sqrt(eps)
     out = np.empty((b, steps + 1, model.dim))
     state = np.tile(start, (b, 1))
@@ -507,35 +519,9 @@ def _simulate_finite_sde(
         w = seps * increments[:, i, :]
         if control_values is not None:
             w = w + control_values[i] * dt
-        state = state + _drift_apply(model.drift, state) * dt + _noise_apply(model.noise, state, w)
+        state = step(state, w)
         if not np.all(np.isfinite(state)):
-            raise NumericalBlowupError("finite SDE state became non-finite", i + 1)
-        out[:, i + 1, :] = state
-    return out
-
-
-def _simulate_galerkin(
-    model: GalerkinSPDE, x, eps: float, control_values, increments: np.ndarray, dt: float
-) -> np.ndarray:
-    start = model._as_state(x)
-    b, steps, k = increments.shape
-    if k != model.channels:
-        raise ShapeMismatchError(f"noise has {k} channels, model wants {model.channels}")
-    a = model.eigenvalues()
-    decay = np.exp(-a * dt)
-    factor = _phi1(-a * dt)
-    seps = math.sqrt(eps)
-    out = np.empty((b, steps + 1, model.dim))
-    state = np.tile(start, (b, 1))
-    out[:, 0, :] = state
-    for i in range(steps):
-        w = seps * increments[:, i, :]
-        if control_values is not None:
-            w = w + control_values[i] * dt
-        forcing = _drift_apply(model.drift, state) * dt + _noise_apply(model.noise, state, w)
-        state = decay * state + factor * forcing
-        if not np.all(np.isfinite(state)):
-            raise NumericalBlowupError("spectral SPDE state became non-finite", i + 1)
+            raise NumericalBlowupError(f"{label} state became non-finite", i + 1)
         out[:, i + 1, :] = state
     return out
 
@@ -565,10 +551,8 @@ def simulate_batch(
     dt = grid.dt
     if isinstance(model, (TranslatedBM, PerturbedBM, SwappedBM)):
         return _simulate_translated_family(model, x, eps, cv, increments, dt)
-    if isinstance(model, FiniteSDE):
-        return _simulate_finite_sde(model, x, eps, cv, increments, dt)
-    if isinstance(model, GalerkinSPDE):
-        return _simulate_galerkin(model, x, eps, cv, increments, dt)
+    if isinstance(model, (FiniteSDE, GalerkinSPDE)):
+        return _simulate_stepped(model, x, eps, cv, increments, dt)
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
@@ -628,34 +612,27 @@ def convolutions(
         raise ShapeMismatchError("path grid differs")
     if path.dim != model.dim:
         raise ShapeMismatchError("path dim differs from model dim")
-    steps = grid.steps
-    dt = grid.dt
-    a = model.eigenvalues()
-    decay = np.exp(-a * dt)
-    gamma = np.zeros((steps + 1, model.dim))
-    lam = np.zeros((steps + 1, model.dim))
-    theta = np.zeros((steps + 1, model.dim))
-    inc = noise.increments if noise is not None else None
-    if inc is not None and inc.shape[1] != model.channels:
+    if noise is not None and noise.channels != model.channels:
         raise ShapeMismatchError("noise channels differ from model channels")
-    cv = control.values if control is not None else None
-    if cv is not None and cv.shape[1] != model.channels:
+    if control is not None and control.channels != model.channels:
         raise ShapeMismatchError("control channels differ from model channels")
-    for i in range(steps):
-        state = path.values[i][None, :]
-        bterm = _drift_apply(model.drift, state)[0] * dt
-        theta[i + 1] = decay * theta[i] + bterm
-        if inc is not None:
-            gterm = _noise_apply(model.noise, state, inc[i][None, :])[0]
-            gamma[i + 1] = decay * gamma[i] + gterm
-        if cv is not None:
-            lterm = _noise_apply(model.noise, state, cv[i][None, :])[0] * dt
-            lam[i + 1] = decay * lam[i] + lterm
-    return {
-        "gamma": DiscretePath(grid, gamma),
-        "lambda": DiscretePath(grid, lam),
-        "theta": DiscretePath(grid, theta),
-    }
+    dt = grid.dt
+    decay = np.exp(-model.eigenvalues() * dt)
+    # the catalog terms along the frozen path, one row per step; an absent
+    # noise or control leaves its convolution at zero
+    states = path.values[:-1]
+    terms = {"theta": _drift_apply(model.drift, states) * dt}
+    if noise is not None:
+        terms["gamma"] = _noise_apply(model.noise, states, noise.increments)
+    if control is not None:
+        terms["lambda"] = _noise_apply(model.noise, states, control.values) * dt
+    out = {}
+    for name in ("gamma", "lambda", "theta"):
+        v = np.zeros((grid.steps + 1, model.dim))
+        for i, term in enumerate(terms.get(name, ())):
+            v[i + 1] = decay * v[i] + term
+        out[name] = DiscretePath(grid, v)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ __all__ = [
     "rate_variational",
     "sample_level_set",
     "constant_slope_controls",
+    "rate_candidates",
     "inf_h_plus_I",
     "export_level_set",
 ]
@@ -126,13 +127,10 @@ def rate_variational(
         slopes = (path.values[1:, 0] - path.values[:-1, 0]) / dt
         control = Control(grid, slopes[:, None])
     else:
-        if isinstance(model, GalerkinSPDE):
-            a = model.eigenvalues()
-            decay = np.exp(-a * dt)
-            factor = _phi1(-a * dt) * dt
-        else:
-            decay = np.ones(model.dim)
-            factor = np.full(model.dim, dt)
+        # the finite SDE inverts as the exponential-Euler step with zero eigenvalues
+        a = model.eigenvalues() if isinstance(model, GalerkinSPDE) else np.zeros(model.dim)
+        decay = np.exp(-a * dt)
+        factor = _phi1(-a * dt) * dt
         u = np.zeros((grid.steps, model.channels))
         for i in range(grid.steps):
             state = path.values[i]
@@ -251,6 +249,27 @@ def constant_slope_controls(grid: TimeGrid, channels: int, level: float, count: 
     return out
 
 
+def rate_candidates(
+    model: ProcessModel,
+    grid: TimeGrid,
+    x,
+    s_max: float,
+    count: int,
+    seed: int,
+    constant_pool: int,
+) -> list[tuple[float, DiscretePath]]:
+    """(energy, skeleton) pairs that set-infimum estimators search over.
+
+    The members of a level-set sample at ``s_max`` come first, in sample
+    order, then the skeletons of the constant-slope pool.
+    """
+    sample = sample_level_set(model, grid, x, s_max, count, seed)
+    candidates = list(zip(sample.energies, sample.paths.members))
+    for c in constant_slope_controls(grid, model.channels, s_max, constant_pool):
+        candidates.append((c.energy, skeleton(model, grid, x, c)))
+    return candidates
+
+
 def inf_h_plus_I(
     model: ProcessModel,
     grid: TimeGrid,
@@ -271,13 +290,10 @@ def inf_h_plus_I(
     bound = float(h.bound())
     if s_max < 2.0 * bound:
         raise ValueError(f"s_max = {s_max} is below 2 * bound(h) = {2 * bound}")
-    sample = sample_level_set(model, grid, x, s_max, count, seed)
-    candidates = list(zip(sample.controls, sample.energies, sample.paths.members))
-    for c in constant_slope_controls(grid, model.channels, s_max, constant_pool):
-        candidates.append((c, c.energy, skeleton(model, grid, x, c)))
+    candidates = rate_candidates(model, grid, x, s_max, count, seed, constant_pool)
     best_val = math.inf
-    best_path = candidates[0][2]
-    for _, energy, member in candidates:
+    best_path = candidates[0][1]
+    for energy, member in candidates:
         val = float(h(member)) + energy
         if val < best_val:
             best_val = val

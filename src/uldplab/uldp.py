@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +44,9 @@ from .estimators import (
     laplace_functional,
     mc_probability,
 )
-from .models import Control, ProcessModel, constant_control, simulate_batch, skeleton
-from .pathspace import Ball, DiscretePath, DistanceAtLeast, EventSpec, PathSet, TimeGrid
-from .rates import constant_slope_controls, inf_h_plus_I, sample_level_set
+from .models import Control, ProcessModel, constant_control, model_to_spec, simulate_batch
+from .pathspace import Ball, DistanceAtLeast, EventSpec, TimeGrid
+from .rates import inf_h_plus_I, rate_candidates, sample_level_set
 
 __all__ = [
     "subseed",
@@ -185,12 +185,8 @@ class CheckReport:
 def _fmt_float(v) -> str:
     if v is None:
         return ""
-    v = float(v)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if math.isnan(v):
-        return "nan"
-    return format(v, ".17g")
+    v = _jsonable(float(v))  # non-finite values become the JSON sentinel strings
+    return v if isinstance(v, str) else format(v, ".17g")
 
 
 def _jsonable(obj):
@@ -324,13 +320,11 @@ def event_rate_bound(
     margin >= -eta (closed sets, where eta fattens).  Returns +inf and
     None when no candidate qualifies.
     """
-    sample = sample_level_set(model, grid, x, s_max, count, seed)
-    candidates = list(zip(sample.energies, sample.paths.members))
-    for c in constant_slope_controls(grid, model.channels, s_max, constant_pool):
-        candidates.append((c.energy, skeleton(model, grid, x, c)))
     best = math.inf
     best_idx: int | None = None
-    for idx, (energy, member) in enumerate(candidates):
+    for idx, (energy, member) in enumerate(
+        rate_candidates(model, grid, x, s_max, count, seed, constant_pool)
+    ):
         margin = float(event.margins(member.values[None])[0])
         ok = margin >= -eta if closed else margin > eta
         if ok and energy < best:
@@ -364,7 +358,7 @@ def fwuldp_gaps(
     """
     if s0 < 0 or delta <= 0:
         raise ValueError("need s0 >= 0 and delta > 0")
-    model_spec = _model_dict(model)
+    model_spec = model_to_spec(model)
     aset = _index_dict(index_set)
     params = {
         "eps": list(schedule.eps),
@@ -393,7 +387,6 @@ def fwuldp_gaps(
         for pt in index_set.points:
             sample = samples[pt]
             member_rows = []
-            cell_gap = math.inf
             for k, (control, energy, member) in enumerate(
                 zip(sample.controls, sample.energies, sample.paths.members)
             ):
@@ -409,17 +402,14 @@ def fwuldp_gaps(
                     schedule.speed,
                     member_tilt=control,
                 )
-                g = gap_sum(est.log_value, energy)
                 member_rows.append({"member": k, "rate": energy, **_estimate_csv_inputs(est)})
-                if g < cell_gap:
-                    cell_gap = g
             best = min(member_rows, key=lambda r: gap_sum(r["log_value"], r["rate"]))
             lower_cells.append(
                 CheckCell(
                     eps=eps,
                     x=pt,
                     extra={"member": best["member"]},
-                    gap=cell_gap,
+                    gap=gap_sum(best["log_value"], best["rate"]),
                     inputs={
                         "phat": best["phat"],
                         "log_value": best["log_value"],
@@ -430,7 +420,6 @@ def fwuldp_gaps(
             )
 
             s_rows = []
-            cell_up = -math.inf
             for si, s in enumerate(s_grid):
                 event = DistanceAtLeast(upper_samples[(pt, si)].paths, delta)
                 est = _estimate_probability(
@@ -443,20 +432,14 @@ def fwuldp_gaps(
                     subseed(budgets.seed, "fw", "upper", ei, si),
                     schedule.speed,
                 )
-                g = est.log_value + s if math.isfinite(est.log_value) else -math.inf
                 s_rows.append({"s": s, **_estimate_csv_inputs(est)})
-                if g > cell_up:
-                    cell_up = g
-            best_s = max(
-                s_rows,
-                key=lambda r: (r["log_value"] + r["s"]) if math.isfinite(r["log_value"]) else -math.inf,
-            )
+            best_s = max(s_rows, key=lambda r: gap_sum(r["log_value"], r["s"]))
             upper_cells.append(
                 CheckCell(
                     eps=eps,
                     x=pt,
                     extra={"s": best_s["s"]},
-                    gap=cell_up,
+                    gap=gap_sum(best_s["log_value"], best_s["s"]),
                     inputs={
                         "phat": best_s["phat"],
                         "log_value": best_s["log_value"],
@@ -495,85 +478,92 @@ def dzuldp_gaps(
     estimated I_x(G); per-eps aggregates take the inf over x, matching
     liminf inf_x a log P >= -sup_x I_x(G).  Upper gap cells combine
     a(eps) log P(X in F) with inf over x of I_x(F), matching
-    limsup sup_x a log P <= -inf_x I_x(F).
+    limsup sup_x a log P <= -inf_x I_x(F).  This is ``luldp_gaps`` at
+    the single margin eta = 0, with its own seeds and no eta tags.
     """
-    model_spec = _model_dict(model)
+    return _setwise_gaps(
+        "dz", model, grid, index_set, open_event, closed_event, (0.0,), schedule, budgets, s_max
+    )
+
+
+# seed tag of each set-wise definition -> prefix of its report names
+_SETWISE_NAMES = {"dz": "dzuldp", "lu": "luldp"}
+
+
+def _setwise_gaps(
+    tag: str,
+    model: ProcessModel,
+    grid: TimeGrid,
+    index_set: IndexSetSample,
+    open_event: EventSpec | None,
+    closed_event: EventSpec | None,
+    etas: tuple[float, ...],
+    schedule: EpsilonSchedule,
+    budgets: CheckBudgets,
+    s_max: float,
+) -> list[CheckReport]:
+    """Set-wise lower and upper gap reports, one block of cells per eta.
+
+    The rate side of the open (closed) event is shrunk (fattened) by
+    eta; the probability side stays on the plain set, so each (eps, x)
+    estimate is drawn once and shared by every eta.  Only the "lu"
+    definition records eta in its params and cells.
+    """
+    tags_eta = tag == "lu"
+    params: dict = {"eps": list(schedule.eps)}
+    if tags_eta:
+        params["eta"] = list(etas)
+    params.update(s_max=s_max, budgets=_budget_dict(budgets))
+    model_spec = model_to_spec(model)
     aset = _index_dict(index_set)
-    params = {
-        "eps": list(schedule.eps),
-        "s_max": s_max,
-        "budgets": _budget_dict(budgets),
-    }
-    reports: list[CheckReport] = []
-    rate_seed = subseed(budgets.seed, "dz", "rate")
+    reports = []
+    rate_seed = subseed(budgets.seed, tag, "rate")
 
-    if open_event is not None:
-        rates = {
-            pt: event_rate_bound(
-                model, grid, np.array(pt), open_event, s_max, budgets.level_count, rate_seed,
-                budgets.constant_pool,
-            )[0]
+    for kind, event, closed, side_key, side_of in (
+        ("lower", open_event, False, "sup_rate", max),
+        ("upper", closed_event, True, "inf_rate", min),
+    ):
+        if event is None:
+            continue
+        estimates = {
+            (ei, pt): _estimate_probability(
+                model, grid, pt, eps, event, budgets,
+                subseed(budgets.seed, tag, kind, ei), schedule.speed,
+            )
+            for ei, eps in enumerate(schedule.eps)
             for pt in index_set.points
         }
-        sup_rate = max(rates.values())
         cells = []
-        for ei, eps in enumerate(schedule.eps):
-            for pt in index_set.points:
-                est = _estimate_probability(
-                    model, grid, pt, eps, open_event, budgets,
-                    subseed(budgets.seed, "dz", "lower", ei), schedule.speed,
-                )
-                cells.append(
-                    CheckCell(
-                        eps=eps,
-                        x=pt,
-                        extra={},
-                        gap=gap_sum(est.log_value, sup_rate),
-                        inputs={
-                            "rate": rates[pt],
-                            "sup_rate": sup_rate,
-                            **_estimate_csv_inputs(est),
-                        },
+        for eta in etas:
+            rates = {
+                pt: event_rate_bound(
+                    model, grid, np.array(pt), event, s_max, budgets.level_count, rate_seed,
+                    budgets.constant_pool, eta=eta, closed=closed,
+                )[0]
+                for pt in index_set.points
+            }
+            side = side_of(rates.values())
+            for ei, eps in enumerate(schedule.eps):
+                for pt in index_set.points:
+                    est = estimates[ei, pt]
+                    cells.append(
+                        CheckCell(
+                            eps=eps,
+                            x=pt,
+                            extra={"eta": eta} if tags_eta else {},
+                            gap=gap_sum(est.log_value, side),
+                            inputs={
+                                "rate": rates[pt],
+                                side_key: side,
+                                **_estimate_csv_inputs(est),
+                            },
+                        )
                     )
-                )
         reports.append(
-            _assemble("dzuldp-lower", model_spec, aset, params, cells, schedule, budgets, kind="lower")
-        )
-
-    if closed_event is not None:
-        rates = {
-            pt: event_rate_bound(
-                model, grid, np.array(pt), closed_event, s_max, budgets.level_count, rate_seed,
-                budgets.constant_pool, closed=True,
-            )[0]
-            for pt in index_set.points
-        }
-        inf_rate = min(rates.values())
-        cells = []
-        for ei, eps in enumerate(schedule.eps):
-            for pt in index_set.points:
-                est = _estimate_probability(
-                    model, grid, pt, eps, closed_event, budgets,
-                    subseed(budgets.seed, "dz", "upper", ei), schedule.speed,
-                )
-                gap = est.log_value + inf_rate if math.isfinite(est.log_value) else (
-                    math.inf if math.isinf(inf_rate) and inf_rate > 0 else -math.inf
-                )
-                cells.append(
-                    CheckCell(
-                        eps=eps,
-                        x=pt,
-                        extra={},
-                        gap=gap,
-                        inputs={
-                            "rate": rates[pt],
-                            "inf_rate": inf_rate,
-                            **_estimate_csv_inputs(est),
-                        },
-                    )
-                )
-        reports.append(
-            _assemble("dzuldp-upper", model_spec, aset, params, cells, schedule, budgets, kind="upper")
+            _assemble(
+                f"{_SETWISE_NAMES[tag]}-{kind}", model_spec, aset, params, cells, schedule, budgets,
+                kind=kind,
+            )
         )
     return reports
 
@@ -599,9 +589,16 @@ def ulp_gap(
     """
     bound = float(h.bound())
     s_hi = 2.0 * bound if s_max is None else s_max
-    model_spec = _model_dict(model)
+    model_spec = model_to_spec(model)
     aset = _index_dict(index_set)
     params = {"eps": list(schedule.eps), "s_max": s_hi, "budgets": _budget_dict(budgets)}
+    inf_vals = {
+        pt: inf_h_plus_I(
+            model, grid, pt, h, s_hi, budgets.level_count,
+            subseed(budgets.seed, "ulp", "inf"), budgets.constant_pool,
+        )[0]
+        for pt in index_set.points
+    }
     cells = []
     for ei, eps in enumerate(schedule.eps):
         for pt in index_set.points:
@@ -609,10 +606,7 @@ def ulp_gap(
                 model, grid, pt, eps, h, budgets.mc_samples,
                 subseed(budgets.seed, "ulp", "laplace", ei), schedule.speed,
             )
-            inf_val, _ = inf_h_plus_I(
-                model, grid, pt, h, s_hi, budgets.level_count,
-                subseed(budgets.seed, "ulp", "inf"), budgets.constant_pool,
-            )
+            inf_val = inf_vals[pt]
             cells.append(
                 CheckCell(
                     eps=eps,
@@ -636,13 +630,21 @@ def eulp_gap(
 ) -> CheckReport:
     """Laplace gaps uniform over an equibounded equicontinuous family."""
     s_hi = 2.0 * family.bound if s_max is None else s_max
-    model_spec = _model_dict(model)
+    model_spec = model_to_spec(model)
     aset = _index_dict(index_set)
     params = {
         "eps": list(schedule.eps),
         "s_max": s_hi,
         "family": {"size": len(family.members), "bound": family.bound, "lipschitz": family.lipschitz},
         "budgets": _budget_dict(budgets),
+    }
+    inf_vals = {
+        (pt, hi_idx): inf_h_plus_I(
+            model, grid, pt, h, s_hi, budgets.level_count,
+            subseed(budgets.seed, "eulp", "inf", hi_idx), budgets.constant_pool,
+        )[0]
+        for pt in index_set.points
+        for hi_idx, h in enumerate(family.members)
     }
     cells = []
     for ei, eps in enumerate(schedule.eps):
@@ -652,10 +654,7 @@ def eulp_gap(
                     model, grid, pt, eps, h, budgets.mc_samples,
                     subseed(budgets.seed, "eulp", "laplace", ei, hi_idx), schedule.speed,
                 )
-                inf_val, _ = inf_h_plus_I(
-                    model, grid, pt, h, s_hi, budgets.level_count,
-                    subseed(budgets.seed, "eulp", "inf", hi_idx), budgets.constant_pool,
-                )
+                inf_val = inf_vals[pt, hi_idx]
                 cells.append(
                     CheckCell(
                         eps=eps,
@@ -690,88 +689,9 @@ def luldp_gaps(
     """
     if any(e <= 0 for e in etas):
         raise ValueError("etas must be positive")
-    model_spec = _model_dict(model)
-    aset = _index_dict(index_set)
-    params = {
-        "eps": list(schedule.eps),
-        "eta": list(etas),
-        "s_max": s_max,
-        "budgets": _budget_dict(budgets),
-    }
-    reports = []
-    rate_seed = subseed(budgets.seed, "lu", "rate")
-
-    if open_event is not None:
-        cells = []
-        for eta in etas:
-            rates = {
-                pt: event_rate_bound(
-                    model, grid, np.array(pt), open_event, s_max, budgets.level_count, rate_seed,
-                    budgets.constant_pool, eta=eta,
-                )[0]
-                for pt in index_set.points
-            }
-            sup_rate = max(rates.values())
-            for ei, eps in enumerate(schedule.eps):
-                for pt in index_set.points:
-                    est = _estimate_probability(
-                        model, grid, pt, eps, open_event, budgets,
-                        subseed(budgets.seed, "lu", "lower", ei), schedule.speed,
-                    )
-                    cells.append(
-                        CheckCell(
-                            eps=eps,
-                            x=pt,
-                            extra={"eta": eta},
-                            gap=gap_sum(est.log_value, sup_rate),
-                            inputs={
-                                "rate": rates[pt],
-                                "sup_rate": sup_rate,
-                                **_estimate_csv_inputs(est),
-                            },
-                        )
-                    )
-        reports.append(
-            _assemble("luldp-lower", model_spec, aset, params, cells, schedule, budgets, kind="lower")
-        )
-
-    if closed_event is not None:
-        cells = []
-        for eta in etas:
-            rates = {
-                pt: event_rate_bound(
-                    model, grid, np.array(pt), closed_event, s_max, budgets.level_count, rate_seed,
-                    budgets.constant_pool, eta=eta, closed=True,
-                )[0]
-                for pt in index_set.points
-            }
-            inf_rate = min(rates.values())
-            for ei, eps in enumerate(schedule.eps):
-                for pt in index_set.points:
-                    est = _estimate_probability(
-                        model, grid, pt, eps, closed_event, budgets,
-                        subseed(budgets.seed, "lu", "upper", ei), schedule.speed,
-                    )
-                    gap = est.log_value + inf_rate if math.isfinite(est.log_value) else (
-                        math.inf if math.isinf(inf_rate) and inf_rate > 0 else -math.inf
-                    )
-                    cells.append(
-                        CheckCell(
-                            eps=eps,
-                            x=pt,
-                            extra={"eta": eta},
-                            gap=gap,
-                            inputs={
-                                "rate": rates[pt],
-                                "inf_rate": inf_rate,
-                                **_estimate_csv_inputs(est),
-                            },
-                        )
-                    )
-        reports.append(
-            _assemble("luldp-upper", model_spec, aset, params, cells, schedule, budgets, kind="upper")
-        )
-    return reports
+    return _setwise_gaps(
+        "lu", model, grid, index_set, open_event, closed_event, etas, schedule, budgets, s_max
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -805,12 +725,6 @@ def make_families(
 
 # ---------------------------------------------------------------------------
 # assembly
-
-
-def _model_dict(model: ProcessModel) -> dict:
-    from .models import model_to_spec
-
-    return model_to_spec(model)
 
 
 def _index_dict(index_set: IndexSetSample) -> dict:

@@ -16,6 +16,7 @@ from uldplab.models import (
     _drift_apply,
     _noise_apply,
     _noise_block,
+    _noise_matrix,
     constant_control,
     convolutions,
     load_model,
@@ -128,6 +129,51 @@ def test_finite_sde_linear_drift_matches_euler_recursion():
     for i in range(grid.steps):
         state = state + A @ state * grid.dt + math.sqrt(eps) * inc[0, i]
         assert np.allclose(got[i + 1], state, rtol=0, atol=1e-12)
+
+
+def test_finite_sde_step_is_bitwise_the_euler_maruyama_update():
+    # the update is (s + B(s) dt) + G(s) w, not an exponential-Euler step at
+    # zero eigenvalues: 1*s + 1*(B dt + G w) rounds differently
+    dim = 3
+    model = FiniteSDE(
+        dim=dim,
+        drift=DriftSpec("scaled-sine", kappa=1.5),
+        noise=NoiseSpec("diagonal-bounded", gain=0.7, decay=0.5),
+    )
+    grid = TimeGrid(1.0, 32)
+    inc = _noise_block(grid, dim, 5, 0, 4)
+    u = sine_control(grid, 2, channels=dim)
+    eps = 0.3
+    start = np.array([0.4, -1.2, 2.0])
+    got = simulate_batch(model, grid, start, eps, u, inc)
+    state = np.tile(start, (4, 1))
+    for i in range(grid.steps):
+        w = math.sqrt(eps) * inc[:, i, :]
+        w = w + u.values[i] * grid.dt
+        state = (state + _drift_apply(model.drift, state) * grid.dt) + _noise_apply(model.noise, state, w)
+        assert np.array_equal(got[:, i + 1, :], state)
+
+
+@pytest.mark.parametrize(
+    "name, channels",
+    [
+        ("zero", 3),
+        ("identity", 2),
+        ("identity", 3),
+        ("identity", 5),
+        ("diagonal-constant", 3),
+        ("diagonal-bounded", 3),
+        ("diagonal-linear-growth", 3),
+    ],
+)
+def test_noise_matrix_applies_exactly_like_the_batched_catalog(name, channels):
+    spec = NoiseSpec(name, gain=0.8, decay=0.5)
+    gen = np.random.default_rng(3)
+    x = gen.standard_normal(3)
+    w = gen.standard_normal(channels)
+    got = _noise_matrix(spec, x, 3, channels) @ w
+    assert got.shape == (3,)
+    assert np.array_equal(got, _noise_apply(spec, x[None], w[None])[0])
 
 
 def test_galerkin_zero_noise_decays_like_semigroup():

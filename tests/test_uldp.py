@@ -285,6 +285,10 @@ def test_luldp_requires_positive_etas_and_tags_cells():
         budgets=TINY,
     )
     assert [c.extra["eta"] for c in report.cells] == [0.2, 0.1]
+    # the probability side is on the plain set: one estimate per (eps, x), shared by every eta
+    first, second = report.cells
+    for key in ("seed", "phat", "hits"):
+        assert first.inputs[key] == second.inputs[key]
 
 
 def test_sentinel_cells_serialize_as_strings():
