@@ -19,6 +19,13 @@ Sampling is deterministic and schedule independent: sample index k
 always reads its noise from the counter-based substream of block
 k // CHUNK, so the same (config, seed) reproduces byte-identical
 estimates no matter how work is batched or threaded.
+
+Estimates at different starts that share a seed read the same block,
+drawn once: the block is the outer loop and the start the inner one.
+Peak sampling memory is one block plus one bool per sample per start
+(and one weight per sample per distinct tilt).  The translated path at
+x is x plus a core built once per block, so each estimate equals the
+one its start would get alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .models import Control, ProcessModel, _noise_block, simulate_batch
+from .models import Control, ProcessModel, _noise_block, simulate_batch, simulate_starts
 from .pathspace import (
     Ball,
     DiscretePath,
@@ -40,6 +47,7 @@ from .pathspace import (
     TerminalAtLeast,
     TimeGrid,
     _dist_batch,
+    _member_distances,
     _norms_along_dim,
 )
 
@@ -267,10 +275,10 @@ class MinOverCenters(TestFunction):
         return self.cap * max(self.weights)
 
     def batch(self, values: np.ndarray) -> np.ndarray:
-        best = None
-        for member, w in zip(self.centers.stack, self.weights):
-            d = w * _norms_along_dim(values - member)
-            best = d if best is None else np.minimum(best, d)
+        dists = _member_distances(values, self.centers.stack)
+        best = self.weights[0] * next(dists)
+        for w, d in zip(self.weights[1:], dists):
+            np.minimum(best, w * d, out=best)
         return self.cap * np.minimum(best, 1.0)
 
 
@@ -349,12 +357,6 @@ def _iter_blocks(n: int):
         done += size
 
 
-def _simulate_block(model, grid, x, eps, control, seed, block, size):
-    inc = _noise_block(grid, model.channels, seed, block, size)
-    paths = simulate_batch(model, grid, x, eps, control, inc)
-    return inc, paths
-
-
 def _girsanov_log_weights(control: Control, increments: np.ndarray, eps: float) -> np.ndarray:
     u = control.values
     dot = np.einsum("bik,ik->b", increments, u)
@@ -373,12 +375,12 @@ def _finish_estimate(
         degenerate = False
     else:
         contrib = weights * hits
-        p_hat = float(math.fsum(contrib) / n)
+        p_hat = float(math.fsum(memoryview(contrib)) / n)
         se = float(np.std(contrib, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
         ci_low = max(0.0, p_hat - Z95 * se)
         ci_high = min(1.0, p_hat + Z95 * se)
-        wsum = float(math.fsum(weights))
-        wsq = float(math.fsum(w * w for w in weights))
+        wsum = math.fsum(memoryview(weights))
+        wsq = math.fsum(memoryview(weights * weights))
         ess = wsum * wsum / wsq if wsq > 0 else 0.0
         degenerate = ess < 10.0
     if p_hat > 0.0:
@@ -404,6 +406,53 @@ def _finish_estimate(
     )
 
 
+def _probability_batch(
+    model: ProcessModel,
+    grid: TimeGrid,
+    eps: float,
+    jobs,
+    n: int,
+    seed: int,
+    speed=None,
+) -> list[LogProbEstimate]:
+    """Estimates of P(X^eps_x in event) for (x, event, tilt) jobs sharing eps, n and seed.
+
+    Each noise block is drawn once and read by every job.  Jobs with
+    equal tilts (None for plain Monte Carlo) form one group that shares
+    the simulated core and the Girsanov weights of the block; a job's
+    estimate equals the one it would get on its own.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    a_eps = float(speed(eps)) if speed is not None else eps
+    keys = [
+        None if tilt is None else (tilt.grid, tilt.values.shape, tilt.values.tobytes())
+        for _, _, tilt in jobs
+    ]
+    groups: dict = {}
+    for j, (key, (_, _, tilt)) in enumerate(zip(keys, jobs)):
+        groups.setdefault(key, (tilt, []))[1].append(j)
+    hits = [np.empty(n, dtype=bool) for _ in jobs]
+    weights = {key: np.empty(n) for key, (tilt, _) in groups.items() if tilt is not None}
+    for block, offset, size in _iter_blocks(n):
+        rows = slice(offset, offset + size)
+        inc = _noise_block(grid, model.channels, seed, block, size)
+        for key, (tilt, members) in groups.items():
+            paths = simulate_starts(model, grid, [jobs[j][0] for j in members], eps, tilt, inc)
+            for j in members:
+                hits[j][rows] = jobs[j][1].margins(next(paths)) > 0.0
+            if tilt is not None:
+                weights[key][rows] = np.exp(_girsanov_log_weights(tilt, inc, eps))
+    return [
+        _finish_estimate(
+            model=model, x=x, eps=eps, a_eps=a_eps, hits=hit, weights=weights.get(key), n=n, seed=seed
+        )
+        for (x, _, _), key, hit in zip(jobs, keys, hits)
+    ]
+
+
 def mc_probability(
     model: ProcessModel,
     grid: TimeGrid,
@@ -415,18 +464,7 @@ def mc_probability(
     speed=None,
 ) -> LogProbEstimate:
     """Plain Monte Carlo estimate of P(X^eps_x in event) with Wilson CI."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    a_eps = float(speed(eps)) if speed is not None else eps
-    hits = np.empty(n)
-    for block, offset, size in _iter_blocks(n):
-        _, paths = _simulate_block(model, grid, x, eps, None, seed, block, size)
-        hits[offset : offset + size] = event.margins(paths) > 0.0
-    return _finish_estimate(
-        model=model, x=x, eps=eps, a_eps=a_eps, hits=hits, weights=None, n=n, seed=seed
-    )
+    return _probability_batch(model, grid, eps, [(x, event, None)], n, seed, speed)[0]
 
 
 def is_probability(
@@ -441,20 +479,7 @@ def is_probability(
     speed=None,
 ) -> LogProbEstimate:
     """Girsanov-tilted importance sampling estimate of P(X^eps_x in event)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    a_eps = float(speed(eps)) if speed is not None else eps
-    hits = np.empty(n)
-    weights = np.empty(n)
-    for block, offset, size in _iter_blocks(n):
-        inc, paths = _simulate_block(model, grid, x, eps, tilt, seed, block, size)
-        hits[offset : offset + size] = event.margins(paths) > 0.0
-        weights[offset : offset + size] = np.exp(_girsanov_log_weights(tilt, inc, eps))
-    return _finish_estimate(
-        model=model, x=x, eps=eps, a_eps=a_eps, hits=hits, weights=weights, n=n, seed=seed
-    )
+    return _probability_batch(model, grid, eps, [(x, event, tilt)], n, seed, speed)[0]
 
 
 def laplace_functional(
@@ -479,8 +504,8 @@ def laplace_functional(
     a_eps = float(speed(eps)) if speed is not None else eps
     exponents = np.empty(n)
     for block, offset, size in _iter_blocks(n):
-        inc, paths = _simulate_block(model, grid, x, eps, tilt, seed, block, size)
-        expo = -h.batch(paths) / a_eps
+        inc = _noise_block(grid, model.channels, seed, block, size)
+        expo = -h.batch(simulate_batch(model, grid, x, eps, tilt, inc)) / a_eps
         if tilt is not None:
             expo = expo + _girsanov_log_weights(tilt, inc, eps)
         exponents[offset : offset + size] = expo

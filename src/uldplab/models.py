@@ -58,6 +58,7 @@ __all__ = [
     "DriftSpec",
     "NoiseSpec",
     "Regularity",
+    "simulate_starts",
     "solve_controlled",
     "skeleton",
     "convolutions",
@@ -468,19 +469,15 @@ def _phi1(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _simulate_translated_family(
-    model: ProcessModel, x, eps: float, control_values, increments: np.ndarray, dt: float
-) -> np.ndarray:
-    start = model.effective_start(model._as_state(x), eps)
+def _translated_core(eps: float, control_values, increments: np.ndarray, dt: float) -> np.ndarray:
+    """The x = 0 path of the translated family, shape (B, steps+1, 1)."""
     b, steps, _ = increments.shape
     core = np.zeros((b, steps + 1, 1))
     np.cumsum(increments, axis=1, out=core[:, 1:, :])
     core *= math.sqrt(eps)
     if control_values is not None:
         core += _integral_of_control(control_values, steps, 1, dt)[None, :, :]
-    # adding the scalar start last keeps the x = 0 core identical across x,
-    # which is what the translation-identity checks rely on
-    return core + start[0]
+    return core
 
 
 def _simulate_stepped(
@@ -526,15 +523,25 @@ def _simulate_stepped(
     return out
 
 
-def simulate_batch(
+def simulate_starts(
     model: ProcessModel,
     grid: TimeGrid,
-    x,
+    xs,
     eps: float,
     control: Control | None,
     increments: np.ndarray,
-) -> np.ndarray:
-    """Batched controlled paths; increments has shape (B, steps, channels)."""
+):
+    """Yield the batched controlled paths from each start in ``xs`` in turn.
+
+    Every start reads the same increments, shape (B, steps, channels),
+    and the same control.  The translated family builds its x = 0 core
+    once and yields ``core + start`` per start; adding the scalar start
+    last keeps the core identical across x, which is what the
+    translation-identity checks rely on.  The stepped families step each
+    start in turn.  A yielded batch is valid until the next one is
+    requested (the translated family reuses one buffer), so copy it to
+    keep it.  Inputs are checked when the first batch is requested.
+    """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     cv = None
@@ -550,10 +557,27 @@ def simulate_batch(
         raise ShapeMismatchError("increment count differs from grid steps")
     dt = grid.dt
     if isinstance(model, (TranslatedBM, PerturbedBM, SwappedBM)):
-        return _simulate_translated_family(model, x, eps, cv, increments, dt)
-    if isinstance(model, (FiniteSDE, GalerkinSPDE)):
-        return _simulate_stepped(model, x, eps, cv, increments, dt)
-    raise TypeError(f"unknown model type {type(model).__name__}")
+        core = _translated_core(eps, cv, increments, dt)
+        paths = np.empty_like(core)
+        for x in xs:
+            yield np.add(core, model.effective_start(model._as_state(x), eps)[0], out=paths)
+    elif isinstance(model, (FiniteSDE, GalerkinSPDE)):
+        for x in xs:
+            yield _simulate_stepped(model, x, eps, cv, increments, dt)
+    else:
+        raise TypeError(f"unknown model type {type(model).__name__}")
+
+
+def simulate_batch(
+    model: ProcessModel,
+    grid: TimeGrid,
+    x,
+    eps: float,
+    control: Control | None,
+    increments: np.ndarray,
+) -> np.ndarray:
+    """Batched controlled paths; increments has shape (B, steps, channels)."""
+    return next(simulate_starts(model, grid, (x,), eps, control, increments))
 
 
 def solve_controlled(

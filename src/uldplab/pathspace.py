@@ -212,12 +212,31 @@ def sup_metric(a: DiscretePath, b: DiscretePath) -> float:
     return float(_norms_along_dim(a.values - b.values))
 
 
+def _member_distances(values: np.ndarray, stack: np.ndarray):
+    """Yield the sup distance of every row of ``values`` to each member of ``stack``.
+
+    values: (B, steps+1, dim), stack: (count, steps+1, dim); each yield
+    has shape (B,) and equals ``_norms_along_dim(values - member)``.
+    Scalar paths reuse one (B, steps+1) buffer for all members.
+    """
+    if values.shape[-1] != 1 or stack.shape[-1] != 1:
+        for member in stack:
+            yield _norms_along_dim(values - member)
+        return
+    flat = values[..., 0]
+    buf = np.empty(flat.shape)
+    for member in stack:
+        np.subtract(flat, member[:, 0], out=buf)
+        np.abs(buf, out=buf)
+        yield buf.max(axis=-1)
+
+
 def _dist_batch(values: np.ndarray, target: PathSet) -> np.ndarray:
     """values: (B, steps+1, dim) -> distance of each row to the set."""
-    best = None
-    for member in target.stack:
-        d = _norms_along_dim(values - member)
-        best = d if best is None else np.minimum(best, d)
+    dists = _member_distances(values, target.stack)
+    best = next(dists)
+    for d in dists:
+        np.minimum(best, d, out=best)
     return best
 
 
@@ -264,7 +283,7 @@ class Ball(EventSpec):
             raise ValueError("radius must be positive")
 
     def margins(self, values: np.ndarray) -> np.ndarray:
-        return self.radius - _norms_along_dim(values - self.center.values)
+        return self.radius - next(_member_distances(values, self.center.values[None]))
 
 
 @dataclass(frozen=True)
@@ -281,10 +300,10 @@ class UnionOfBalls(EventSpec):
             raise ValueError("radii must be positive")
 
     def margins(self, values: np.ndarray) -> np.ndarray:
-        best = None
-        for member, r in zip(self.centers.stack, self.radii):
-            m = r - _norms_along_dim(values - member)
-            best = m if best is None else np.maximum(best, m)
+        dists = _member_distances(values, self.centers.stack)
+        best = self.radii[0] - next(dists)
+        for r, d in zip(self.radii[1:], dists):
+            np.maximum(best, r - d, out=best)
         return best
 
 

@@ -40,9 +40,8 @@ from .estimators import (
     EquicontinuousFamily,
     LogProbEstimate,
     TestFunction,
-    is_probability,
+    _probability_batch,
     laplace_functional,
-    mc_probability,
 )
 from .models import Control, ProcessModel, constant_control, model_to_spec, simulate_batch
 from .pathspace import Ball, DistanceAtLeast, EventSpec, TimeGrid
@@ -249,11 +248,6 @@ def _estimate_csv_inputs(est: LogProbEstimate) -> dict:
 # tilt policies
 
 
-def _zero_noise_path(model: ProcessModel, grid: TimeGrid, x, eps: float, control: Control | None):
-    inc = np.zeros((1, grid.steps, model.channels))
-    return simulate_batch(model, grid, x, eps, control, inc)[0]
-
-
 def _auto_constant_tilt(
     model: ProcessModel, grid: TimeGrid, x, eps: float, event: EventSpec, budgets: CheckBudgets
 ) -> Control | None:
@@ -262,44 +256,84 @@ def _auto_constant_tilt(
     Scans a 1-d grid of constants and keeps the margin maximizer (ties
     to the smaller |c|).  For ball-like events this lands on the center
     tilt; a centering tilt is still variance reducing even when the
-    deterministic path stays outside the event.
+    deterministic path stays outside the event.  The scanned skeletons
+    are scored by one margin call.
     """
     lo, hi, num = budgets.tilt_grid
+    cs = np.linspace(lo, hi, int(num))
+    if cs.size == 0:
+        return None
+    zero_inc = np.zeros((1, grid.steps, model.channels))
+    skeletons = np.stack([
+        simulate_batch(model, grid, x, eps, constant_control(grid, float(c), model.channels), zero_inc)[0]
+        for c in cs
+    ])
     best: tuple[float, float] | None = None
-    for c in np.linspace(lo, hi, int(num)):
-        control = constant_control(grid, float(c), model.channels)
-        values = _zero_noise_path(model, grid, x, eps, control)
-        margin = float(event.margins(values[None])[0])
+    for c, margin in zip(cs.tolist(), event.margins(skeletons).tolist()):
         if best is None or margin > best[1] or (margin == best[1] and abs(c) < abs(best[0])):
-            best = (float(c), margin)
-    if best is None or best[0] == 0.0:
+            best = (c, margin)
+    if best[0] == 0.0:
         return None
     return constant_control(grid, best[0], model.channels)
 
 
-def _estimate_probability(
+def _estimate_probabilities(
     model: ProcessModel,
     grid: TimeGrid,
-    x,
     eps: float,
-    event: EventSpec,
+    jobs,
     budgets: CheckBudgets,
     seed: int,
     speed,
-    member_tilt: Control | None = None,
-) -> LogProbEstimate:
-    tilt: Control | None = None
-    if budgets.tilt == "level-member":
-        tilt = member_tilt
-    elif budgets.tilt == "auto-constant":
-        tilt = _auto_constant_tilt(model, grid, x, eps, event, budgets)
-    if tilt is None or not np.any(tilt.values):
-        return mc_probability(model, grid, x, eps, event, budgets.mc_samples, seed, speed)
-    return is_probability(model, grid, x, eps, event, tilt, budgets.mc_samples, seed, speed)
+) -> list[LogProbEstimate]:
+    """One estimate per (x, event, member tilt) job, all from the noise of one seed.
+
+    Each job's tilt follows the budget policy; an absent or all-zero
+    tilt means plain Monte Carlo.
+    """
+    resolved = []
+    for x, event, member_tilt in jobs:
+        tilt: Control | None = None
+        if budgets.tilt == "level-member":
+            tilt = member_tilt
+        elif budgets.tilt == "auto-constant":
+            tilt = _auto_constant_tilt(model, grid, x, eps, event, budgets)
+        if tilt is not None and not np.any(tilt.values):
+            tilt = None
+        resolved.append((x, event, tilt))
+    return _probability_batch(model, grid, eps, resolved, budgets.mc_samples, seed, speed)
 
 
 # ---------------------------------------------------------------------------
 # rate side of set bounds
+
+
+def _rate_scores(
+    model: ProcessModel,
+    grid: TimeGrid,
+    x,
+    event: EventSpec,
+    s_max: float,
+    count: int,
+    seed: int,
+    constant_pool: int,
+) -> list[tuple[float, float]]:
+    """(energy, event margin) of every rate candidate, in candidate order."""
+    candidates = rate_candidates(model, grid, x, s_max, count, seed, constant_pool)
+    margins = event.margins(np.stack([member.values for _, member in candidates]))
+    return [(energy, margin) for (energy, _), margin in zip(candidates, margins.tolist())]
+
+
+def _best_rate(scores: list[tuple[float, float]], eta: float, closed: bool) -> tuple[float, int | None]:
+    """Least energy among the scores that pass the eta filter, and its index."""
+    best = math.inf
+    best_idx: int | None = None
+    for idx, (energy, margin) in enumerate(scores):
+        ok = margin >= -eta if closed else margin > eta
+        if ok and energy < best:
+            best = energy
+            best_idx = idx
+    return best, best_idx
 
 
 def event_rate_bound(
@@ -320,17 +354,8 @@ def event_rate_bound(
     margin >= -eta (closed sets, where eta fattens).  Returns +inf and
     None when no candidate qualifies.
     """
-    best = math.inf
-    best_idx: int | None = None
-    for idx, (energy, member) in enumerate(
-        rate_candidates(model, grid, x, s_max, count, seed, constant_pool)
-    ):
-        margin = float(event.margins(member.values[None])[0])
-        ok = margin >= -eta if closed else margin > eta
-        if ok and energy < best:
-            best = energy
-            best_idx = idx
-    return best, best_idx
+    scores = _rate_scores(model, grid, x, event, s_max, count, seed, constant_pool)
+    return _best_rate(scores, eta, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -383,27 +408,31 @@ def fwuldp_gaps(
         for si, s in enumerate(s_grid)
     }
 
+    points = index_set.points
     for ei, eps in enumerate(schedule.eps):
-        for pt in index_set.points:
-            sample = samples[pt]
-            member_rows = []
-            for k, (control, energy, member) in enumerate(
-                zip(sample.controls, sample.energies, sample.paths.members)
-            ):
-                event = Ball(member, delta)
-                est = _estimate_probability(
-                    model,
-                    grid,
-                    pt,
-                    eps,
-                    event,
-                    budgets,
-                    subseed(budgets.seed, "fw", "lower", ei, k),
-                    schedule.speed,
-                    member_tilt=control,
-                )
-                member_rows.append({"member": k, "rate": energy, **_estimate_csv_inputs(est)})
-            best = min(member_rows, key=lambda r: gap_sum(r["log_value"], r["rate"]))
+        # one batch over the starts per member and per level: the seed is x-free
+        member_rows: list[list[dict]] = [[] for _ in points]
+        for k in range(len(samples[points[0]])):
+            jobs = [
+                (pt, Ball(samples[pt].paths.members[k], delta), samples[pt].controls[k])
+                for pt in points
+            ]
+            ests = _estimate_probabilities(
+                model, grid, eps, jobs, budgets, subseed(budgets.seed, "fw", "lower", ei, k), schedule.speed
+            )
+            for rows, pt, est in zip(member_rows, points, ests):
+                rows.append({"member": k, "rate": samples[pt].energies[k], **_estimate_csv_inputs(est)})
+        s_rows: list[list[dict]] = [[] for _ in points]
+        for si, s in enumerate(s_grid):
+            jobs = [(pt, DistanceAtLeast(upper_samples[(pt, si)].paths, delta), None) for pt in points]
+            ests = _estimate_probabilities(
+                model, grid, eps, jobs, budgets, subseed(budgets.seed, "fw", "upper", ei, si), schedule.speed
+            )
+            for rows, est in zip(s_rows, ests):
+                rows.append({"s": s, **_estimate_csv_inputs(est)})
+
+        for pt, rows, levels in zip(points, member_rows, s_rows):
+            best = min(rows, key=lambda r: gap_sum(r["log_value"], r["rate"]))
             lower_cells.append(
                 CheckCell(
                     eps=eps,
@@ -414,26 +443,11 @@ def fwuldp_gaps(
                         "phat": best["phat"],
                         "log_value": best["log_value"],
                         "rate": best["rate"],
-                        "members": member_rows,
+                        "members": rows,
                     },
                 )
             )
-
-            s_rows = []
-            for si, s in enumerate(s_grid):
-                event = DistanceAtLeast(upper_samples[(pt, si)].paths, delta)
-                est = _estimate_probability(
-                    model,
-                    grid,
-                    pt,
-                    eps,
-                    event,
-                    budgets,
-                    subseed(budgets.seed, "fw", "upper", ei, si),
-                    schedule.speed,
-                )
-                s_rows.append({"s": s, **_estimate_csv_inputs(est)})
-            best_s = max(s_rows, key=lambda r: gap_sum(r["log_value"], r["s"]))
+            best_s = max(levels, key=lambda r: gap_sum(r["log_value"], r["s"]))
             upper_cells.append(
                 CheckCell(
                     eps=eps,
@@ -444,7 +458,7 @@ def fwuldp_gaps(
                         "phat": best_s["phat"],
                         "log_value": best_s["log_value"],
                         "rate": best_s["s"],
-                        "levels": s_rows,
+                        "levels": levels,
                     },
                 )
             )
@@ -506,7 +520,8 @@ def _setwise_gaps(
 
     The rate side of the open (closed) event is shrunk (fattened) by
     eta; the probability side stays on the plain set, so each (eps, x)
-    estimate is drawn once and shared by every eta.  Only the "lu"
+    estimate is drawn once and shared by every eta, and each start's
+    rate candidates are scored once and filtered per eta.  Only the "lu"
     definition records eta in its params and cells.
     """
     tags_eta = tag == "lu"
@@ -525,27 +540,26 @@ def _setwise_gaps(
     ):
         if event is None:
             continue
-        estimates = {
-            (ei, pt): _estimate_probability(
-                model, grid, pt, eps, event, budgets,
+        estimates = [
+            _estimate_probabilities(
+                model, grid, eps, [(pt, event, None) for pt in index_set.points], budgets,
                 subseed(budgets.seed, tag, kind, ei), schedule.speed,
             )
             for ei, eps in enumerate(schedule.eps)
+        ]
+        scores = [
+            _rate_scores(
+                model, grid, np.array(pt), event, s_max, budgets.level_count, rate_seed,
+                budgets.constant_pool,
+            )
             for pt in index_set.points
-        }
+        ]
         cells = []
         for eta in etas:
-            rates = {
-                pt: event_rate_bound(
-                    model, grid, np.array(pt), event, s_max, budgets.level_count, rate_seed,
-                    budgets.constant_pool, eta=eta, closed=closed,
-                )[0]
-                for pt in index_set.points
-            }
-            side = side_of(rates.values())
-            for ei, eps in enumerate(schedule.eps):
-                for pt in index_set.points:
-                    est = estimates[ei, pt]
+            rates = [_best_rate(sc, eta, closed)[0] for sc in scores]
+            side = side_of(rates)
+            for eps, row in zip(schedule.eps, estimates):
+                for pt, rate, est in zip(index_set.points, rates, row):
                     cells.append(
                         CheckCell(
                             eps=eps,
@@ -553,7 +567,7 @@ def _setwise_gaps(
                             extra={"eta": eta} if tags_eta else {},
                             gap=gap_sum(est.log_value, side),
                             inputs={
-                                "rate": rates[pt],
+                                "rate": rate,
                                 side_key: side,
                                 **_estimate_csv_inputs(est),
                             },

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from uldplab.estimators import (
+    CHUNK,
     CappedDistance,
     CappedSetDistance,
     Constant,
@@ -22,8 +23,18 @@ from uldplab.estimators import (
     mc_probability,
     quadrature_probability,
     wilson_interval,
+    _probability_batch,
 )
-from uldplab.models import TranslatedBM, constant_control, zero_control
+from uldplab.models import (
+    DriftSpec,
+    FiniteSDE,
+    GalerkinSPDE,
+    PerturbedBM,
+    SwappedBM,
+    TranslatedBM,
+    constant_control,
+    zero_control,
+)
 from uldplab.pathspace import (
     Ball,
     DiscretePath,
@@ -31,6 +42,7 @@ from uldplab.pathspace import (
     PathSet,
     TerminalAtLeast,
     TimeGrid,
+    constant_path,
     line_path,
     sup_metric,
 )
@@ -212,3 +224,38 @@ def test_chunking_is_invisible_to_the_estimate():
     # the first block's contribution is identical, so the two hit counts
     # differ only by hits among the extra 500 samples
     assert 0 <= big.hit_count - small.hit_count <= 500
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        TranslatedBM(),
+        PerturbedBM(),
+        SwappedBM(),
+        FiniteSDE(dim=2, drift=DriftSpec(name="scaled-sine")),
+        GalerkinSPDE(modes=4, channels=4),
+    ],
+    ids=lambda m: m.name,
+)
+def test_start_batch_equals_single_start_estimates_bit_for_bit(model):
+    grid = TimeGrid(1.0, 8)
+    eps, n, seed = 0.2, CHUNK + 17, 31
+    c = constant_control(grid, 0.7, model.channels)
+    tilts = [None, c, constant_control(grid, 0.7, model.channels), constant_control(grid, -0.4, model.channels)]
+    # radii that leave every job with hits and misses; x = 0 is the swapped
+    # start of SwappedBM; each start gets its own event
+    radius = {1: 0.6, 2: 1.2, 4: 1.6}[model.dim]
+    jobs = [
+        (x, Ball(constant_path(grid, x + 0.3, model.dim), radius), tilt)
+        for x in (0.0, 0.5, -1.25)
+        for tilt in tilts
+    ]
+    batch = _probability_batch(model, grid, eps, jobs, n, seed)
+    assert len(batch) == len(jobs)
+    for (x, event, tilt), got in zip(jobs, batch):
+        if tilt is None:
+            want = mc_probability(model, grid, x, eps, event, n, seed)
+        else:
+            want = is_probability(model, grid, x, eps, event, tilt, n, seed)
+        assert got == want  # every field: p_hat, CIs, ess, hit_count, log_value, ...
+        assert 0 < got.hit_count < n

@@ -24,6 +24,7 @@ from uldplab.models import (
     model_to_spec,
     sample_noise,
     simulate_batch,
+    simulate_starts,
     sine_control,
     skeleton,
     solve_controlled,
@@ -289,3 +290,17 @@ def test_noise_gains_respect_bounded_tag(decay_tenths):
     assert spec.growth == "bounded"
     assert np.all(gains <= 0.5 + 1e-12)
     assert np.all(np.diff(gains) <= 1e-12)
+
+
+@pytest.mark.parametrize(
+    "model", [TranslatedBM(), PerturbedBM(), SwappedBM(), FiniteSDE(dim=2)], ids=lambda m: m.name
+)
+def test_simulate_starts_yields_the_one_start_batches(model):
+    grid = TimeGrid(1.0, 16)
+    inc = _noise_block(grid, model.channels, 3, 0, 50)
+    u = constant_control(grid, 0.4, model.channels)
+    starts = (0.0, 0.5, -7.0)
+    got = [p.copy() for p in simulate_starts(model, grid, starts, 0.3, u, inc)]
+    want = [simulate_batch(model, grid, x, 0.3, u, inc) for x in starts]
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))

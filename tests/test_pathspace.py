@@ -18,6 +18,8 @@ from uldplab.pathspace import (
     TimeGrid,
     Union,
     UnionOfBalls,
+    _dist_batch,
+    _norms_along_dim,
     constant_path,
     dist_to_set,
     event_margin,
@@ -209,3 +211,22 @@ def test_ball_margin_equals_radius_minus_distance(radius, offset):
     probe = constant_path(grid, offset)
     m = event_margin(probe, Ball(center, radius))
     assert m == pytest.approx(radius - abs(offset), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_member_margins_equal_the_reference_formula_bitwise(dim):
+    rng = np.random.default_rng(7)
+    grid = TimeGrid(1.0, 16)
+    values = rng.standard_normal((300, grid.steps + 1, dim))
+    members = PathSet([DiscretePath(grid, rng.standard_normal((grid.steps + 1, dim))) for _ in range(5)])
+    radii = (0.5, 1.5, 2.0, 2.5, 3.0)
+    dists = [_norms_along_dim(values - m) for m in members.stack]
+    union = np.max([r - d for r, d in zip(radii, dists)], axis=0)
+    nearest = np.min(dists, axis=0)
+    assert np.array_equal(UnionOfBalls(members, radii).margins(values), union)
+    assert np.array_equal(_dist_batch(values, members), nearest)
+    assert np.array_equal(DistanceAtLeast(members, 1.25).margins(values), nearest - 1.25)
+    assert np.array_equal(Ball(members.members[2], 1.5).margins(values), 1.5 - dists[2])
+    # a stacked call scores each row as a one-row call would (tilt scan, rate pool)
+    for event in (UnionOfBalls(members, radii), DistanceAtLeast(members, 1.25), Ball(members.members[2], 1.5)):
+        assert np.array_equal(event.margins(values), [event.margins(v[None])[0] for v in values])

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +86,17 @@ def test_spectral_scenario_holds_both_bounds():
     assert result.passed
     verdicts = {r.definition: r.trend.verdict for r in result.reports}
     assert set(verdicts.values()) == {"holds-trend"}
+
+
+DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+
+
+@pytest.mark.parametrize(
+    "name", ["dz-lower-unbounded", "dz-hausdorff-discontinuity", "y-luldp-holds", "y-fwuldp-fails"]
+)
+def test_scenario_output_bytes_match_the_pinned_digest(name, tmp_path):
+    # start-batched sampling must reproduce the per-start output byte for byte
+    out = tmp_path / f"{name}.json"
+    run(name, out=str(out))
+    want = json.loads(DIGESTS.read_text())[name]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
