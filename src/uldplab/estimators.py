@@ -442,7 +442,7 @@ def _probability_batch(
         for key, (tilt, members) in groups.items():
             paths = simulate_starts(model, grid, [jobs[j][0] for j in members], eps, tilt, inc)
             for j in members:
-                hits[j][rows] = jobs[j][1].margins(next(paths)) > 0.0
+                hits[j][rows] = jobs[j][1].hits(next(paths))
             if tilt is not None:
                 weights[key][rows] = np.exp(_girsanov_log_weights(tilt, inc, eps))
     return [
@@ -499,17 +499,39 @@ def laplace_functional(
     constant h returns exactly -h and rare large values cannot
     underflow the whole sum.
     """
+    return _laplace_batch(model, grid, eps, [x], h, n, seed, speed, tilt)[0]
+
+
+def _laplace_batch(
+    model: ProcessModel,
+    grid: TimeGrid,
+    eps: float,
+    xs,
+    h: TestFunction,
+    n: int,
+    seed: int,
+    speed=None,
+    tilt: Control | None = None,
+) -> list[float]:
+    """``laplace_functional`` at every start in ``xs``, sharing eps, h, n, seed and tilt.
+
+    Each noise block is drawn once and read by every start, as in
+    ``_probability_batch``; each value equals the one its start would
+    get on its own.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     a_eps = float(speed(eps)) if speed is not None else eps
-    exponents = np.empty(n)
+    exponents = np.empty((len(xs), n))
     for block, offset, size in _iter_blocks(n):
         inc = _noise_block(grid, model.channels, seed, block, size)
-        expo = -h.batch(simulate_batch(model, grid, x, eps, tilt, inc)) / a_eps
-        if tilt is not None:
-            expo = expo + _girsanov_log_weights(tilt, inc, eps)
-        exponents[offset : offset + size] = expo
-    return a_eps * float(logsumexp(exponents) - math.log(n))
+        log_w = None if tilt is None else _girsanov_log_weights(tilt, inc, eps)
+        for row, paths in zip(exponents, simulate_starts(model, grid, xs, eps, tilt, inc)):
+            expo = -h.batch(paths) / a_eps
+            if log_w is not None:
+                expo = expo + log_w
+            row[offset : offset + size] = expo
+    return [a_eps * float(logsumexp(row) - math.log(n)) for row in exponents]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,17 @@ negative means outside, and the magnitude is a (conservative) distance
 to the boundary.  Shrunk and fattened versions of a set are obtained by
 thresholding the margin, which is how the locally uniform definitions
 consume events.
+
+``EventSpec.hits(values)`` answers only the sign: for every input it is
+bit for bit ``margins(values) > 0.0``, and it is what the probability
+estimators read.  Balls, ball unions and distance-at-least sets answer
+it without forming the margin: a row leaves a ball at its first grid
+point with norm >= radius, a union skips balls for rows already inside
+one, and a row leaves a distance-at-least set once its whole path lies
+within the threshold of some member.  When more than half of the rows
+are still open after the first grid point, the full distances are
+formed in one pass instead.  ``margins`` keeps the full
+distances for the rate side, the tilt scan, quadrature and the CLI.
 """
 
 from __future__ import annotations
@@ -197,11 +208,16 @@ class PathSet:
         return {p.values.tobytes() for p in self.members}
 
 
+def _point_norms(diff: np.ndarray) -> np.ndarray:
+    # diff: (..., steps+1, dim) -> euclidean norm in R^d at each grid point
+    if diff.shape[-1] == 1:
+        return np.abs(diff[..., 0])
+    return np.sqrt(np.sum(diff * diff, axis=-1))
+
+
 def _norms_along_dim(diff: np.ndarray) -> np.ndarray:
     # diff: (..., steps+1, dim) -> sup over time of euclidean norm in R^d
-    if diff.shape[-1] == 1:
-        return np.max(np.abs(diff[..., 0]), axis=-1)
-    return np.max(np.sqrt(np.sum(diff * diff, axis=-1)), axis=-1)
+    return np.max(_point_norms(diff), axis=-1)
 
 
 def sup_metric(a: DiscretePath, b: DiscretePath) -> float:
@@ -240,6 +256,47 @@ def _dist_batch(values: np.ndarray, target: PathSet) -> np.ndarray:
     return best
 
 
+# Grid columns read before each narrowing of the open rows: chunks of 1, 8,
+# 24 and then the rest of the path.  A thin first chunk settles most rows
+# that start away from a center; later ones amortize the gather.
+_SCREEN_STOPS = (1, 9, 33)
+
+
+def _within(values: np.ndarray, rows: np.ndarray, center: np.ndarray, bound: float, below) -> np.ndarray:
+    """The entries of ``rows`` with ``below(norm, bound)`` at every grid point.
+
+    norm is the per-point distance of a row of ``values`` (B, steps+1,
+    dim) to ``center`` (steps+1, dim), formed exactly as in
+    ``_norms_along_dim``, and ``below`` is ``np.less`` or
+    ``np.less_equal``.  Columns of the open rows are gathered in the
+    chunks of ``_SCREEN_STOPS`` and a row leaves at the first chunk with
+    a failing point.  If more than half of all B rows are still open
+    after a chunk, the sup distance of every row is formed in one pass
+    instead, which costs no more than ``margins``.
+    """
+    if center.shape != values.shape[1:]:
+        raise ShapeMismatchError(f"paths of shape {values.shape[1:]} vs center {center.shape}")
+    cols = values.shape[1]
+    start = 0
+    for stop in (*(s for s in _SCREEN_STOPS if s < cols), cols):
+        if not rows.size:
+            break
+        if start and 2 * rows.size > len(values):
+            return rows[below(next(_member_distances(values, center[None]))[rows], bound)]
+        part = slice(start, stop)
+        rows = rows[below(_point_norms(values[rows, part] - center[part]), bound).all(axis=-1)]
+        start = stop
+    return rows
+
+
+def _union_hits(values: np.ndarray, centers: np.ndarray, radii) -> np.ndarray:
+    """Rows of ``values`` inside some open ball; each ball screens only rows not yet hit."""
+    out = np.zeros(len(values), dtype=bool)
+    for center, r in zip(centers, radii):
+        out[_within(values, np.flatnonzero(~out), center, r, np.less)] = True
+    return out
+
+
 def dist_to_set(path: DiscretePath, target: PathSet) -> float:
     _check_same_grid(path.grid, target.grid)
     if path.dim != target.dim:
@@ -267,6 +324,14 @@ class EventSpec:
     def margins(self, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def hits(self, values: np.ndarray) -> np.ndarray:
+        """Membership of each row, bit for bit ``self.margins(values) > 0.0``.
+
+        Balls, ball unions and distance-at-least sets raise
+        ``ShapeMismatchError`` for paths off the event's grid or dimension.
+        """
+        return self.margins(values) > 0.0
+
     def margin(self, path: DiscretePath) -> float:
         return float(self.margins(path.values[None])[0])
 
@@ -285,6 +350,9 @@ class Ball(EventSpec):
     def margins(self, values: np.ndarray) -> np.ndarray:
         return self.radius - next(_member_distances(values, self.center.values[None]))
 
+    def hits(self, values: np.ndarray) -> np.ndarray:
+        return _union_hits(values, self.center.values[None], (self.radius,))
+
 
 @dataclass(frozen=True)
 class UnionOfBalls(EventSpec):
@@ -296,7 +364,7 @@ class UnionOfBalls(EventSpec):
     def __post_init__(self) -> None:
         if len(self.radii) != len(self.centers):
             raise ShapeMismatchError("one radius per center required")
-        if any(r <= 0 for r in self.radii):
+        if not all(r > 0 for r in self.radii):
             raise ValueError("radii must be positive")
 
     def margins(self, values: np.ndarray) -> np.ndarray:
@@ -305,6 +373,9 @@ class UnionOfBalls(EventSpec):
         for r, d in zip(self.radii[1:], dists):
             np.maximum(best, r - d, out=best)
         return best
+
+    def hits(self, values: np.ndarray) -> np.ndarray:
+        return _union_hits(values, self.centers.stack, self.radii)
 
 
 @dataclass(frozen=True)
@@ -315,11 +386,21 @@ class DistanceAtLeast(EventSpec):
     threshold: float
 
     def __post_init__(self) -> None:
-        if self.threshold < 0:
+        if not self.threshold >= 0:
             raise ValueError("threshold must be nonnegative")
 
     def margins(self, values: np.ndarray) -> np.ndarray:
         return _dist_batch(values, self.targets) - self.threshold
+
+    def hits(self, values: np.ndarray) -> np.ndarray:
+        far = np.ones(len(values), dtype=bool)
+        for target in self.targets.stack:
+            far[_within(values, np.flatnonzero(far), target, self.threshold, np.less_equal)] = False
+        # a nan point makes every distance of its row nan, and so a miss,
+        # even where an earlier point already showed the row far away
+        if far.any():
+            far &= ~np.isnan(values).any(axis=(1, 2))
+        return far
 
 
 @dataclass(frozen=True)

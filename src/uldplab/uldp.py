@@ -40,8 +40,8 @@ from .estimators import (
     EquicontinuousFamily,
     LogProbEstimate,
     TestFunction,
+    _laplace_batch,
     _probability_batch,
-    laplace_functional,
 )
 from .models import Control, ProcessModel, constant_control, model_to_spec, simulate_batch
 from .pathspace import Ball, DistanceAtLeast, EventSpec, TimeGrid
@@ -615,11 +615,11 @@ def ulp_gap(
     }
     cells = []
     for ei, eps in enumerate(schedule.eps):
-        for pt in index_set.points:
-            lap = laplace_functional(
-                model, grid, pt, eps, h, budgets.mc_samples,
-                subseed(budgets.seed, "ulp", "laplace", ei), schedule.speed,
-            )
+        laps = _laplace_batch(
+            model, grid, eps, index_set.points, h, budgets.mc_samples,
+            subseed(budgets.seed, "ulp", "laplace", ei), schedule.speed,
+        )
+        for pt, lap in zip(index_set.points, laps):
             inf_val = inf_vals[pt]
             cells.append(
                 CheckCell(
@@ -662,12 +662,16 @@ def eulp_gap(
     }
     cells = []
     for ei, eps in enumerate(schedule.eps):
-        for pt in index_set.points:
-            for hi_idx, h in enumerate(family.members):
-                lap = laplace_functional(
-                    model, grid, pt, eps, h, budgets.mc_samples,
-                    subseed(budgets.seed, "eulp", "laplace", ei, hi_idx), schedule.speed,
-                )
+        laps = [
+            _laplace_batch(
+                model, grid, eps, index_set.points, h, budgets.mc_samples,
+                subseed(budgets.seed, "eulp", "laplace", ei, hi_idx), schedule.speed,
+            )
+            for hi_idx, h in enumerate(family.members)
+        ]
+        for pi, pt in enumerate(index_set.points):
+            for hi_idx, by_start in enumerate(laps):
+                lap = by_start[pi]
                 inf_val = inf_vals[pt, hi_idx]
                 cells.append(
                     CheckCell(

@@ -23,6 +23,7 @@ from uldplab.estimators import (
     mc_probability,
     quadrature_probability,
     wilson_interval,
+    _laplace_batch,
     _probability_batch,
 )
 from uldplab.models import (
@@ -259,3 +260,8 @@ def test_start_batch_equals_single_start_estimates_bit_for_bit(model):
             want = is_probability(model, grid, x, eps, event, tilt, n, seed)
         assert got == want  # every field: p_hat, CIs, ess, hit_count, log_value, ...
         assert 0 < got.hit_count < n
+    h = CappedDistance(constant_path(grid, 0.3, model.dim), 1.0, 0.5)
+    xs = (0.0, 0.5, -1.25)
+    for tilt in (None, c):
+        want = [laplace_functional(model, grid, x, eps, h, n, seed, tilt=tilt) for x in xs]
+        assert _laplace_batch(model, grid, eps, xs, h, n, seed, tilt=tilt) == want

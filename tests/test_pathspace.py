@@ -230,3 +230,63 @@ def test_member_margins_equal_the_reference_formula_bitwise(dim):
     # a stacked call scores each row as a one-row call would (tilt scan, rate pool)
     for event in (UnionOfBalls(members, radii), DistanceAtLeast(members, 1.25), Ball(members.members[2], 1.5)):
         assert np.array_equal(event.margins(values), [event.margins(v[None])[0] for v in values])
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("near_frac", [0.97, 0.03])
+def test_event_hits_equal_margin_signs_bitwise(dim, near_frac):
+    # 41 grid points span every screening chunk; near_frac 0.97 keeps most
+    # rows open after the first chunk (one full pass), 0.03 settles most
+    # of them at t = 0 (gathered chunks to the end)
+    rng = np.random.default_rng(11)
+    grid = TimeGrid(1.0, 40)
+    # members on the 1/64 lattice, so member + 1.5 e1 - member is exactly 1.5
+    members = PathSet(
+        [
+            DiscretePath(grid, 4.0 * k + np.round(32 * rng.standard_normal((grid.steps + 1, dim))) / 64)
+            for k in range(4)
+        ]
+    )
+    count = 600
+    values = members.stack[rng.integers(len(members), size=count)]
+    values = values + 0.35 * rng.standard_normal(values.shape)
+    values[rng.random(count) >= near_frac] += 50.0
+    e1 = np.eye(dim)[0]
+    special = members.stack[[0, 0, 0, 0, 0]].copy()
+    special[0, 20] += 1.5 * e1  # sup distance to member 0 is exactly 1.5
+    special[1, 30] += 1.25 * e1  # ... exactly 1.25
+    special[2, 35, -1] = np.nan
+    special[3, 35, 0] = np.inf
+    special[4, 0] += 50.0  # far from every member at t = 0, nan later
+    special[4, 38, 0] = np.nan
+    values = np.concatenate([values, special])
+    events = [
+        Ball(members.members[0], 1.5),
+        Ball(members.members[2], 1.0),
+        UnionOfBalls(members, (1.5, 1.25, 0.75, 1.0)),
+        UnionOfBalls(members, (1.25,) * 4),
+        DistanceAtLeast(members, 1.25),
+        DistanceAtLeast(members, 1.5),
+        DistanceAtLeast(members, 0.0),
+        TerminalAtLeast(3.0),
+        Intersection((Ball(members.members[1], 1.5), TerminalAtLeast(3.0))),
+    ]
+    for event in events:
+        got = event.hits(values)
+        assert got.dtype == bool
+        assert np.array_equal(got, event.margins(values) > 0.0)
+        assert np.array_equal(event.hits(values[:0]), np.zeros(0, dtype=bool))
+    assert events[0].hits(special).tolist() == [False, True, False, False, False]
+    assert events[4].hits(special).tolist() == [True, False, False, True, False]
+    near = np.array([events[0].hits(values).sum(), events[4].hits(values).sum()])
+    assert (0 < near).all() and (near < len(values)).all()
+    # a nan radius or threshold would make every margin nan
+    with pytest.raises(ValueError):
+        UnionOfBalls(members, (1.0, math.nan, 1.0, 1.0))
+    with pytest.raises(ValueError):
+        DistanceAtLeast(members, math.nan)
+    # paths off the event's grid are refused, not cut or broadcast
+    for bad in (values[:, :-1], values[:, :33], np.concatenate([values, values[:, :1]], axis=1)):
+        for event in events[:7]:
+            with pytest.raises(ShapeMismatchError):
+                event.hits(bad)

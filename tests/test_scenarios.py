@@ -92,10 +92,21 @@ DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
 
 
 @pytest.mark.parametrize(
-    "name", ["dz-lower-unbounded", "dz-hausdorff-discontinuity", "y-luldp-holds", "y-fwuldp-fails"]
+    "name",
+    [
+        "dz-lower-unbounded",
+        "dz-hausdorff-discontinuity",
+        "y-luldp-holds",
+        "y-fwuldp-fails",
+        "dz-lower-bounded",
+        "bm-fwuldp-holds",
+        "spde-fwuldp",
+        "ulp-counter",
+    ],
 )
 def test_scenario_output_bytes_match_the_pinned_digest(name, tmp_path):
-    # start-batched sampling must reproduce the per-start output byte for byte
+    # start-batched sampling and the early-exit membership kernels must
+    # reproduce the per-start, full-margin output byte for byte
     out = tmp_path / f"{name}.json"
     run(name, out=str(out))
     want = json.loads(DIGESTS.read_text())[name]
