@@ -7,7 +7,8 @@ checker, ``scenario`` replays a pinned configuration with its expected
 verdicts, and ``converge`` runs the uniform convergence experiment.
 
 Exit codes: 0 success, 1 scenario expected-verdict failure, 2 config
-error (the message names the violated precondition).  All output is a
+error (the message names the violated precondition) or a model state
+that became non-finite (the message names the step).  All output is a
 pure function of (flags, seed); ``--threads`` only bounds worker
 parallelism.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from .convergence import control_conv
 from .estimators import EpsilonSchedule, LogProbEstimate, mc_probability
-from .models import _noise_block, load_model, simulate_batch, skeleton
+from .models import NumericalBlowupError, _noise_block, load_model, simulate_batch, skeleton
 from .pathspace import (
     DiscretePath,
     DistanceAtLeast,
@@ -411,6 +412,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except NumericalBlowupError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, TypeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,6 +7,12 @@ admissible set and controls in an L2 ball.  The experiments couple the
 noise across eps (common random numbers), so the sqrt(eps) scaling of
 the pathwise error is visible without Monte Carlo blur.
 
+In ``control_conv`` each (start, control) cell draws one noise block and
+steps every eps of the schedule on it in one batch, one row block per
+eps, through the models' one stepping loop.  Rows are bitwise what a
+per-eps simulation gives, and cells are reduced in index order, so the table
+does not depend on the thread count.
+
 Admissibility of the start sample depends on the diffusion catalog: a
 uniformly bounded noise map supports start sets tagged all-subsets,
 while linear-growth noise only supports bounded or compact tags.  The
@@ -31,10 +37,11 @@ from .models import (
     constant_control,
     model_to_spec,
     simulate_batch,
+    simulate_eps_stack,
     sine_control,
     zero_control,
 )
-from .pathspace import TimeGrid, _norms_along_dim
+from .pathspace import TimeGrid, _norms_along_dim, _point_norms
 from .uldp import IndexSetSample, _jsonable, subseed
 
 __all__ = [
@@ -159,6 +166,12 @@ def control_conv(
     sup-over-time norm of X^{eps,u}_x,i minus the skeleton.  The table
     keeps the worst cell probability of exceeding ``delta`` per eps.
 
+    A cell steps all eps of the schedule in one batch of len(eps) * n
+    rows (``simulate_eps_stack``) and keeps each row's sup error as a
+    running maximum over the grid points, so no path array is stored.
+    If a state becomes non-finite, the NumericalBlowupError names the
+    first step at which any eps row of the cell is non-finite.
+
     Each (x, u) cell is a pure function of the seed and the cell index,
     and the reduction walks cells in index order, so the result does not
     depend on ``threads``.
@@ -167,6 +180,8 @@ def control_conv(
         raise ValueError("delta must be positive")
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     _require_admissible(model, x_sample)
     controls = ball_controls(
         grid, model.channels, control_bound, control_count, subseed(seed, "conv", "controls")
@@ -184,15 +199,12 @@ def control_conv(
         xi, pt, uj, control = cell
         increments = _noise_block(grid, model.channels, master, xi * len(controls) + uj, n)
         base = simulate_batch(model, grid, pt, 0.0, control, zero_inc)[0]
-        probs = []
-        errs = []
-        for e in eps_grid:
-            paths = simulate_batch(model, grid, pt, e, control, increments)
-            # _norms_along_dim already sups over time: shape (n,)
-            err = _norms_along_dim(paths - base[None])
-            probs.append(float(np.mean(err > delta)))
-            errs.append(err)
-        return probs, errs
+        # one walk steps every eps; row e * n + k is sample k at eps_grid[e]
+        err = np.zeros(len(eps_grid) * n)
+        for i, state in enumerate(simulate_eps_stack(model, grid, pt, eps_grid, control, increments)):
+            np.maximum(err, _point_norms(state - base[i]), out=err)
+        errs = err.reshape(len(eps_grid), n)
+        return [float(np.mean(row > delta)) for row in errs], errs
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -59,6 +59,7 @@ __all__ = [
     "NoiseSpec",
     "Regularity",
     "simulate_starts",
+    "simulate_eps_stack",
     "solve_controlled",
     "skeleton",
     "convolutions",
@@ -480,13 +481,18 @@ def _translated_core(eps: float, control_values, increments: np.ndarray, dt: flo
     return core
 
 
-def _simulate_stepped(
-    model: FiniteSDE | GalerkinSPDE, x, eps: float, control_values, increments: np.ndarray, dt: float
-) -> np.ndarray:
-    """Step the state-dependent families one increment at a time.
+def _stepped_states(
+    model: FiniteSDE | GalerkinSPDE, x, eps, control_values, increments: np.ndarray, dt: float
+):
+    """The one stepping loop: yield the state at grid points 0..steps.
 
-    Each step forms the driving term w = sqrt(eps) dW_i + u_i dt and
-    applies the family's one-step map to (state, w).
+    The state has shape (E * B, dim) for the E noise levels in ``eps``:
+    rows e * B .. e * B + B - 1 are the B samples at eps[e], all driven by
+    the same increments.  Each step forms the driving term
+    w = sqrt(eps) dW_i + u_i dt and applies the family's one-step map to
+    (state, w).  Every operation acts row by row, except the matrix
+    product of the ``linear`` drift, so a row's bits do not depend on
+    which other eps share the batch.  A yielded state is never reused.
     """
     start = model._as_state(x)
     b, steps, k = increments.shape
@@ -508,19 +514,45 @@ def _simulate_stepped(
             forcing = _drift_apply(model.drift, state) * dt + _noise_apply(model.noise, state, w)
             return decay * state + factor * forcing
 
-    seps = math.sqrt(eps)
-    out = np.empty((b, steps + 1, model.dim))
-    state = np.tile(start, (b, 1))
-    out[:, 0, :] = state
+    seps = np.sqrt(np.asarray(eps, dtype=float))[:, None, None]
+    state = np.tile(start, (len(seps) * b, 1))
+    yield state
     for i in range(steps):
-        w = seps * increments[:, i, :]
+        w = (seps * increments[:, i, :]).reshape(-1, k)
         if control_values is not None:
-            w = w + control_values[i] * dt
-        state = step(state, w)
+            w += control_values[i] * dt
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the step
+            state = step(state, w)
         if not np.all(np.isfinite(state)):
             raise NumericalBlowupError(f"{label} state became non-finite", i + 1)
-        out[:, i + 1, :] = state
+        yield state
+
+
+def _simulate_stepped(
+    model: FiniteSDE | GalerkinSPDE, x, eps: float, control_values, increments: np.ndarray, dt: float
+) -> np.ndarray:
+    """The paths of one eps from the stepping loop, shape (B, steps+1, dim)."""
+    b, steps, _ = increments.shape
+    out = np.empty((b, steps + 1, model.dim))
+    for i, state in enumerate(_stepped_states(model, x, (eps,), control_values, increments, dt)):
+        out[:, i, :] = state
     return out
+
+
+def _control_values(model: ProcessModel, grid: TimeGrid, eps, control: Control | None, increments: np.ndarray):
+    """Check a simulation's inputs; the control's values, or None without a control."""
+    if any(e < 0 for e in eps):
+        raise ValueError("eps must be nonnegative")
+    if control is not None:
+        if control.grid != grid:
+            raise ShapeMismatchError("control grid differs from simulation grid")
+        if control.channels != model.channels:
+            raise ShapeMismatchError(
+                f"control has {control.channels} channels, model wants {model.channels}"
+            )
+    if increments.shape[1] != grid.steps:
+        raise ShapeMismatchError("increment count differs from grid steps")
+    return None if control is None else control.values
 
 
 def simulate_starts(
@@ -542,19 +574,7 @@ def simulate_starts(
     requested (the translated family reuses one buffer), so copy it to
     keep it.  Inputs are checked when the first batch is requested.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    cv = None
-    if control is not None:
-        if control.grid != grid:
-            raise ShapeMismatchError("control grid differs from simulation grid")
-        if control.channels != model.channels:
-            raise ShapeMismatchError(
-                f"control has {control.channels} channels, model wants {model.channels}"
-            )
-        cv = control.values
-    if increments.shape[1] != grid.steps:
-        raise ShapeMismatchError("increment count differs from grid steps")
+    cv = _control_values(model, grid, (eps,), control, increments)
     dt = grid.dt
     if isinstance(model, (TranslatedBM, PerturbedBM, SwappedBM)):
         core = _translated_core(eps, cv, increments, dt)
@@ -564,6 +584,37 @@ def simulate_starts(
     elif isinstance(model, (FiniteSDE, GalerkinSPDE)):
         for x in xs:
             yield _simulate_stepped(model, x, eps, cv, increments, dt)
+    else:
+        raise TypeError(f"unknown model type {type(model).__name__}")
+
+
+def simulate_eps_stack(
+    model: ProcessModel,
+    grid: TimeGrid,
+    x,
+    eps,
+    control: Control | None,
+    increments: np.ndarray,
+):
+    """Yield the states from ``x`` at grid points 0..steps for every eps in ``eps`` at once.
+
+    Each yielded state has shape (E * B, dim), E = len(eps): rows
+    e * B .. e * B + B - 1 equal ``simulate_batch(model, grid, x, eps[e],
+    control, increments)[:, i]`` at grid point i bit for bit, except that
+    the ``linear`` drift's matrix product goes through BLAS, which may
+    round a stacked batch differently.  Every eps reads the same
+    increments.  The stepped families walk all eps in one loop and form
+    no path array; the 1-dim translated family takes its rows from one
+    ``simulate_batch`` per eps.  A stepped family raises
+    NumericalBlowupError at the first step where any row is non-finite.
+    Inputs are checked when the first state is requested.
+    """
+    cv = _control_values(model, grid, eps, control, increments)
+    if isinstance(model, (TranslatedBM, PerturbedBM, SwappedBM)):
+        paths = np.concatenate([simulate_batch(model, grid, x, e, control, increments) for e in eps])
+        yield from (paths[:, i, :] for i in range(grid.steps + 1))
+    elif isinstance(model, (FiniteSDE, GalerkinSPDE)):
+        yield from _stepped_states(model, x, eps, cv, increments, grid.dt)
     else:
         raise TypeError(f"unknown model type {type(model).__name__}")
 

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uldplab
 from uldplab.cli import main
 from uldplab.pathspace import DiscretePath, TimeGrid, line_path
 
@@ -240,12 +243,52 @@ def test_unknown_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_converge_rejects_nonpositive_samples(samples, capsys):
+    code, _, err = run_cli(
+        capsys,
+        "converge", "--model", "translated-bm", "--x", "0",
+        "--eps-grid", "0.01:0.1:3", "--delta", "0.3", "--samples", samples,
+    )
+    assert code == 2
+    assert err.strip() == "config error: n must be >= 1"
+
+
+BLOWUP_SPEC = {"variant": "finite-sde", "dim": 1, "drift": {"name": "linear", "matrix": [[1e9]]}}
+
+
+def test_numerical_blowup_is_reported_in_one_line(tmp_path, capsys):
+    spec = tmp_path / "blowup.json"
+    spec.write_text(json.dumps(BLOWUP_SPEC))
+    # a real process, so any numpy warning printed to stderr would show
+    proc = _run_subprocess(
+        "simulate", "--model", str(spec), "--x", "0", "--eps", "0.1", "--samples", "2"
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("numerical error: finite SDE state became non-finite at step ")
+    code, out, err = run_cli(
+        capsys,
+        "converge", "--model", str(spec), "--x", "0", "--eps-grid", "0.01:0.1:3",
+        "--delta", "0.3", "--samples", "20", "--controls", "3",
+    )
+    assert code == 2
+    assert out == ""
+    (line,) = err.strip().splitlines()
+    assert line.startswith("numerical error: finite SDE state became non-finite at step ")
+
+
 def _run_subprocess(*argv):
+    # the child imports the package from where this process found it
+    path = [str(Path(uldplab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run(
         [sys.executable, "-m", "uldplab.cli", *argv],
         capture_output=True,
         text=True,
         check=False,
+        env=env,
     )
 
 

@@ -1,5 +1,9 @@
+import hashlib
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from uldplab.convergence import (
     weak_continuity_check,
 )
 from uldplab.estimators import EpsilonSchedule
-from uldplab.models import GalerkinSPDE, NoiseSpec, TranslatedBM
+from uldplab.models import DriftSpec, FiniteSDE, GalerkinSPDE, NoiseSpec, TranslatedBM
 from uldplab.pathspace import TimeGrid
 from uldplab.uldp import IndexSetSample
 
@@ -70,6 +74,25 @@ def test_threading_does_not_change_the_table():
     assert a.median_err == b.median_err
     assert a.q90_err == b.q90_err
     assert a.slope == b.slope
+    # the stepped families run the stacked-eps walk on the worker threads
+    stepped = [
+        (
+            FiniteSDE(dim=2, drift=DriftSpec("scaled-sine", kappa=0.5), noise=NoiseSpec("diagonal-bounded")),
+            TimeGrid(1.0, 32),
+            IndexSetSample("pair", [(0.0, 0.0), (0.5, -0.25)], tag="bounded"),
+        ),
+        (
+            GalerkinSPDE(modes=4, channels=4),
+            TimeGrid(0.5, 16),
+            IndexSetSample("pair", [(0.0,) * 4, (0.5, 0.25, 0.0, -1.0)], tag="all-subsets"),
+        ),
+    ]
+    for model, grid, starts in stepped:
+        docs = [
+            json.dumps(control_conv(model, grid, starts, **kwargs, threads=t).to_json())
+            for t in (1, 2, 3)
+        ]
+        assert docs[0] == docs[1] == docs[2]
 
 
 def test_linear_growth_noise_rejects_all_subsets_starts():
@@ -113,6 +136,9 @@ def test_control_conv_rejects_bad_parameters():
         control_conv(BM, GRID, STARTS, 1.0, 0.0, EpsilonSchedule((0.1,)))
     with pytest.raises(ValueError):
         control_conv(BM, GRID, STARTS, 1.0, 0.3, EpsilonSchedule((0.1,)), threads=0)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            control_conv(BM, GRID, STARTS, 1.0, 0.3, EpsilonSchedule((0.1,)), n=n)
 
 
 def test_moment_bound_monotone_and_finite():
@@ -145,3 +171,28 @@ def test_weak_continuity_needs_resolvable_frequencies():
         weak_continuity_check(BM, GRID, 0.0, (32,))
     with pytest.raises(ValueError):
         weak_continuity_check(BM, GRID, 0.0, (0,))
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("key", ["converge-galerkin-spde", "converge-finite-sde"])
+def test_convergence_table_bytes_match_the_pinned_digest(key, bench_workloads, tmp_path):
+    # the stacked-eps walk must reproduce the per-eps tables byte for byte;
+    # the configs (n = 400, two threads) are the benchmark's own
+    state = bench_workloads._converge_setup(None)
+    (model, grid, index, seed), = [t[1:] for t in state["tables"] if t[0] == key]
+    out = tmp_path / f"{key}.json"
+    control_conv(model, grid, index, seed=seed, threads=2, **state["common"]).save_json(str(out))
+    want = json.loads((BENCH / "digests.json").read_text())[key]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want

@@ -24,10 +24,12 @@ from uldplab.models import (
     model_to_spec,
     sample_noise,
     simulate_batch,
+    simulate_eps_stack,
     simulate_starts,
     sine_control,
     skeleton,
     solve_controlled,
+    zero_control,
 )
 from uldplab.pathspace import DiscretePath, TimeGrid
 
@@ -304,3 +306,57 @@ def test_simulate_starts_yields_the_one_start_batches(model):
     want = [simulate_batch(model, grid, x, 0.3, u, inc) for x in starts]
     assert len(got) == len(want)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+STACK_EPS = (0.3, 0.0, 1e-3, 0.05)
+SINE_SDE = FiniteSDE(
+    dim=2, drift=DriftSpec("scaled-sine", kappa=1.5), noise=NoiseSpec("diagonal-bounded", gain=0.7, decay=0.5)
+)
+
+
+def _stack_against_per_eps(model, x, control, n, same):
+    grid = TimeGrid(1.0, 16)
+    inc = _noise_block(grid, model.channels, 11, 0, n)
+    want = [simulate_batch(model, grid, x, e, control, inc) for e in STACK_EPS]
+    states = list(simulate_eps_stack(model, grid, x, STACK_EPS, control, inc))
+    assert len(states) == grid.steps + 1
+    for i, state in enumerate(states):
+        assert state.shape == (len(STACK_EPS) * n, model.dim)
+        rows = state.reshape(len(STACK_EPS), n, model.dim)
+        for e, paths in enumerate(want):
+            assert same(rows[e], paths[:, i, :])
+
+
+@pytest.mark.parametrize("n", [1, 37])
+@pytest.mark.parametrize("control", ["none", "zero", "sine"])
+@pytest.mark.parametrize(
+    "model, x",
+    [
+        (TranslatedBM(), -2.5),
+        (PerturbedBM(), 1.25),
+        (SwappedBM(), 0.0),
+        (SINE_SDE, (0.4, -1.2)),
+        (GalerkinSPDE(modes=4, channels=4), (0.5, -0.25, 0.125, 2.0)),
+    ],
+    ids=lambda v: v.name if hasattr(v, "name") else None,
+)
+def test_eps_stack_equals_per_eps_simulation_bitwise(model, x, control, n):
+    # the stacked walk steps every eps in one batch; each row block must be
+    # the one-eps batch bit for bit, eps = 0 included
+    grid = TimeGrid(1.0, 16)
+    u = {"none": None, "zero": zero_control(grid, model.channels), "sine": sine_control(grid, 2, model.channels)}
+    _stack_against_per_eps(model, x, u[control], n, np.array_equal)
+
+
+@pytest.mark.parametrize("n", [1, 37])
+def test_eps_stack_with_linear_drift_matches_to_rounding(n):
+    # the linear drift multiplies by its matrix through BLAS, which rounds a
+    # one-row batch differently from a stacked one, so this family is only
+    # compared to rtol 1e-12; every other catalog entry is bitwise
+    model = FiniteSDE(
+        dim=2,
+        drift=DriftSpec("linear", matrix=((-1.0, 0.5), (0.25, -2.0)), offset=(0.1, -0.2)),
+        noise=NoiseSpec("diagonal-linear-growth", gain=0.5),
+    )
+    u = constant_control(TimeGrid(1.0, 16), (0.3, -0.6), 2)
+    _stack_against_per_eps(model, (1.0, -0.5), u, n, lambda a, b: np.allclose(a, b, rtol=1e-12, atol=0))
