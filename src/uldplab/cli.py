@@ -238,7 +238,7 @@ def _cmd_check(args) -> int:
         if args.s0 is None or args.delta is None:
             raise CliError("fwuldp needs --s0 and --delta")
         reports = fwuldp_gaps(model, grid, index, args.s0, args.delta, schedule, budgets)
-    elif definition in ("dzuldp", "luldp"):
+    else:
         if args.delta is None:
             raise CliError(f"{definition} needs --delta (ball radius around the skeletons)")
         centers = PathSet([skeleton(model, grid, np.array(p)) for p in points])
@@ -261,11 +261,6 @@ def _cmd_check(args) -> int:
                 schedule,
                 budgets,
             )
-    else:
-        raise CliError(
-            "flag-driven checks cover {fwuldp, dzuldp, luldp}; "
-            "ulp and eulp need a functional family, use the scenario subcommand"
-        )
     if args.format == "csv":
         text = "".join(r.cells_csv() for r in reports)
     else:
@@ -370,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--definition",
         required=True,
-        choices=("fwuldp", "dzuldp", "ulp", "eulp", "luldp"),
+        choices=("fwuldp", "dzuldp", "luldp"),
     )
     p.add_argument("--x", action="append", help="start, repeatable")
     p.add_argument("--tag", choices=("all-subsets", "bounded", "compact"), default="bounded")

@@ -22,10 +22,11 @@ estimates no matter how work is batched or threaded.
 
 Estimates at different starts that share a seed read the same block,
 drawn once: the block is the outer loop and the start the inner one.
-Peak sampling memory is one block plus one bool per sample per start
-(and one weight per sample per distinct tilt).  The translated path at
-x is x plus a core built once per block, so each estimate equals the
-one its start would get alone, bit for bit.
+Jobs at one start with one tilt share its simulated paths, whatever
+their events.  Peak sampling memory is one block plus one bit per
+sample per job (and one weight per sample per distinct tilt).  The
+translated path at x is x plus a core built once per block, so each
+estimate equals the one its start would get alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -364,8 +365,9 @@ def _girsanov_log_weights(control: Control, increments: np.ndarray, eps: float) 
 
 
 def _finish_estimate(
-    *, model, x, eps, a_eps, hits, weights, n, seed
+    *, model, x, eps, a_eps, hits, weights, ess, n, seed
 ) -> LogProbEstimate:
+    """One estimate from its hit flags; ``ess`` belongs to ``weights`` (None for plain MC)."""
     hit_count = int(np.sum(hits))
     zero = hit_count == 0
     if weights is None:
@@ -379,9 +381,6 @@ def _finish_estimate(
         se = float(np.std(contrib, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
         ci_low = max(0.0, p_hat - Z95 * se)
         ci_high = min(1.0, p_hat + Z95 * se)
-        wsum = math.fsum(memoryview(weights))
-        wsq = math.fsum(memoryview(weights * weights))
-        ess = wsum * wsum / wsq if wsq > 0 else 0.0
         degenerate = ess < 10.0
     if p_hat > 0.0:
         log_value = a_eps * math.log(p_hat)
@@ -406,6 +405,17 @@ def _finish_estimate(
     )
 
 
+def _start_key(model: ProcessModel, x) -> bytes:
+    """Key of a start for sharing work: starts with one state vector simulate alike."""
+    return model._as_state(x).tobytes()
+
+
+def _effective_sample_size(weights: np.ndarray) -> float:
+    wsum = math.fsum(memoryview(weights))
+    wsq = math.fsum(memoryview(weights * weights))
+    return wsum * wsum / wsq if wsq > 0 else 0.0
+
+
 def _probability_batch(
     model: ProcessModel,
     grid: TimeGrid,
@@ -419,8 +429,11 @@ def _probability_batch(
 
     Each noise block is drawn once and read by every job.  Jobs with
     equal tilts (None for plain Monte Carlo) form one group that shares
-    the simulated core and the Girsanov weights of the block; a job's
-    estimate equals the one it would get on its own.
+    the simulated core, the Girsanov weights of the block and their
+    effective sample size.  Within a group each distinct start is
+    simulated once per block, and every job at that start reads its
+    paths before the next start is simulated.  A job's estimate equals
+    the one it would get on its own.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -431,25 +444,31 @@ def _probability_batch(
         None if tilt is None else (tilt.grid, tilt.values.shape, tilt.values.tobytes())
         for _, _, tilt in jobs
     ]
+    # tilt key -> (tilt, start key -> (start, indices of its jobs))
     groups: dict = {}
-    for j, (key, (_, _, tilt)) in enumerate(zip(keys, jobs)):
-        groups.setdefault(key, (tilt, []))[1].append(j)
-    hits = [np.empty(n, dtype=bool) for _ in jobs]
+    for j, (key, (x, _, tilt)) in enumerate(zip(keys, jobs)):
+        starts = groups.setdefault(key, (tilt, {}))[1]
+        starts.setdefault(_start_key(model, x), (x, []))[1].append(j)
+    # one bit per sample per job; blocks start at multiples of CHUNK, so of 8
+    hits = [np.empty((n + 7) // 8, dtype=np.uint8) for _ in jobs]
     weights = {key: np.empty(n) for key, (tilt, _) in groups.items() if tilt is not None}
     for block, offset, size in _iter_blocks(n):
-        rows = slice(offset, offset + size)
+        bits = slice(offset // 8, (offset + size + 7) // 8)
         inc = _noise_block(grid, model.channels, seed, block, size)
-        for key, (tilt, members) in groups.items():
-            paths = simulate_starts(model, grid, [jobs[j][0] for j in members], eps, tilt, inc)
-            for j in members:
-                hits[j][rows] = jobs[j][1].hits(next(paths))
+        for key, (tilt, starts) in groups.items():
+            paths = simulate_starts(model, grid, [x for x, _ in starts.values()], eps, tilt, inc)
+            for (_, members), batch in zip(starts.values(), paths):
+                for j in members:
+                    hits[j][bits] = np.packbits(jobs[j][1].hits(batch))
             if tilt is not None:
-                weights[key][rows] = np.exp(_girsanov_log_weights(tilt, inc, eps))
+                weights[key][offset : offset + size] = np.exp(_girsanov_log_weights(tilt, inc, eps))
+    ess = {key: _effective_sample_size(w) for key, w in weights.items()}
     return [
         _finish_estimate(
-            model=model, x=x, eps=eps, a_eps=a_eps, hits=hit, weights=weights.get(key), n=n, seed=seed
+            model=model, x=x, eps=eps, a_eps=a_eps, hits=np.unpackbits(packed, count=n).view(bool),
+            weights=weights.get(key), ess=ess.get(key), n=n, seed=seed,
         )
-        for (x, _, _), key, hit in zip(jobs, keys, hits)
+        for (x, _, _), key, packed in zip(jobs, keys, hits)
     ]
 
 

@@ -269,8 +269,12 @@ class NoiseSpec:
         return self.gain * k ** (-self.decay)
 
 
-def _noise_apply(spec: NoiseSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """G(x) w for batches; x: (B, d), w: (B, K) -> (B, d)."""
+def _noise_apply(spec: NoiseSpec, x: np.ndarray, w: np.ndarray, gains: np.ndarray | None = None) -> np.ndarray:
+    """G(x) w for batches; x: (B, d), w: (B, K) -> (B, d).
+
+    ``gains`` is ``spec.gains(d)``, which a walk that applies the
+    catalog at every step computes once and passes in.
+    """
     d = x.shape[1]
     k = w.shape[1]
     if spec.name == "zero":
@@ -286,7 +290,7 @@ def _noise_apply(spec: NoiseSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         return w[:, :d].copy()
     if k != d:
         raise ShapeMismatchError(f"diagonal noise needs channels == dim, got {k} != {d}")
-    g = spec.gains(d)
+    g = spec.gains(d) if gains is None else gains
     if spec.name == "diagonal-constant":
         return g * w
     if spec.name == "diagonal-bounded":
@@ -498,11 +502,12 @@ def _stepped_states(
     b, steps, k = increments.shape
     if k != model.channels:
         raise ShapeMismatchError(f"noise has {k} channels, model wants {model.channels}")
+    gains = model.noise.gains(model.dim)
     if isinstance(model, FiniteSDE):
         label = "finite SDE"
 
         def step(state, w):
-            return state + _drift_apply(model.drift, state) * dt + _noise_apply(model.noise, state, w)
+            return state + _drift_apply(model.drift, state) * dt + _noise_apply(model.noise, state, w, gains)
 
     else:
         label = "spectral SPDE"
@@ -511,7 +516,7 @@ def _stepped_states(
         factor = _phi1(-a * dt)
 
         def step(state, w):
-            forcing = _drift_apply(model.drift, state) * dt + _noise_apply(model.noise, state, w)
+            forcing = _drift_apply(model.drift, state) * dt + _noise_apply(model.noise, state, w, gains)
             return decay * state + factor * forcing
 
     seps = np.sqrt(np.asarray(eps, dtype=float))[:, None, None]

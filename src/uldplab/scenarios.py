@@ -28,7 +28,7 @@ from .uldp import (
     CheckReport,
     IndexSetSample,
     _jsonable,
-    dzuldp_gaps,
+    _setwise_gaps,
     fwuldp_gaps,
     luldp_gaps,
     ulp_gap,
@@ -239,6 +239,13 @@ def _run_dz_sweep(cfg: dict) -> ScenarioResult:
     the sampled starts with geometrically shrinking radii; the sweep
     grows the truncation level m and records how the worst estimated
     log probability drops while the rate side stays put.
+
+    Every m is one entry of a single set-wise checker call.  Its seeds
+    depend on neither m nor the start, so each eps draws every noise
+    block once for all m, each start's tilt scan and rate candidates are
+    stepped once, and each m's report equals what ``dzuldp_gaps`` gives
+    that m alone.  Sampling memory is one block plus one bit per sample
+    per (m, start) job.
     """
     model = model_from_spec(cfg["model"])
     grid = _grid(cfg)
@@ -255,18 +262,21 @@ def _run_dz_sweep(cfg: dict) -> ScenarioResult:
     tag = cfg["index_set"].get("tag", "bounded")
     label = cfg["index_set"]["label"]
 
-    reports: list[CheckReport] = []
-    rows: list[dict] = []
+    entries = []
     for m in m_values:
         starts = _sweep_starts(rule, m)
         centers = PathSet([line_path(grid, s, slope) for s in starts])
         radii = tuple(rbase ** -(n + roff) for n in range(1, m + 1))
-        event = UnionOfBalls(centers, radii)
         points = [[s] for s in starts] + ([[0.0]] if include_zero else [])
         aset = IndexSetSample(label=f"{label}-m{m}", points=tuple(tuple(q) for q in points), tag=tag)
-        rep = dzuldp_gaps(model, grid, aset, event, None, sched, budgets, s_max=s_max)[0]
+        entries.append((aset, UnionOfBalls(centers, radii), None))
+    swept = _setwise_gaps("dz", model, grid, entries, (0.0,), sched, budgets, s_max)
+
+    reports: list[CheckReport] = []
+    rows: list[dict] = []
+    for m, (_, event, _), (rep,) in zip(m_values, entries, swept):
         rep.params["m"] = m
-        rep.params["radii"] = list(radii)
+        rep.params["radii"] = list(event.radii)
         reports.append(rep)
         cells = [c for c in rep.cells if c.eps == sched.eps[-1]]
         rows.append(

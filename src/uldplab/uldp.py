@@ -42,6 +42,7 @@ from .estimators import (
     TestFunction,
     _laplace_batch,
     _probability_batch,
+    _start_key,
 )
 from .models import Control, ProcessModel, constant_control, model_to_spec, simulate_batch
 from .pathspace import Ball, DistanceAtLeast, EventSpec, TimeGrid
@@ -248,33 +249,39 @@ def _estimate_csv_inputs(est: LogProbEstimate) -> dict:
 # tilt policies
 
 
-def _auto_constant_tilt(
-    model: ProcessModel, grid: TimeGrid, x, eps: float, event: EventSpec, budgets: CheckBudgets
-) -> Control | None:
-    """Constant channel-0 control whose eps-skeleton best enters the event.
-
-    Scans a 1-d grid of constants and keeps the margin maximizer (ties
-    to the smaller |c|).  For ball-like events this lands on the center
-    tilt; a centering tilt is still variance reducing even when the
-    deterministic path stays outside the event.  The scanned skeletons
-    are scored by one margin call.
-    """
+def _tilt_scan(model: ProcessModel, grid: TimeGrid, x, eps: float, budgets: CheckBudgets):
+    """The scanned constants and their stacked eps-skeletons from x (None when the scan is empty)."""
     lo, hi, num = budgets.tilt_grid
     cs = np.linspace(lo, hi, int(num))
     if cs.size == 0:
-        return None
+        return cs, None
     zero_inc = np.zeros((1, grid.steps, model.channels))
     skeletons = np.stack([
         simulate_batch(model, grid, x, eps, constant_control(grid, float(c), model.channels), zero_inc)[0]
         for c in cs
     ])
+    return cs, skeletons
+
+
+def _auto_constant_tilt(grid: TimeGrid, channels: int, scan, event: EventSpec) -> Control | None:
+    """Constant channel-0 control whose eps-skeleton best enters the event.
+
+    Reads a ``_tilt_scan`` over a 1-d grid of constants and keeps the
+    margin maximizer (ties to the smaller |c|).  For ball-like events
+    this lands on the center tilt; a centering tilt is still variance
+    reducing even when the deterministic path stays outside the event.
+    The scanned skeletons are scored by one margin call.
+    """
+    cs, skeletons = scan
+    if cs.size == 0:
+        return None
     best: tuple[float, float] | None = None
     for c, margin in zip(cs.tolist(), event.margins(skeletons).tolist()):
         if best is None or margin > best[1] or (margin == best[1] and abs(c) < abs(best[0])):
             best = (c, margin)
     if best[0] == 0.0:
         return None
-    return constant_control(grid, best[0], model.channels)
+    return constant_control(grid, best[0], channels)
 
 
 def _estimate_probabilities(
@@ -289,15 +296,20 @@ def _estimate_probabilities(
     """One estimate per (x, event, member tilt) job, all from the noise of one seed.
 
     Each job's tilt follows the budget policy; an absent or all-zero
-    tilt means plain Monte Carlo.
+    tilt means plain Monte Carlo.  The auto-constant scan is stepped
+    once per distinct start and scored against each job's event.
     """
+    scans: dict = {}
     resolved = []
     for x, event, member_tilt in jobs:
         tilt: Control | None = None
         if budgets.tilt == "level-member":
             tilt = member_tilt
         elif budgets.tilt == "auto-constant":
-            tilt = _auto_constant_tilt(model, grid, x, eps, event, budgets)
+            key = _start_key(model, x)
+            if key not in scans:
+                scans[key] = _tilt_scan(model, grid, x, eps, budgets)
+            tilt = _auto_constant_tilt(grid, model.channels, scans[key], event)
         if tilt is not None and not np.any(tilt.values):
             tilt = None
         resolved.append((x, event, tilt))
@@ -308,20 +320,24 @@ def _estimate_probabilities(
 # rate side of set bounds
 
 
-def _rate_scores(
+def _rate_pool(
     model: ProcessModel,
     grid: TimeGrid,
     x,
-    event: EventSpec,
     s_max: float,
     count: int,
     seed: int,
     constant_pool: int,
-) -> list[tuple[float, float]]:
-    """(energy, event margin) of every rate candidate, in candidate order."""
+) -> tuple[list[float], np.ndarray]:
+    """Energies of the rate candidates from x and their stacked skeletons, in candidate order."""
     candidates = rate_candidates(model, grid, x, s_max, count, seed, constant_pool)
-    margins = event.margins(np.stack([member.values for _, member in candidates]))
-    return [(energy, margin) for (energy, _), margin in zip(candidates, margins.tolist())]
+    return [energy for energy, _ in candidates], np.stack([member.values for _, member in candidates])
+
+
+def _rate_scores(pool: tuple[list[float], np.ndarray], event: EventSpec) -> list[tuple[float, float]]:
+    """(energy, event margin) of every candidate of a ``_rate_pool``, from one margin call."""
+    energies, skeletons = pool
+    return list(zip(energies, event.margins(skeletons).tolist()))
 
 
 def _best_rate(scores: list[tuple[float, float]], eta: float, closed: bool) -> tuple[float, int | None]:
@@ -354,7 +370,7 @@ def event_rate_bound(
     margin >= -eta (closed sets, where eta fattens).  Returns +inf and
     None when no candidate qualifies.
     """
-    scores = _rate_scores(model, grid, x, event, s_max, count, seed, constant_pool)
+    scores = _rate_scores(_rate_pool(model, grid, x, s_max, count, seed, constant_pool), event)
     return _best_rate(scores, eta, closed)
 
 
@@ -496,89 +512,118 @@ def dzuldp_gaps(
     the single margin eta = 0, with its own seeds and no eta tags.
     """
     return _setwise_gaps(
-        "dz", model, grid, index_set, open_event, closed_event, (0.0,), schedule, budgets, s_max
-    )
+        "dz", model, grid, [(index_set, open_event, closed_event)], (0.0,), schedule, budgets, s_max
+    )[0]
 
 
 # seed tag of each set-wise definition -> prefix of its report names
 _SETWISE_NAMES = {"dz": "dzuldp", "lu": "luldp"}
 
 
+def _setwise_plan(entries, slot: int):
+    """The (x, event, no member tilt) jobs of every entry whose event ``entry[slot]`` is set.
+
+    Returns the jobs and, per such entry, its index and the slice of
+    the jobs that are its starts, in index-set order.
+    """
+    jobs: list = []
+    spans = []
+    for e, entry in enumerate(entries):
+        if entry[slot] is not None:
+            points = entry[0].points
+            spans.append((e, slice(len(jobs), len(jobs) + len(points))))
+            jobs.extend((pt, entry[slot], None) for pt in points)
+    return jobs, spans
+
+
 def _setwise_gaps(
     tag: str,
     model: ProcessModel,
     grid: TimeGrid,
-    index_set: IndexSetSample,
-    open_event: EventSpec | None,
-    closed_event: EventSpec | None,
+    entries,
     etas: tuple[float, ...],
     schedule: EpsilonSchedule,
     budgets: CheckBudgets,
     s_max: float,
-) -> list[CheckReport]:
-    """Set-wise lower and upper gap reports, one block of cells per eta.
+) -> list[list[CheckReport]]:
+    """Set-wise lower and upper gap reports of each (index set, open event, closed event) entry.
 
-    The rate side of the open (closed) event is shrunk (fattened) by
-    eta; the probability side stays on the plain set, so each (eps, x)
-    estimate is drawn once and shared by every eta, and each start's
-    rate candidates are scored once and filtered per eta.  Only the "lu"
-    definition records eta in its params and cells.
+    An entry's reports are what it would get on its own, lower before
+    upper, with one block of cells per eta.  The rate side of the open
+    (closed) event is shrunk (fattened) by eta; the probability side
+    stays on the plain set, so each (eps, x) estimate is drawn once and
+    shared by every eta, and each start's rate candidates are scored
+    once per event and filtered per eta.  The seeds depend on neither
+    the entry nor x, so for each (kind, eps) the jobs of every entry run
+    as one batch on one noise stream, and each distinct start's rate
+    candidates are stepped once for all entries.  Nothing is kept past
+    the call.  Only the "lu" definition records eta in its params and
+    cells.
     """
     tags_eta = tag == "lu"
-    params: dict = {"eps": list(schedule.eps)}
-    if tags_eta:
-        params["eta"] = list(etas)
-    params.update(s_max=s_max, budgets=_budget_dict(budgets))
     model_spec = model_to_spec(model)
-    aset = _index_dict(index_set)
-    reports = []
     rate_seed = subseed(budgets.seed, tag, "rate")
+    reports: list[list[CheckReport]] = [[] for _ in entries]
+    # one params dict per entry, shared by its reports: a sweep records its m there
+    params = [
+        {
+            "eps": list(schedule.eps),
+            **({"eta": list(etas)} if tags_eta else {}),
+            "s_max": s_max,
+            "budgets": _budget_dict(budgets),
+        }
+        for _ in entries
+    ]
+    pools: dict = {}  # start -> its rate pool, shared by every entry and kind
 
-    for kind, event, closed, side_key, side_of in (
-        ("lower", open_event, False, "sup_rate", max),
-        ("upper", closed_event, True, "inf_rate", min),
+    for kind, slot, closed, side_key, side_of in (
+        ("lower", 1, False, "sup_rate", max),
+        ("upper", 2, True, "inf_rate", min),
     ):
-        if event is None:
+        jobs, spans = _setwise_plan(entries, slot)
+        if not jobs:
             continue
         estimates = [
             _estimate_probabilities(
-                model, grid, eps, [(pt, event, None) for pt in index_set.points], budgets,
-                subseed(budgets.seed, tag, kind, ei), schedule.speed,
+                model, grid, eps, jobs, budgets, subseed(budgets.seed, tag, kind, ei), schedule.speed
             )
             for ei, eps in enumerate(schedule.eps)
         ]
-        scores = [
-            _rate_scores(
-                model, grid, np.array(pt), event, s_max, budgets.level_count, rate_seed,
-                budgets.constant_pool,
-            )
-            for pt in index_set.points
-        ]
-        cells = []
-        for eta in etas:
-            rates = [_best_rate(sc, eta, closed)[0] for sc in scores]
-            side = side_of(rates)
-            for eps, row in zip(schedule.eps, estimates):
-                for pt, rate, est in zip(index_set.points, rates, row):
-                    cells.append(
-                        CheckCell(
-                            eps=eps,
-                            x=pt,
-                            extra={"eta": eta} if tags_eta else {},
-                            gap=gap_sum(est.log_value, side),
-                            inputs={
-                                "rate": rate,
-                                side_key: side,
-                                **_estimate_csv_inputs(est),
-                            },
+        scores = []
+        for pt, event, _ in jobs:
+            key = _start_key(model, pt)
+            if key not in pools:
+                pools[key] = _rate_pool(
+                    model, grid, np.array(pt), s_max, budgets.level_count, rate_seed, budgets.constant_pool
+                )
+            scores.append(_rate_scores(pools[key], event))
+        for e, span in spans:
+            points = entries[e][0].points
+            cells = []
+            for eta in etas:
+                rates = [_best_rate(sc, eta, closed)[0] for sc in scores[span]]
+                side = side_of(rates)
+                for eps, row in zip(schedule.eps, estimates):
+                    for pt, rate, est in zip(points, rates, row[span]):
+                        cells.append(
+                            CheckCell(
+                                eps=eps,
+                                x=pt,
+                                extra={"eta": eta} if tags_eta else {},
+                                gap=gap_sum(est.log_value, side),
+                                inputs={
+                                    "rate": rate,
+                                    side_key: side,
+                                    **_estimate_csv_inputs(est),
+                                },
+                            )
                         )
-                    )
-        reports.append(
-            _assemble(
-                f"{_SETWISE_NAMES[tag]}-{kind}", model_spec, aset, params, cells, schedule, budgets,
-                kind=kind,
+            reports[e].append(
+                _assemble(
+                    f"{_SETWISE_NAMES[tag]}-{kind}", model_spec, _index_dict(entries[e][0]), params[e],
+                    cells, schedule, budgets, kind=kind,
+                )
             )
-        )
     return reports
 
 
@@ -708,8 +753,8 @@ def luldp_gaps(
     if any(e <= 0 for e in etas):
         raise ValueError("etas must be positive")
     return _setwise_gaps(
-        "lu", model, grid, index_set, open_event, closed_event, etas, schedule, budgets, s_max
-    )
+        "lu", model, grid, [(index_set, open_event, closed_event)], etas, schedule, budgets, s_max
+    )[0]
 
 
 # ---------------------------------------------------------------------------

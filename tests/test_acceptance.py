@@ -35,7 +35,6 @@ from uldplab.pathspace import (
     line_path,
 )
 from uldplab.rates import rate_closed_form, rate_variational, sample_level_set
-from uldplab.scenarios import run as run_scenario
 from uldplab.uldp import CheckBudgets, IndexSetSample, fwuldp_gaps
 
 
@@ -122,8 +121,8 @@ def test_ac03_translation_identity_over_huge_starts():
     )
 
 
-def test_ac04_shrinking_ball_sweep_breaks_setwise_lower_bound():
-    result = run_scenario("dz-lower-bounded")
+def test_ac04_shrinking_ball_sweep_breaks_setwise_lower_bound(pinned_run):
+    result = pinned_run("dz-lower-bounded")
     sweep = {row["m"]: row for row in result.summary["sweep"]}
     sup_ok = all(row["sup_rate"] <= 0.5 for row in sweep.values())
     first, last = sweep[2]["inf_log"], sweep[6]["inf_log"]
@@ -138,8 +137,8 @@ def test_ac04_shrinking_ball_sweep_breaks_setwise_lower_bound():
     )
 
 
-def test_ac05_capped_min_functional_keeps_laplace_gap_negative():
-    result = run_scenario("ulp-counter")
+def test_ac05_capped_min_functional_keeps_laplace_gap_negative(pinned_run):
+    result = pinned_run("ulp-counter")
     final_eps = result.summary["final_eps"]
     gap = result.summary["final_min_signed_gap"]
     ok = result.passed and final_eps == 0.05 and gap <= -0.4
@@ -151,8 +150,8 @@ def test_ac05_capped_min_functional_keeps_laplace_gap_negative():
     )
 
 
-def test_ac06_start_leak_contrast_pair():
-    leak = run_scenario("y-fwuldp-fails")
+def test_ac06_start_leak_contrast_pair(pinned_run):
+    leak = pinned_run("y-fwuldp-fails")
     lower = next(r for r in leak.reports if r.definition == "fwuldp-lower")
     zero_hits = all(
         row["hits"] == 0 and row["n"] == 10000
@@ -161,7 +160,7 @@ def test_ac06_start_leak_contrast_pair():
     )
     sentinel = all(cell.gap == -math.inf for cell in lower.cells)
 
-    local = run_scenario("y-luldp-holds")
+    local = pinned_run("y-luldp-holds")
     lu_lower = next(r for r in local.reports if r.definition == "luldp-lower")
     at_eta = [c for c in lu_lower.cells if c.extra.get("eta") == 0.2]
     finite_floor = all(math.isfinite(c.gap) and c.gap >= -0.3 for c in at_eta)

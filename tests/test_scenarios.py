@@ -25,26 +25,26 @@ def test_unknown_scenario_is_rejected():
         run("made-up")
 
 
-def test_ulp_counterexample_gap_is_minus_half():
+def test_ulp_counterexample_gap_is_minus_half(pinned_run):
     # min-over-lines functional with unit cap: the signed gap bottoms out
     # at -cap + horizon/2 no matter how small eps gets
-    result = run("ulp-counter")
+    result = pinned_run("ulp-counter")
     assert result.passed
     assert result.summary["final_min_signed_gap"] == -0.5
     assert result.summary["verdict"] == "fails"
 
 
-def test_start_leak_kills_lower_bound_but_not_local_variant():
-    leak = run("y-fwuldp-fails")
+def test_start_leak_kills_lower_bound_but_not_local_variant(pinned_run):
+    leak = pinned_run("y-fwuldp-fails")
     assert leak.passed
     assert any(r.trend.verdict == "fails-sentinel" for r in leak.reports)
-    local = run("y-luldp-holds")
+    local = pinned_run("y-luldp-holds")
     assert local.passed
     assert local.reports[0].trend.verdict == "holds-trend"
 
 
-def test_unbounded_ball_sweep_keeps_rate_while_probability_vanishes():
-    result = run("dz-lower-unbounded")
+def test_unbounded_ball_sweep_keeps_rate_while_probability_vanishes(pinned_run):
+    result = pinned_run("dz-lower-unbounded")
     assert result.passed
     row = result.summary["sweep"][0]
     # the nearest ball keeps the rate side at 1/2 while every sampled
@@ -53,8 +53,8 @@ def test_unbounded_ball_sweep_keeps_rate_while_probability_vanishes():
     assert row["verdict"] == "fails-sentinel"
 
 
-def test_hausdorff_swap_scenario_passes():
-    result = run("dz-hausdorff-discontinuity")
+def test_hausdorff_swap_scenario_passes(pinned_run):
+    result = pinned_run("dz-hausdorff-discontinuity")
     assert result.passed
 
 
@@ -73,16 +73,16 @@ def test_seed_override_is_recorded():
     assert result.seed == 123
 
 
-def test_translated_bm_scenario_holds_both_bounds():
-    result = run("bm-fwuldp-holds")
+def test_translated_bm_scenario_holds_both_bounds(pinned_run):
+    result = pinned_run("bm-fwuldp-holds")
     assert result.passed
     verdicts = {r.definition: r.trend.verdict for r in result.reports}
     assert verdicts["fwuldp-lower"] == "holds-trend"
     assert verdicts["fwuldp-upper"] == "holds-trend"
 
 
-def test_spectral_scenario_holds_both_bounds():
-    result = run("spde-fwuldp")
+def test_spectral_scenario_holds_both_bounds(pinned_run):
+    result = pinned_run("spde-fwuldp")
     assert result.passed
     verdicts = {r.definition: r.trend.verdict for r in result.reports}
     assert set(verdicts.values()) == {"holds-trend"}
@@ -104,10 +104,11 @@ DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
         "ulp-counter",
     ],
 )
-def test_scenario_output_bytes_match_the_pinned_digest(name, tmp_path):
-    # start-batched sampling and the early-exit membership kernels must
-    # reproduce the per-start, full-margin output byte for byte
+def test_scenario_output_bytes_match_the_pinned_digest(name, pinned_run, tmp_path):
+    # start-batched sampling, the early-exit membership kernels and the
+    # one-call ball sweep must reproduce the per-start, full-margin,
+    # per-m output byte for byte
     out = tmp_path / f"{name}.json"
-    run(name, out=str(out))
+    pinned_run(name).save_json(str(out))
     want = json.loads(DIGESTS.read_text())[name]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from uldplab.estimators import Constant, EpsilonSchedule
+from uldplab.estimators import CHUNK, Constant, EpsilonSchedule
 from uldplab.models import TranslatedBM
 from uldplab.pathspace import (
     Ball,
@@ -17,6 +17,7 @@ from uldplab.pathspace import (
 from uldplab.uldp import (
     CheckBudgets,
     IndexSetSample,
+    _setwise_gaps,
     _verdict,
     dzuldp_gaps,
     eulp_gap,
@@ -308,3 +309,39 @@ def test_sentinel_cells_serialize_as_strings():
     assert doc["cells"][0]["gap"] == "inf"  # vacuous: nothing reachable at level 2
     text = json.dumps(doc)
     assert "Infinity" not in text
+
+
+@pytest.mark.parametrize("tag", ["dz", "lu"])
+def test_sweep_batched_reports_equal_the_per_entry_reports(tag):
+    # one set-wise call over a nested sweep: every entry shares the noise
+    # blocks, tilt scans and rate pools of its starts, and must still get
+    # exactly the reports it gets from its own checker call
+    grid = TimeGrid(1.0, 16)
+    schedule = EpsilonSchedule((0.2, 0.1))
+    budgets = CheckBudgets(
+        mc_samples=CHUNK + 17, level_count=6, constant_pool=4, seed=3, tilt="auto-constant"
+    )
+    etas = (0.0,) if tag == "dz" else (0.2, 0.1)
+    entries = []
+    for slope, m in ((1.0, 1), (1.0, 2), (1.0, 3), (0.5, 3)):
+        starts = [2.0**-n for n in range(1, m + 1)]
+        centers = PathSet([line_path(grid, s, slope) for s in starts])
+        open_event = UnionOfBalls(centers, tuple(2.0**-n for n in range(1, m + 1)))
+        closed_event = None if m == 2 else DistanceAtLeast(centers, 0.4)
+        points = [(s,) for s in starts] + [(starts[-1],)]  # the last start twice
+        entries.append((IndexSetSample(f"{slope}-m{m}", points), open_event, closed_event))
+
+    batched = _setwise_gaps(tag, BM, grid, entries, etas, schedule, budgets, 1.0)
+    for entry, reports in zip(entries, batched):
+        if tag == "dz":
+            alone = dzuldp_gaps(BM, grid, *entry, schedule, budgets, s_max=1.0)
+        else:
+            alone = luldp_gaps(BM, grid, *entry, etas, schedule, budgets, s_max=1.0)
+        assert [r.to_json() for r in reports] == [r.to_json() for r in alone]
+
+    # the sweep exercises what it is meant to: hits that differ by start, and
+    # two tilt groups (slope-1 and slope-0.5 centers) with different weights
+    lower = {(r.index_set["label"], c.eps, c.x): c.inputs for (r, *_) in batched for c in r.cells}
+    assert lower[("1.0-m3", 0.1, (0.5,))]["hits"] != lower[("1.0-m3", 0.1, (0.125,))]["hits"]
+    assert min(v["hits"] for v in lower.values()) > 0
+    assert lower[("1.0-m3", 0.1, (0.5,))]["ess"] != lower[("0.5-m3", 0.1, (0.5,))]["ess"]
