@@ -7,7 +7,8 @@ admissible set and controls in an L2 ball.  The experiments couple the
 noise across eps (common random numbers), so the sqrt(eps) scaling of
 the pathwise error is visible without Monte Carlo blur.
 
-In ``control_conv`` each (start, control) cell draws one noise block and
+In ``control_conv`` the skeletons of all sampled controls from a start
+are one walk, and each (start, control) cell draws one noise block and
 steps every eps of the schedule on it in one batch, one row block per
 eps, through the models' one stepping loop.  Rows are bitwise what a
 per-eps simulation gives, and cells are reduced in index order, so the table
@@ -39,6 +40,7 @@ from .models import (
     simulate_batch,
     simulate_eps_stack,
     sine_control,
+    skeletons,
     zero_control,
 )
 from .pathspace import TimeGrid, _norms_along_dim, _point_norms
@@ -166,9 +168,11 @@ def control_conv(
     sup-over-time norm of X^{eps,u}_x,i minus the skeleton.  The table
     keeps the worst cell probability of exceeding ``delta`` per eps.
 
-    A cell steps all eps of the schedule in one batch of len(eps) * n
-    rows (``simulate_eps_stack``) and keeps each row's sup error as a
-    running maximum over the grid points, so no path array is stored.
+    The skeletons of every control from a start are one ``skeletons``
+    walk, taken before the cells run.  A cell steps all eps of the
+    schedule in one batch of len(eps) * n rows (``simulate_eps_stack``)
+    and keeps each row's sup error as a running maximum over the grid
+    points, so no path array is stored.
     If a state becomes non-finite, the NumericalBlowupError names the
     first step at which any eps row of the cell is non-finite.
 
@@ -188,7 +192,7 @@ def control_conv(
     )
     master = subseed(seed, "conv", "noise")
     eps_grid = tuple(schedule.eps)
-    zero_inc = np.zeros((1, grid.steps, model.channels))
+    bases = [skeletons(model, grid, pt, controls) for pt in x_sample.points]
     cells = [
         (xi, pt, uj, control)
         for xi, pt in enumerate(x_sample.points)
@@ -198,7 +202,7 @@ def control_conv(
     def run_cell(cell):
         xi, pt, uj, control = cell
         increments = _noise_block(grid, model.channels, master, xi * len(controls) + uj, n)
-        base = simulate_batch(model, grid, pt, 0.0, control, zero_inc)[0]
+        base = bases[xi][uj]
         # one walk steps every eps; row e * n + k is sample k at eps_grid[e]
         err = np.zeros(len(eps_grid) * n)
         for i, state in enumerate(simulate_eps_stack(model, grid, pt, eps_grid, control, increments)):
@@ -331,14 +335,12 @@ def weak_continuity_check(
     freqs = sorted(int(f) for f in frequencies)
     if any(f < 1 for f in freqs):
         raise ValueError("frequencies must be >= 1")
-    zero_inc = np.zeros((1, grid.steps, model.channels))
-    base = simulate_batch(model, grid, x, 0.0, None, zero_inc)[0]
+    controls = [zero_control(grid, model.channels)] + [sine_control(grid, f, model.channels) for f in freqs]
+    base, *paths = skeletons(model, grid, x, controls)
     additive = isinstance(model, (TranslatedBM, PerturbedBM, SwappedBM))
     rows = []
-    for f in freqs:
-        control = sine_control(grid, f, model.channels)
-        values = simulate_batch(model, grid, x, 0.0, control, zero_inc)[0]
-        err = float(_norms_along_dim(values[None] - base[None])[0])
+    for f, values in zip(freqs, paths):
+        err = float(_norms_along_dim(values - base))
         row = {"frequency": f, "sup_error": err}
         if additive:
             row["reference"] = 2.0 * grid.horizon / (f * math.pi)

@@ -89,8 +89,8 @@ class EpsilonSchedule:
         vals = tuple(float(e) for e in self.eps)
         if not vals:
             raise ValueError("empty schedule")
-        if any(e <= 0 for e in vals):
-            raise ValueError("eps values must be positive")
+        if any(not 0 < e < math.inf for e in vals):
+            raise ValueError("eps values must be positive and finite")
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise ValueError("schedule must be strictly decreasing")
         object.__setattr__(self, "eps", vals)
@@ -435,8 +435,8 @@ def _probability_batch(
     paths before the next start is simulated.  A job's estimate equals
     the one it would get on its own.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
     a_eps = float(speed(eps)) if speed is not None else eps
@@ -538,8 +538,8 @@ def _laplace_batch(
     ``_probability_batch``; each value equals the one its start would
     get on its own.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     a_eps = float(speed(eps)) if speed is not None else eps
     exponents = np.empty((len(xs), n))
     for block, offset, size in _iter_blocks(n):

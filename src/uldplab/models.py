@@ -4,7 +4,9 @@ All models share the driving structure: K independent Brownian channels
 sampled as increments on the grid, an optional control u (a step
 function with one value per increment), and a noise intensity eps.  The
 controlled state at eps = 0 is the skeleton; its energy (half the
-squared L2 norm of u) is what the rate functions measure.
+squared L2 norm of u) is what the rate functions measure.  A simulation
+takes one control for all rows or a list with one control per row, so
+a stack of controls (``skeletons``) is stepped in one walk.
 
 Families
 --------
@@ -62,6 +64,7 @@ __all__ = [
     "simulate_eps_stack",
     "solve_controlled",
     "skeleton",
+    "skeletons",
     "convolutions",
     "model_from_spec",
     "model_to_spec",
@@ -347,14 +350,6 @@ class ProcessModel:
         return v
 
 
-def _integral_of_control(control_values: np.ndarray | None, steps: int, channels: int, dt: float) -> np.ndarray:
-    """Running integral of the step control at grid points, shape (steps+1, channels)."""
-    out = np.zeros((steps + 1, channels))
-    if control_values is not None:
-        np.cumsum(control_values * dt, axis=0, out=out[1:])
-    return out
-
-
 @dataclass(frozen=True)
 class TranslatedBM(ProcessModel):
     """x + sqrt(eps) W + int u on one channel."""
@@ -475,13 +470,18 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 
 def _translated_core(eps: float, control_values, increments: np.ndarray, dt: float) -> np.ndarray:
-    """The x = 0 path of the translated family, shape (B, steps+1, 1)."""
+    """The x = 0 path of the translated family, shape (B, steps+1, 1).
+
+    One cumsum along time integrates the whole (C, steps, 1) control stack.
+    """
     b, steps, _ = increments.shape
     core = np.zeros((b, steps + 1, 1))
     np.cumsum(increments, axis=1, out=core[:, 1:, :])
     core *= math.sqrt(eps)
     if control_values is not None:
-        core += _integral_of_control(control_values, steps, 1, dt)[None, :, :]
+        integral = np.zeros((len(control_values), steps + 1, 1))
+        np.cumsum(control_values * dt, axis=1, out=integral[:, 1:, :])
+        core += integral
     return core
 
 
@@ -493,7 +493,8 @@ def _stepped_states(
     The state has shape (E * B, dim) for the E noise levels in ``eps``:
     rows e * B .. e * B + B - 1 are the B samples at eps[e], all driven by
     the same increments.  Each step forms the driving term
-    w = sqrt(eps) dW_i + u_i dt and applies the family's one-step map to
+    w = sqrt(eps) dW_i + u_i dt, u_i from the row's control in the stack
+    of ``_control_values``, and applies the family's one-step map to
     (state, w).  Every operation acts row by row, except the matrix
     product of the ``linear`` drift, so a row's bits do not depend on
     which other eps share the batch.  A yielded state is never reused.
@@ -525,7 +526,7 @@ def _stepped_states(
     for i in range(steps):
         w = (seps * increments[:, i, :]).reshape(-1, k)
         if control_values is not None:
-            w += control_values[i] * dt
+            w += control_values[:, i] * dt
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the step
             state = step(state, w)
         if not np.all(np.isfinite(state)):
@@ -544,20 +545,31 @@ def _simulate_stepped(
     return out
 
 
-def _control_values(model: ProcessModel, grid: TimeGrid, eps, control: Control | None, increments: np.ndarray):
-    """Check a simulation's inputs; the control's values, or None without a control."""
+def _control_values(model: ProcessModel, grid: TimeGrid, eps, control, increments: np.ndarray):
+    """Check a simulation's inputs; the control stack (C, steps, channels), or None without a control.
+
+    One ``Control`` is read by every increment row (C = 1); a list has
+    one per row (C = B) and is allowed only at a single eps.
+    """
     if any(e < 0 for e in eps):
         raise ValueError("eps must be nonnegative")
-    if control is not None:
-        if control.grid != grid:
-            raise ShapeMismatchError("control grid differs from simulation grid")
-        if control.channels != model.channels:
-            raise ShapeMismatchError(
-                f"control has {control.channels} channels, model wants {model.channels}"
-            )
     if increments.shape[1] != grid.steps:
         raise ShapeMismatchError("increment count differs from grid steps")
-    return None if control is None else control.values
+    if control is None:
+        return None
+    if isinstance(control, Control):
+        control = [control]
+    elif len(control) != increments.shape[0] or len(eps) != 1:
+        raise ShapeMismatchError(
+            f"a control list needs one control per increment row at a single eps, got "
+            f"{len(control)} controls, {increments.shape[0]} rows and {len(eps)} eps"
+        )
+    for c in control:
+        if c.grid != grid:
+            raise ShapeMismatchError("control grid differs from simulation grid")
+        if c.channels != model.channels:
+            raise ShapeMismatchError(f"control has {c.channels} channels, model wants {model.channels}")
+    return np.stack([c.values for c in control])
 
 
 def simulate_starts(
@@ -571,13 +583,14 @@ def simulate_starts(
     """Yield the batched controlled paths from each start in ``xs`` in turn.
 
     Every start reads the same increments, shape (B, steps, channels),
-    and the same control.  The translated family builds its x = 0 core
-    once and yields ``core + start`` per start; adding the scalar start
-    last keeps the core identical across x, which is what the
-    translation-identity checks rely on.  The stepped families step each
-    start in turn.  A yielded batch is valid until the next one is
-    requested (the translated family reuses one buffer), so copy it to
-    keep it.  Inputs are checked when the first batch is requested.
+    and the same control: one ``Control`` for every row, or a list with
+    one per row.  The translated family builds its x = 0 core once and
+    yields ``core + start`` per start; adding the scalar start last keeps
+    the core identical across x, which is what the translation-identity
+    checks rely on.  The stepped families step each start in turn.  A
+    yielded batch is valid until the next one is requested (the
+    translated family reuses one buffer), so copy it to keep it.  Inputs
+    are checked when the first batch is requested.
     """
     cv = _control_values(model, grid, (eps,), control, increments)
     dt = grid.dt
@@ -632,7 +645,7 @@ def simulate_batch(
     control: Control | None,
     increments: np.ndarray,
 ) -> np.ndarray:
-    """Batched controlled paths; increments has shape (B, steps, channels)."""
+    """Batched controlled paths, increments (B, steps, channels); control as in ``simulate_starts``."""
     return next(simulate_starts(model, grid, (x,), eps, control, increments))
 
 
@@ -664,6 +677,16 @@ def solve_controlled(
 def skeleton(model: ProcessModel, grid: TimeGrid, x, control: Control | None = None) -> DiscretePath:
     """Noise-free controlled path (the eps = 0 flow of the control)."""
     return solve_controlled(model, grid, x, 0.0, control, None)
+
+
+def skeletons(model: ProcessModel, grid: TimeGrid, x, controls, eps: float = 0.0) -> np.ndarray:
+    """Noise-free paths from x of every control in ``controls``, shape (C, steps+1, dim).
+
+    One walk over zero increments steps the whole stack; row k equals
+    ``simulate_batch`` of ``controls[k]`` alone.  A positive eps gives
+    the eps-skeletons, which differ only where the start moves with eps.
+    """
+    return simulate_batch(model, grid, x, eps, controls, np.zeros((len(controls), grid.steps, model.channels)))
 
 
 # ---------------------------------------------------------------------------

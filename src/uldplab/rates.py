@@ -38,6 +38,8 @@ from .models import (
     _phi1,
     _rng,
     skeleton,
+    skeletons,
+    zero_control,
 )
 from .pathspace import DiscretePath, PathSet, ShapeMismatchError, TimeGrid, sup_metric
 
@@ -173,14 +175,23 @@ class LevelSetSample:
         return len(self.controls)
 
 
-def _sphere_controls(
+def _level_set_controls(
     grid: TimeGrid, channels: int, level: float, count: int, seed: int
 ) -> list[Control]:
-    """Random controls with energy r*level, r uniform, direction uniform."""
+    """The zero control, then at a positive level count - 1 random controls of energy r*level.
+
+    The factor r is uniform on [0, 1] and the direction is uniform.
+    """
+    if not level >= 0:
+        raise ValueError("level must be nonnegative")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    out = [zero_control(grid, channels)]
+    if level == 0:
+        return out
     gen = _rng(seed, 0x1E7E15E7)
-    out = []
     dt = grid.dt
-    for _ in range(count):
+    for _ in range(count - 1):
         direction = gen.standard_normal((grid.steps, channels))
         norm = math.sqrt(float(np.sum(direction * direction)))
         if norm == 0.0:
@@ -208,23 +219,13 @@ def sample_level_set(
     does not depend on x, so samples at different starts share controls
     under a shared seed and the paths differ by the skeleton flow only.
     """
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    from .models import zero_control
-
-    controls: list[Control] = [zero_control(grid, model.channels)]
-    if level > 0:
-        controls.extend(_sphere_controls(grid, model.channels, level, count - 1, seed))
-    members = [skeleton(model, grid, x, c) for c in controls]
-    energies = tuple(c.energy for c in controls)
+    controls = _level_set_controls(grid, model.channels, level, count, seed)
     return LevelSetSample(
         x=model._as_state(x),
         level=level,
-        paths=PathSet(members),
+        paths=PathSet([DiscretePath(grid, p) for p in skeletons(model, grid, x, controls)]),
         controls=tuple(controls),
-        energies=energies,
+        energies=tuple(c.energy for c in controls),
         seed=seed,
     )
 
@@ -257,17 +258,15 @@ def rate_candidates(
     count: int,
     seed: int,
     constant_pool: int,
-) -> list[tuple[float, DiscretePath]]:
-    """(energy, skeleton) pairs that set-infimum estimators search over.
+) -> tuple[list[float], np.ndarray]:
+    """Energies of the candidates that set-infimum estimators search over, and their stacked skeletons.
 
-    The members of a level-set sample at ``s_max`` come first, in sample
-    order, then the skeletons of the constant-slope pool.
+    The controls of a level-set sample at ``s_max`` come first, in sample
+    order, then the constant-slope pool; one walk steps them all.
     """
-    sample = sample_level_set(model, grid, x, s_max, count, seed)
-    candidates = list(zip(sample.energies, sample.paths.members))
-    for c in constant_slope_controls(grid, model.channels, s_max, constant_pool):
-        candidates.append((c.energy, skeleton(model, grid, x, c)))
-    return candidates
+    controls = _level_set_controls(grid, model.channels, s_max, count, seed)
+    controls += constant_slope_controls(grid, model.channels, s_max, constant_pool)
+    return [c.energy for c in controls], skeletons(model, grid, x, controls)
 
 
 def inf_h_plus_I(
@@ -290,15 +289,15 @@ def inf_h_plus_I(
     bound = float(h.bound())
     if s_max < 2.0 * bound:
         raise ValueError(f"s_max = {s_max} is below 2 * bound(h) = {2 * bound}")
-    candidates = rate_candidates(model, grid, x, s_max, count, seed, constant_pool)
+    energies, paths = rate_candidates(model, grid, x, s_max, count, seed, constant_pool)
     best_val = math.inf
-    best_path = candidates[0][1]
-    for energy, member in candidates:
-        val = float(h(member)) + energy
+    best = 0
+    for k, energy in enumerate(energies):
+        val = float(h(DiscretePath(grid, paths[k]))) + energy
         if val < best_val:
             best_val = val
-            best_path = member
-    return best_val, best_path
+            best = k
+    return best_val, DiscretePath(grid, paths[best])
 
 
 def export_level_set(sample: LevelSetSample, directory: str) -> str:

@@ -116,8 +116,6 @@ def _grid(cfg: dict) -> TimeGrid:
 def _budgets(cfg: dict) -> CheckBudgets:
     raw = dict(cfg.get("budgets", {}))
     raw["seed"] = int(cfg["seed"])
-    if "tilt_grid" in raw:
-        raw["tilt_grid"] = tuple(raw["tilt_grid"])
     return CheckBudgets(**raw)
 
 

@@ -44,7 +44,7 @@ from .estimators import (
     _probability_batch,
     _start_key,
 )
-from .models import Control, ProcessModel, constant_control, model_to_spec, simulate_batch
+from .models import Control, ProcessModel, constant_control, model_to_spec, skeletons
 from .pathspace import Ball, DistanceAtLeast, EventSpec, TimeGrid
 from .rates import inf_h_plus_I, rate_candidates, sample_level_set
 
@@ -109,8 +109,6 @@ class CheckBudgets:
     s_levels: int = 8
     seed: int = 0
     tilt: str = "none"  # "none" | "level-member" | "auto-constant"
-    tilt_grid: tuple[float, float, int] = (-3.0, 3.0, 121)
-    tilt_margin: float = 0.0
     hold_threshold: float = 0.25
 
     def __post_init__(self) -> None:
@@ -249,18 +247,11 @@ def _estimate_csv_inputs(est: LogProbEstimate) -> dict:
 # tilt policies
 
 
-def _tilt_scan(model: ProcessModel, grid: TimeGrid, x, eps: float, budgets: CheckBudgets):
-    """The scanned constants and their stacked eps-skeletons from x (None when the scan is empty)."""
-    lo, hi, num = budgets.tilt_grid
-    cs = np.linspace(lo, hi, int(num))
-    if cs.size == 0:
-        return cs, None
-    zero_inc = np.zeros((1, grid.steps, model.channels))
-    skeletons = np.stack([
-        simulate_batch(model, grid, x, eps, constant_control(grid, float(c), model.channels), zero_inc)[0]
-        for c in cs
-    ])
-    return cs, skeletons
+def _tilt_scan(model: ProcessModel, grid: TimeGrid, x, eps: float):
+    """The 121 scanned constants on [-3, 3] and their stacked eps-skeletons from x, from one walk."""
+    cs = np.linspace(-3.0, 3.0, 121)
+    controls = [constant_control(grid, float(c), model.channels) for c in cs]
+    return cs, skeletons(model, grid, x, controls, eps)
 
 
 def _auto_constant_tilt(grid: TimeGrid, channels: int, scan, event: EventSpec) -> Control | None:
@@ -272,11 +263,9 @@ def _auto_constant_tilt(grid: TimeGrid, channels: int, scan, event: EventSpec) -
     reducing even when the deterministic path stays outside the event.
     The scanned skeletons are scored by one margin call.
     """
-    cs, skeletons = scan
-    if cs.size == 0:
-        return None
+    cs, paths = scan
     best: tuple[float, float] | None = None
-    for c, margin in zip(cs.tolist(), event.margins(skeletons).tolist()):
+    for c, margin in zip(cs.tolist(), event.margins(paths).tolist()):
         if best is None or margin > best[1] or (margin == best[1] and abs(c) < abs(best[0])):
             best = (c, margin)
     if best[0] == 0.0:
@@ -308,7 +297,7 @@ def _estimate_probabilities(
         elif budgets.tilt == "auto-constant":
             key = _start_key(model, x)
             if key not in scans:
-                scans[key] = _tilt_scan(model, grid, x, eps, budgets)
+                scans[key] = _tilt_scan(model, grid, x, eps)
             tilt = _auto_constant_tilt(grid, model.channels, scans[key], event)
         if tilt is not None and not np.any(tilt.values):
             tilt = None
@@ -320,24 +309,10 @@ def _estimate_probabilities(
 # rate side of set bounds
 
 
-def _rate_pool(
-    model: ProcessModel,
-    grid: TimeGrid,
-    x,
-    s_max: float,
-    count: int,
-    seed: int,
-    constant_pool: int,
-) -> tuple[list[float], np.ndarray]:
-    """Energies of the rate candidates from x and their stacked skeletons, in candidate order."""
-    candidates = rate_candidates(model, grid, x, s_max, count, seed, constant_pool)
-    return [energy for energy, _ in candidates], np.stack([member.values for _, member in candidates])
-
-
 def _rate_scores(pool: tuple[list[float], np.ndarray], event: EventSpec) -> list[tuple[float, float]]:
-    """(energy, event margin) of every candidate of a ``_rate_pool``, from one margin call."""
-    energies, skeletons = pool
-    return list(zip(energies, event.margins(skeletons).tolist()))
+    """(energy, event margin) of every candidate of a ``rate_candidates`` pool, from one margin call."""
+    energies, paths = pool
+    return list(zip(energies, event.margins(paths).tolist()))
 
 
 def _best_rate(scores: list[tuple[float, float]], eta: float, closed: bool) -> tuple[float, int | None]:
@@ -370,7 +345,7 @@ def event_rate_bound(
     margin >= -eta (closed sets, where eta fattens).  Returns +inf and
     None when no candidate qualifies.
     """
-    scores = _rate_scores(_rate_pool(model, grid, x, s_max, count, seed, constant_pool), event)
+    scores = _rate_scores(rate_candidates(model, grid, x, s_max, count, seed, constant_pool), event)
     return _best_rate(scores, eta, closed)
 
 
@@ -397,7 +372,7 @@ def fwuldp_gaps(
     below a small positive slack.  Level-set seeds and Monte Carlo
     seeds never depend on x.
     """
-    if s0 < 0 or delta <= 0:
+    if not s0 >= 0 or delta <= 0:
         raise ValueError("need s0 >= 0 and delta > 0")
     model_spec = model_to_spec(model)
     aset = _index_dict(index_set)
@@ -593,7 +568,7 @@ def _setwise_gaps(
         for pt, event, _ in jobs:
             key = _start_key(model, pt)
             if key not in pools:
-                pools[key] = _rate_pool(
+                pools[key] = rate_candidates(
                     model, grid, np.array(pt), s_max, budgets.level_count, rate_seed, budgets.constant_pool
                 )
             scores.append(_rate_scores(pools[key], event))

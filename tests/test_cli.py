@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -126,6 +127,17 @@ def test_estimate_requires_delta(capsys):
     )
     assert code == 2
     assert "delta" in err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_estimate_rejects_non_finite_eps(eps, capsys):
+    code, out, err = run_cli(
+        capsys,
+        "estimate", "--model", "translated-bm", "--x", "0", "--eps", eps, "--delta", "0.5",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "config error: eps values must be positive and finite"
 
 
 def test_eps_grid_parsing(capsys):
@@ -339,3 +351,12 @@ def test_scenario_subcommand_writes_result_and_exits_clean(tmp_path, capsys):
     )
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
+
+
+def test_check_output_bytes_match_the_pinned_digest(bench_workloads, tmp_path):
+    # the benchmark's README check command: its fwuldp level sets run
+    # through the stacked-control skeleton walk
+    out = tmp_path / "cli-check.json"
+    assert main([*bench_workloads.CLI_CHECK_ARGS, "--out", str(out)]) == 0
+    want = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())["cli-check"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want

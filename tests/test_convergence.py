@@ -1,8 +1,6 @@
 import hashlib
-import importlib.util
 import json
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -174,16 +172,6 @@ def test_weak_continuity_needs_resolvable_frequencies():
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-@pytest.fixture(scope="module")
-def bench_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve their module by name
-    spec.loader.exec_module(module)
-    yield module
-    del sys.modules[spec.name]
 
 
 @pytest.mark.parametrize("key", ["converge-galerkin-spde", "converge-finite-sde"])

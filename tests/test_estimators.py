@@ -74,6 +74,11 @@ def test_schedule_validation():
         EpsilonSchedule((0.1, -0.2))
     with pytest.raises(ValueError):
         EpsilonSchedule((0.05, 0.1))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            EpsilonSchedule((bad,))
+        with pytest.raises(ValueError):
+            mc_probability(BM, SMALL, 0.0, bad, TerminalAtLeast(0.2), 10, seed=1)
     sched = EpsilonSchedule.geometric(0.01, 0.1, 3)
     assert sched.eps[0] == pytest.approx(0.1)
     assert sched.eps[-1] == pytest.approx(0.01)

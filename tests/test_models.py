@@ -28,10 +28,12 @@ from uldplab.models import (
     simulate_starts,
     sine_control,
     skeleton,
+    skeletons,
     solve_controlled,
     zero_control,
 )
-from uldplab.pathspace import DiscretePath, TimeGrid
+from uldplab.pathspace import DiscretePath, ShapeMismatchError, TimeGrid
+from uldplab.rates import _level_set_controls
 
 
 GRID = TimeGrid(1.0, 64)
@@ -312,6 +314,15 @@ STACK_EPS = (0.3, 0.0, 1e-3, 0.05)
 SINE_SDE = FiniteSDE(
     dim=2, drift=DriftSpec("scaled-sine", kappa=1.5), noise=NoiseSpec("diagonal-bounded", gain=0.7, decay=0.5)
 )
+LINEAR_SDE = FiniteSDE(
+    dim=2,
+    drift=DriftSpec("linear", matrix=((-1.0, 0.5), (0.25, -2.0)), offset=(0.1, -0.2)),
+    noise=NoiseSpec("diagonal-linear-growth", gain=0.5),
+)
+
+
+def _rounding(a, b):
+    return np.allclose(a, b, rtol=1e-12, atol=0)
 
 
 def _stack_against_per_eps(model, x, control, n, same):
@@ -353,10 +364,38 @@ def test_eps_stack_with_linear_drift_matches_to_rounding(n):
     # the linear drift multiplies by its matrix through BLAS, which rounds a
     # one-row batch differently from a stacked one, so this family is only
     # compared to rtol 1e-12; every other catalog entry is bitwise
-    model = FiniteSDE(
-        dim=2,
-        drift=DriftSpec("linear", matrix=((-1.0, 0.5), (0.25, -2.0)), offset=(0.1, -0.2)),
-        noise=NoiseSpec("diagonal-linear-growth", gain=0.5),
-    )
     u = constant_control(TimeGrid(1.0, 16), (0.3, -0.6), 2)
-    _stack_against_per_eps(model, (1.0, -0.5), u, n, lambda a, b: np.allclose(a, b, rtol=1e-12, atol=0))
+    _stack_against_per_eps(LINEAR_SDE, (1.0, -0.5), u, n, _rounding)
+
+
+@pytest.mark.parametrize(
+    "model, x, eps, same",
+    [
+        (TranslatedBM(), -2.5, 0.0, np.array_equal),
+        (PerturbedBM(), 1.25, 0.0, np.array_equal),
+        (PerturbedBM(), 1.25, 0.05, np.array_equal),
+        (SwappedBM(), 0.0, 0.0, np.array_equal),
+        (SINE_SDE, (0.4, -1.2), 0.0, np.array_equal),
+        (GalerkinSPDE(modes=4, channels=4), (0.5, -0.25, 0.125, 2.0), 0.0, np.array_equal),
+        # the linear drift's matrix product goes through BLAS, as in the eps-stack caveat
+        (LINEAR_SDE, (1.0, -0.5), 0.0, _rounding),
+    ],
+    ids=lambda v: v.name if hasattr(v, "name") else None,
+)
+def test_control_stack_rows_equal_one_control_walks(model, x, eps, same):
+    # one walk steps a stack of controls, row k driven by controls[k]; each
+    # row must be the one-control walk over zero increments
+    grid = TimeGrid(1.0, 16)
+    controls = _level_set_controls(grid, model.channels, 1.5, 6, seed=3)
+    controls.append(constant_control(grid, 0.7, model.channels))
+    zeros = np.zeros((1, grid.steps, model.channels))
+    stack = skeletons(model, grid, x, controls, eps)
+    assert stack.shape == (len(controls), grid.steps + 1, model.dim)
+    for row, control in zip(stack, controls):
+        assert same(row, simulate_batch(model, grid, x, eps, control, zeros)[0])
+    # a control list needs one control per increment row, and a single eps
+    with pytest.raises(ShapeMismatchError):
+        simulate_batch(model, grid, x, eps, controls[:-1], np.zeros((len(controls), grid.steps, model.channels)))
+    with pytest.raises(ShapeMismatchError):
+        inc = _noise_block(grid, model.channels, 5, 0, len(controls))
+        next(simulate_eps_stack(model, grid, x, (0.1, 0.05), controls, inc))

@@ -133,6 +133,12 @@ def test_level_zero_degenerates_to_noise_free_path():
     assert np.all(sample.paths.members[0].values == 0.3)
 
 
+@pytest.mark.parametrize("level", [-0.5, math.nan])
+def test_level_set_rejects_a_negative_or_nan_level(level):
+    with pytest.raises(ValueError):
+        sample_level_set(TranslatedBM(), GRID, 0.0, level, 8, seed=1)
+
+
 def test_level_set_controls_do_not_depend_on_start():
     a = sample_level_set(TranslatedBM(), GRID, 0.0, 1.0, 8, seed=5)
     b = sample_level_set(TranslatedBM(), GRID, 2.0, 1.0, 8, seed=5)

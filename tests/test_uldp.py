@@ -204,16 +204,17 @@ def test_fwuldp_report_schema(tmp_path):
 
 
 def test_fwuldp_rejects_bad_params():
-    with pytest.raises(ValueError):
-        fwuldp_gaps(
-            BM,
-            GRID,
-            IndexSetSample("origin", [(0.0,)]),
-            s0=0.25,
-            delta=0.0,
-            schedule=EpsilonSchedule((0.2,)),
-            budgets=TINY,
-        )
+    for s0, delta in ((0.25, 0.0), (math.nan, 0.4)):
+        with pytest.raises(ValueError):
+            fwuldp_gaps(
+                BM,
+                GRID,
+                IndexSetSample("origin", [(0.0,)]),
+                s0=s0,
+                delta=delta,
+                schedule=EpsilonSchedule((0.2,)),
+                budgets=TINY,
+            )
 
 
 def test_translation_identity_across_starts():
