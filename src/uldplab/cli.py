@@ -182,7 +182,7 @@ def _cmd_estimate(args) -> int:
     model = load_model(args.model)
     grid = _grid_from(args)
     x = _parse_vector(args.x)
-    if args.delta is None or args.delta <= 0:
+    if args.delta is None or not args.delta > 0:
         raise CliError("estimate needs --delta > 0 (departure threshold)")
     schedule = _parse_schedule(args)
     center = skeleton(model, grid, np.array(x))
@@ -239,8 +239,8 @@ def _cmd_check(args) -> int:
             raise CliError("fwuldp needs --s0 and --delta")
         reports = fwuldp_gaps(model, grid, index, args.s0, args.delta, schedule, budgets)
     else:
-        if args.delta is None:
-            raise CliError(f"{definition} needs --delta (ball radius around the skeletons)")
+        if args.delta is None or not args.delta > 0:
+            raise CliError(f"{definition} needs --delta > 0 (ball radius around the skeletons)")
         centers = PathSet([skeleton(model, grid, np.array(p)) for p in points])
         open_event = UnionOfBalls(centers, (args.delta,) * len(points))
         closed_event = DistanceAtLeast(centers, args.delta)
@@ -287,7 +287,7 @@ def _cmd_converge(args) -> int:
         raise CliError("converge needs at least one --x start")
     points = [_parse_vector(t) for t in args.x]
     index = IndexSetSample(label="cli", points=tuple(points), tag=args.tag)
-    if args.delta is None or args.delta <= 0:
+    if args.delta is None or not args.delta > 0:
         raise CliError("converge needs --delta > 0")
     schedule = _parse_schedule(args)
     table = control_conv(

@@ -180,7 +180,7 @@ def control_conv(
     and the reduction walks cells in index order, so the result does not
     depend on ``threads``.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if threads < 1:
         raise ValueError("threads must be >= 1")

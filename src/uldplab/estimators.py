@@ -23,10 +23,14 @@ estimates no matter how work is batched or threaded.
 Estimates at different starts that share a seed read the same block,
 drawn once: the block is the outer loop and the start the inner one.
 Jobs at one start with one tilt share its simulated paths, whatever
-their events.  Peak sampling memory is one block plus one bit per
-sample per job (and one weight per sample per distinct tilt).  The
-translated path at x is x plus a core built once per block, so each
-estimate equals the one its start would get alone, bit for bit.
+their events, and the screens of a common ball prefix: balls and ball
+unions that begin with the same balls test each of those balls once per
+block, and each later ball only on the rows no earlier ball caught.
+Peak sampling memory is one block plus one bit per sample per job (and
+one weight per sample per distinct tilt), plus, at the start being
+tested, one bool per sample per screened prefix.  The translated path
+at x is x plus a core built once per block, so each estimate equals the
+one its start would get alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -432,8 +436,12 @@ def _probability_batch(
     the simulated core, the Girsanov weights of the block and their
     effective sample size.  Within a group each distinct start is
     simulated once per block, and every job at that start reads its
-    paths before the next start is simulated.  A job's estimate equals
-    the one it would get on its own.
+    paths before the next start is simulated.  The jobs at one start
+    share one dict of screened ball prefixes (``EventSpec.hits``), so a
+    ball that leads several of their ball unions is screened once per
+    block; the dict holds one bool per sample per prefix and is dropped
+    before the next start.  A job's estimate equals the one it would get
+    on its own, bit for bit.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -458,8 +466,9 @@ def _probability_batch(
         for key, (tilt, starts) in groups.items():
             paths = simulate_starts(model, grid, [x for x, _ in starts.values()], eps, tilt, inc)
             for (_, members), batch in zip(starts.values(), paths):
+                screens: dict = {}
                 for j in members:
-                    hits[j][bits] = np.packbits(jobs[j][1].hits(batch))
+                    hits[j][bits] = np.packbits(jobs[j][1].hits(batch, screens))
             if tilt is not None:
                 weights[key][offset : offset + size] = np.exp(_girsanov_log_weights(tilt, inc, eps))
     ess = {key: _effective_sample_size(w) for key, w in weights.items()}

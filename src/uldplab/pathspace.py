@@ -18,8 +18,11 @@ point with norm >= radius, a union skips balls for rows already inside
 one, and a row leaves a distance-at-least set once its whole path lies
 within the threshold of some member.  When more than half of the rows
 are still open after the first grid point, the full distances are
-formed in one pass instead.  ``margins`` keeps the full
-distances for the rate side, the tilt scan, quadrature and the CLI.
+formed in one pass instead.  Given a dict of screened ball prefixes,
+balls and unions that start with the same balls (same centers, same
+radii, same order) on the same paths screen those balls once; the flags
+are the same.  ``margins`` keeps the full distances for the rate side,
+the tilt scan, quadrature and the CLI.
 """
 
 from __future__ import annotations
@@ -289,11 +292,31 @@ def _within(values: np.ndarray, rows: np.ndarray, center: np.ndarray, bound: flo
     return rows
 
 
-def _union_hits(values: np.ndarray, centers: np.ndarray, radii) -> np.ndarray:
-    """Rows of ``values`` inside some open ball; each ball screens only rows not yet hit."""
+def _union_hits(values: np.ndarray, centers: np.ndarray, radii, screens: dict | None = None) -> np.ndarray:
+    """Rows of ``values`` inside some open ball; each ball screens only rows not yet hit.
+
+    ``screens`` maps a ball prefix, the tuple of its
+    ``(center.tobytes(), radius)`` keys, to the hit flags of that prefix
+    on these same ``values``.  The walk resumes after the longest prefix
+    found there and records a copy of the flags after each further ball,
+    so unions that share leading balls screen each of them once.  The
+    flags are those of a walk from the first ball.
+    """
+    # checked here as well as in _within, which a prefix found in screens skips
+    if centers.shape[1:] != values.shape[1:]:
+        raise ShapeMismatchError(f"paths of shape {values.shape[1:]} vs centers {centers.shape[1:]}")
+    if screens is None:
+        screens = {}
     out = np.zeros(len(values), dtype=bool)
+    prefix: tuple = ()
     for center, r in zip(centers, radii):
+        prefix += ((center.tobytes(), r),)
+        done = screens.get(prefix)
+        if done is not None:
+            out[:] = done
+            continue
         out[_within(values, np.flatnonzero(~out), center, r, np.less)] = True
+        screens[prefix] = out.copy()
     return out
 
 
@@ -324,11 +347,15 @@ class EventSpec:
     def margins(self, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def hits(self, values: np.ndarray) -> np.ndarray:
+    def hits(self, values: np.ndarray, screens: dict | None = None) -> np.ndarray:
         """Membership of each row, bit for bit ``self.margins(values) > 0.0``.
 
         Balls, ball unions and distance-at-least sets raise
         ``ShapeMismatchError`` for paths off the event's grid or dimension.
+        Balls and ball unions read and extend ``screens``, a dict of the
+        hit flags of ball prefixes on these same ``values`` (see
+        ``_union_hits``); a caller passes one fresh dict to the events it
+        tests on one array.  Other events ignore it.
         """
         return self.margins(values) > 0.0
 
@@ -350,8 +377,8 @@ class Ball(EventSpec):
     def margins(self, values: np.ndarray) -> np.ndarray:
         return self.radius - next(_member_distances(values, self.center.values[None]))
 
-    def hits(self, values: np.ndarray) -> np.ndarray:
-        return _union_hits(values, self.center.values[None], (self.radius,))
+    def hits(self, values: np.ndarray, screens: dict | None = None) -> np.ndarray:
+        return _union_hits(values, self.center.values[None], (self.radius,), screens)
 
 
 @dataclass(frozen=True)
@@ -374,8 +401,8 @@ class UnionOfBalls(EventSpec):
             np.maximum(best, r - d, out=best)
         return best
 
-    def hits(self, values: np.ndarray) -> np.ndarray:
-        return _union_hits(values, self.centers.stack, self.radii)
+    def hits(self, values: np.ndarray, screens: dict | None = None) -> np.ndarray:
+        return _union_hits(values, self.centers.stack, self.radii, screens)
 
 
 @dataclass(frozen=True)
@@ -392,7 +419,7 @@ class DistanceAtLeast(EventSpec):
     def margins(self, values: np.ndarray) -> np.ndarray:
         return _dist_batch(values, self.targets) - self.threshold
 
-    def hits(self, values: np.ndarray) -> np.ndarray:
+    def hits(self, values: np.ndarray, screens: dict | None = None) -> np.ndarray:
         far = np.ones(len(values), dtype=bool)
         for target in self.targets.stack:
             far[_within(values, np.flatnonzero(far), target, self.threshold, np.less_equal)] = False

@@ -247,18 +247,12 @@ def _estimate_csv_inputs(est: LogProbEstimate) -> dict:
 # tilt policies
 
 
-def _tilt_scan(model: ProcessModel, grid: TimeGrid, x, eps: float):
-    """The 121 scanned constants on [-3, 3] and their stacked eps-skeletons from x, from one walk."""
-    cs = np.linspace(-3.0, 3.0, 121)
-    controls = [constant_control(grid, float(c), model.channels) for c in cs]
-    return cs, skeletons(model, grid, x, controls, eps)
-
-
 def _auto_constant_tilt(grid: TimeGrid, channels: int, scan, event: EventSpec) -> Control | None:
     """Constant channel-0 control whose eps-skeleton best enters the event.
 
-    Reads a ``_tilt_scan`` over a 1-d grid of constants and keeps the
-    margin maximizer (ties to the smaller |c|).  For ball-like events
+    Reads ``scan``, a 1-d grid of constants and their stacked
+    eps-skeletons from one start, and keeps the margin maximizer (ties
+    to the smaller |c|).  For ball-like events
     this lands on the center tilt; a centering tilt is still variance
     reducing even when the deterministic path stays outside the event.
     The scanned skeletons are scored by one margin call.
@@ -285,9 +279,13 @@ def _estimate_probabilities(
     """One estimate per (x, event, member tilt) job, all from the noise of one seed.
 
     Each job's tilt follows the budget policy; an absent or all-zero
-    tilt means plain Monte Carlo.  The auto-constant scan is stepped
-    once per distinct start and scored against each job's event.
+    tilt means plain Monte Carlo.  The auto-constant scan's controls are
+    built once per call, stepped once per distinct start and scored
+    against each job's event.
     """
+    if budgets.tilt == "auto-constant":
+        cs = np.linspace(-3.0, 3.0, 121)
+        controls = [constant_control(grid, float(c), model.channels) for c in cs]
     scans: dict = {}
     resolved = []
     for x, event, member_tilt in jobs:
@@ -297,11 +295,12 @@ def _estimate_probabilities(
         elif budgets.tilt == "auto-constant":
             key = _start_key(model, x)
             if key not in scans:
-                scans[key] = _tilt_scan(model, grid, x, eps)
+                scans[key] = cs, skeletons(model, grid, x, controls, eps)
             tilt = _auto_constant_tilt(grid, model.channels, scans[key], event)
         if tilt is not None and not np.any(tilt.values):
             tilt = None
         resolved.append((x, event, tilt))
+    del scans  # so sampling's peak memory does not hold the scanned skeletons
     return _probability_batch(model, grid, eps, resolved, budgets.mc_samples, seed, speed)
 
 
@@ -372,7 +371,7 @@ def fwuldp_gaps(
     below a small positive slack.  Level-set seeds and Monte Carlo
     seeds never depend on x.
     """
-    if not s0 >= 0 or delta <= 0:
+    if not s0 >= 0 or not delta > 0:
         raise ValueError("need s0 >= 0 and delta > 0")
     model_spec = model_to_spec(model)
     aset = _index_dict(index_set)
@@ -725,8 +724,8 @@ def luldp_gaps(
     Probabilities are estimated on the plain sets; only the rate-side
     membership filter moves by eta.  Cells carry their eta in ``extra``.
     """
-    if any(e <= 0 for e in etas):
-        raise ValueError("etas must be positive")
+    if not all(0 < e < math.inf for e in etas):
+        raise ValueError("etas must be positive and finite")
     return _setwise_gaps(
         "lu", model, grid, [(index_set, open_event, closed_event)], etas, schedule, budgets, s_max
     )[0]
@@ -750,7 +749,7 @@ def make_families(
     psi -> j - j min(2 dist(psi, anchors)/delta, 1), declared modulus
     2 j/delta.
     """
-    if j < 0 or delta <= 0:
+    if not j >= 0 or not delta > 0:
         raise ValueError("need j >= 0 and delta > 0")
     if kind == "lower":
         members = tuple(CappedDistance(a, j, 2.0 * delta) for a in anchors)

@@ -263,6 +263,36 @@ def test_converge_rejects_nonpositive_samples(samples, capsys):
     assert err.strip() == "config error: n must be >= 1"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["converge", "--eps-grid", "0.01:0.1:3", "--samples", "20", "--controls", "3"],
+        ["estimate", "--eps", "0.1", "--samples", "20"],
+        ["check", "--definition", "dzuldp", "--eps-grid", "0.05:0.2:2", "--samples", "20"],
+        ["check", "--definition", "luldp", "--eps-grid", "0.05:0.2:2", "--eta", "0.1", "--samples", "20"],
+    ],
+)
+def test_nan_delta_exits_two(command, capsys):
+    # nan > 0 and nan <= 0 are both false: a nan delta must fail the positivity check
+    code, out, err = run_cli(
+        capsys, command[0], "--model", "translated-bm", "--x", "0", "--delta", "nan", *command[1:]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and "--delta > 0" in err
+
+
+def test_check_luldp_rejects_nan_eta(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "check", "--model", "translated-bm", "--definition", "luldp", "--x", "0", "--x", "1",
+        "--eps-grid", "0.05:0.2:2", "--delta", "0.5", "--eta", "nan", "--samples", "500",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "config error: etas must be positive and finite"
+
+
 BLOWUP_SPEC = {"variant": "finite-sde", "dim": 1, "drift": {"name": "linear", "matrix": [[1e9]]}}
 
 

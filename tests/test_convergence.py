@@ -130,8 +130,9 @@ def test_table_serialization_round_trip(tmp_path):
 
 
 def test_control_conv_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        control_conv(BM, GRID, STARTS, 1.0, 0.0, EpsilonSchedule((0.1,)))
+    for delta in (0.0, math.nan):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            control_conv(BM, GRID, STARTS, 1.0, delta, EpsilonSchedule((0.1,)))
     with pytest.raises(ValueError):
         control_conv(BM, GRID, STARTS, 1.0, 0.3, EpsilonSchedule((0.1,)), threads=0)
     for n in (0, -2):

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uldplab import pathspace
+from uldplab.estimators import CHUNK, _probability_batch, mc_probability
+from uldplab.models import TranslatedBM
 from uldplab.pathspace import (
     Ball,
     Complement,
@@ -290,3 +293,73 @@ def test_event_hits_equal_margin_signs_bitwise(dim, near_frac):
         for event in events[:7]:
             with pytest.raises(ShapeMismatchError):
                 event.hits(bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([1, 2]),
+    steps=st.integers(1, 40),
+    order=st.permutations(range(8)),
+)
+def test_shared_prefix_screens_equal_margin_signs_bitwise(seed, dim, steps, order):
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(1.0, steps)
+    centers = [DiscretePath(grid, rng.standard_normal((steps + 1, dim))) for _ in range(3)]
+    # ball 2 has the center of ball 0 at another radius
+    balls = [(centers[0], 0.6), (centers[1], 1.2), (centers[0], 1.8), (centers[2], 1.0)]
+
+    def union(picks):
+        return UnionOfBalls(PathSet([balls[i][0] for i in picks]), tuple(balls[i][1] for i in picks))
+
+    count = 200
+    values = np.stack([c.values for c in centers])[rng.integers(3, size=count)]
+    values = values + rng.uniform(0.0, 1.5, size=(count, 1, 1)) * rng.standard_normal(values.shape)
+    for row in rng.choice(count, size=10, replace=False):
+        values[row, rng.integers(steps + 1), rng.integers(dim)] = np.nan
+    events = [
+        Ball(*balls[0]),
+        union([0, 1]),
+        union([0, 1, 2]),
+        union([0, 1, 2, 3]),
+        union([3, 2, 1, 0]),
+        union([2, 1]),  # not a prefix of any other union
+        Ball(*balls[2]),
+        DistanceAtLeast(PathSet(centers), 1.0),  # takes the dict and ignores it
+    ]
+    screens: dict = {}
+    for i in order:
+        got = events[i].hits(values, screens)
+        assert got.dtype == bool
+        assert np.array_equal(got, events[i].margins(values) > 0.0)
+    # nothing handed out aliases a stored prefix
+    for event in events:
+        event.hits(values, screens)[:] = True
+    for event in events:
+        assert np.array_equal(event.hits(values, screens), event.margins(values) > 0.0)
+
+
+def test_probability_batch_screens_each_ball_once_per_start_and_block(monkeypatch):
+    grid = TimeGrid(1.0, 16)
+    model = TranslatedBM()
+    starts = [(0.0,), (0.5,)]
+    balls = [(line_path(grid, 0.0, 1.0), 0.5), (line_path(grid, 0.5, 1.0), 0.25), (line_path(grid, 0.0, 0.0), 0.4)]
+    unions = [
+        UnionOfBalls(PathSet([c for c, _ in balls[:k]]), tuple(r for _, r in balls[:k])) for k in (1, 2, 3)
+    ]
+    jobs = [(x, event, None) for x in starts for event in unions]
+    n = CHUNK + 100  # two blocks
+    alone = [mc_probability(model, grid, x, 0.1, event, n, 5) for x, event, _ in jobs]
+    screened = []
+    within = pathspace._within
+
+    def counting(values, rows, center, bound, below):
+        # (block size, start, ball): the two blocks differ in size
+        screened.append((len(values), values[0, 0, 0], center.tobytes(), bound))
+        return within(values, rows, center, bound, below)
+
+    monkeypatch.setattr(pathspace, "_within", counting)
+    assert _probability_batch(model, grid, 0.1, jobs, n, 5) == alone
+    # 3 distinct balls at 2 starts in 2 blocks, each screened once (24 screens without sharing)
+    assert len(screened) == 3 * 2 * 2
+    assert len(set(screened)) == len(screened)

@@ -159,8 +159,9 @@ def test_make_families_constants():
     assert up.lipschitz == 8.0
     with pytest.raises(ValueError):
         make_families("sideways", 1.0, 0.5, anchors)
-    with pytest.raises(ValueError):
-        make_families("lower", -1.0, 0.5, anchors)
+    for j, delta in ((-1.0, 0.5), (math.nan, 0.5), (1.0, math.nan), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="need j >= 0 and delta > 0"):
+            make_families("lower", j, delta, anchors)
 
 
 def test_verdict_branches():
@@ -204,8 +205,8 @@ def test_fwuldp_report_schema(tmp_path):
 
 
 def test_fwuldp_rejects_bad_params():
-    for s0, delta in ((0.25, 0.0), (math.nan, 0.4)):
-        with pytest.raises(ValueError):
+    for s0, delta in ((0.25, 0.0), (math.nan, 0.4), (0.25, math.nan)):
+        with pytest.raises(ValueError, match="need s0 >= 0 and delta > 0"):
             fwuldp_gaps(
                 BM,
                 GRID,
@@ -265,17 +266,18 @@ def test_eulp_cells_enumerate_family_members():
 
 
 def test_luldp_requires_positive_etas_and_tags_cells():
-    with pytest.raises(ValueError):
-        luldp_gaps(
-            BM,
-            GRID,
-            IndexSetSample("origin", [(0.0,)]),
-            Ball(line_path(GRID, 0.0, 0.0), 0.5),
-            None,
-            etas=(0.0,),
-            schedule=EpsilonSchedule((0.2,)),
-            budgets=TINY,
-        )
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="etas must be positive and finite"):
+            luldp_gaps(
+                BM,
+                GRID,
+                IndexSetSample("origin", [(0.0,)]),
+                Ball(line_path(GRID, 0.0, 0.0), 0.5),
+                None,
+                etas=(0.2, bad),
+                schedule=EpsilonSchedule((0.2,)),
+                budgets=TINY,
+            )
     (report,) = luldp_gaps(
         BM,
         GRID,
