@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -160,8 +161,8 @@ def _cmd_level_set(args) -> int:
     model = load_model(args.model)
     grid = _grid_from(args)
     x = _parse_vector(args.x)
-    if args.s0 is None:
-        raise CliError("level-set needs --s0 (the rate level)")
+    if args.s0 is None or not 0 <= args.s0 < math.inf:
+        raise CliError("level-set needs a finite --s0 >= 0 (the rate level)")
     sample = sample_level_set(model, grid, np.array(x), args.s0, args.samples, args.seed)
     if args.out:
         manifest = export_level_set(sample, args.out)
@@ -237,6 +238,8 @@ def _cmd_check(args) -> int:
     if definition == "fwuldp":
         if args.s0 is None or args.delta is None:
             raise CliError("fwuldp needs --s0 and --delta")
+        if not 0 <= args.s0 < math.inf:
+            raise CliError("fwuldp needs a finite --s0 >= 0 (the rate level)")
         reports = fwuldp_gaps(model, grid, index, args.s0, args.delta, schedule, budgets)
     else:
         if args.delta is None or not args.delta > 0:

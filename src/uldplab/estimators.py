@@ -436,12 +436,13 @@ def _probability_batch(
     the simulated core, the Girsanov weights of the block and their
     effective sample size.  Within a group each distinct start is
     simulated once per block, and every job at that start reads its
-    paths before the next start is simulated.  The jobs at one start
-    share one dict of screened ball prefixes (``EventSpec.hits``), so a
-    ball that leads several of their ball unions is screened once per
-    block; the dict holds one bool per sample per prefix and is dropped
-    before the next start.  A job's estimate equals the one it would get
-    on its own, bit for bit.
+    paths before the next start is simulated.  Two or more jobs at one
+    start share one dict of screened ball prefixes (``EventSpec.hits``),
+    so a ball that leads several of their ball unions is screened once
+    per block; the dict holds one bool per sample per prefix and is
+    dropped before the next start.  A lone job at its start gets none,
+    since no other job could read it.  A job's estimate equals the one it
+    would get on its own, bit for bit.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -466,7 +467,7 @@ def _probability_batch(
         for key, (tilt, starts) in groups.items():
             paths = simulate_starts(model, grid, [x for x, _ in starts.values()], eps, tilt, inc)
             for (_, members), batch in zip(starts.values(), paths):
-                screens: dict = {}
+                screens = {} if len(members) > 1 else None
                 for j in members:
                     hits[j][bits] = np.packbits(jobs[j][1].hits(batch, screens))
             if tilt is not None:

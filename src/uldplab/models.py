@@ -228,13 +228,18 @@ class DriftSpec:
             return float(np.linalg.norm(a, 2))
         raise ValueError(f"unknown drift {self.name!r}")
 
+    @property
+    def reads_sin(self) -> bool:
+        """Whether the map reads sin(x); ``_drift_apply`` then takes it precomputed."""
+        return self.name == "scaled-sine"
 
-def _drift_apply(spec: DriftSpec, x: np.ndarray) -> np.ndarray:
-    # x: (B, d) -> (B, d)
+
+def _drift_apply(spec: DriftSpec, x: np.ndarray, sin_x: np.ndarray | None = None) -> np.ndarray:
+    # x: (B, d) -> (B, d); sin_x, if given, is np.sin(x)
     if spec.name == "zero":
         return np.zeros_like(x)
     if spec.name == "scaled-sine":
-        return spec.kappa * np.sin(x)
+        return spec.kappa * (np.sin(x) if sin_x is None else sin_x)
     if spec.name == "linear":
         d = x.shape[1]
         a = np.asarray(spec.matrix, dtype=float) if spec.matrix is not None else np.eye(d)
@@ -267,16 +272,27 @@ class NoiseSpec:
             return "linear"
         raise ValueError(f"unknown noise {self.name!r}")
 
+    @property
+    def reads_sin(self) -> bool:
+        """Whether the map reads sin(x); ``_noise_apply`` then takes it precomputed."""
+        return self.name == "diagonal-bounded"
+
     def gains(self, dim: int) -> np.ndarray:
         k = np.arange(1, dim + 1, dtype=float)
         return self.gain * k ** (-self.decay)
 
 
-def _noise_apply(spec: NoiseSpec, x: np.ndarray, w: np.ndarray, gains: np.ndarray | None = None) -> np.ndarray:
+def _noise_apply(
+    spec: NoiseSpec,
+    x: np.ndarray,
+    w: np.ndarray,
+    gains: np.ndarray | None = None,
+    sin_x: np.ndarray | None = None,
+) -> np.ndarray:
     """G(x) w for batches; x: (B, d), w: (B, K) -> (B, d).
 
-    ``gains`` is ``spec.gains(d)``, which a walk that applies the
-    catalog at every step computes once and passes in.
+    ``gains`` is ``spec.gains(d)`` and ``sin_x`` is ``np.sin(x)``, which a
+    walk that applies the catalog at every step forms once and passes in.
     """
     d = x.shape[1]
     k = w.shape[1]
@@ -297,7 +313,7 @@ def _noise_apply(spec: NoiseSpec, x: np.ndarray, w: np.ndarray, gains: np.ndarra
     if spec.name == "diagonal-constant":
         return g * w
     if spec.name == "diagonal-bounded":
-        return g * (1.0 + 0.5 * np.sin(x)) * w
+        return g * (1.0 + 0.5 * (np.sin(x) if sin_x is None else sin_x)) * w
     if spec.name == "diagonal-linear-growth":
         return g * (1.0 + np.abs(x)) * w
     raise ValueError(f"unknown noise {spec.name!r}")
@@ -347,6 +363,8 @@ class ProcessModel:
             v = np.full(self.dim, v[0])
         if v.size != self.dim:
             raise ShapeMismatchError(f"start has size {v.size}, model dim is {self.dim}")
+        if not np.isfinite(v).all():
+            raise ValueError("start must be finite")
         return v
 
 
@@ -495,7 +513,10 @@ def _stepped_states(
     the same increments.  Each step forms the driving term
     w = sqrt(eps) dW_i + u_i dt, u_i from the row's control in the stack
     of ``_control_values``, and applies the family's one-step map to
-    (state, w).  Every operation acts row by row, except the matrix
+    (state, w).  When the drift or the noise reads sin(state) (their
+    ``reads_sin``), the step forms np.sin(state) once and hands it to
+    both catalogs, whose arithmetic is otherwise that of a call without
+    it, bit for bit.  Every operation acts row by row, except the matrix
     product of the ``linear`` drift, so a row's bits do not depend on
     which other eps share the batch.  A yielded state is never reused.
     """
@@ -504,11 +525,17 @@ def _stepped_states(
     if k != model.channels:
         raise ShapeMismatchError(f"noise has {k} channels, model wants {model.channels}")
     gains = model.noise.gains(model.dim)
+    reads_sin = model.drift.reads_sin or model.noise.reads_sin
     if isinstance(model, FiniteSDE):
         label = "finite SDE"
 
         def step(state, w):
-            return state + _drift_apply(model.drift, state) * dt + _noise_apply(model.noise, state, w, gains)
+            sin_x = np.sin(state) if reads_sin else None
+            return (
+                state
+                + _drift_apply(model.drift, state, sin_x) * dt
+                + _noise_apply(model.noise, state, w, gains, sin_x)
+            )
 
     else:
         label = "spectral SPDE"
@@ -517,7 +544,12 @@ def _stepped_states(
         factor = _phi1(-a * dt)
 
         def step(state, w):
-            forcing = _drift_apply(model.drift, state) * dt + _noise_apply(model.noise, state, w, gains)
+            sin_x = np.sin(state) if reads_sin else None
+            forcing = (
+                _drift_apply(model.drift, state, sin_x) * dt
+                + _noise_apply(model.noise, state, w, gains, sin_x)
+            )
+            del sin_x  # freed before the two products below, the step's memory peak
             return decay * state + factor * forcing
 
     seps = np.sqrt(np.asarray(eps, dtype=float))[:, None, None]
@@ -551,8 +583,8 @@ def _control_values(model: ProcessModel, grid: TimeGrid, eps, control, increment
     One ``Control`` is read by every increment row (C = 1); a list has
     one per row (C = B) and is allowed only at a single eps.
     """
-    if any(e < 0 for e in eps):
-        raise ValueError("eps must be nonnegative")
+    if any(not 0 <= e < math.inf for e in eps):
+        raise ValueError("eps must be nonnegative and finite")
     if increments.shape[1] != grid.steps:
         raise ShapeMismatchError("increment count differs from grid steps")
     if control is None:

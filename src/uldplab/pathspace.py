@@ -299,24 +299,25 @@ def _union_hits(values: np.ndarray, centers: np.ndarray, radii, screens: dict | 
     ``(center.tobytes(), radius)`` keys, to the hit flags of that prefix
     on these same ``values``.  The walk resumes after the longest prefix
     found there and records a copy of the flags after each further ball,
-    so unions that share leading balls screen each of them once.  The
-    flags are those of a walk from the first ball.
+    so unions that share leading balls screen each of them once.  Without
+    ``screens`` the walk looks up and records nothing.  The flags are
+    those of a walk from the first ball.
     """
     # checked here as well as in _within, which a prefix found in screens skips
     if centers.shape[1:] != values.shape[1:]:
         raise ShapeMismatchError(f"paths of shape {values.shape[1:]} vs centers {centers.shape[1:]}")
-    if screens is None:
-        screens = {}
     out = np.zeros(len(values), dtype=bool)
     prefix: tuple = ()
     for center, r in zip(centers, radii):
-        prefix += ((center.tobytes(), r),)
-        done = screens.get(prefix)
-        if done is not None:
-            out[:] = done
-            continue
+        if screens is not None:
+            prefix += ((center.tobytes(), r),)
+            done = screens.get(prefix)
+            if done is not None:
+                out[:] = done
+                continue
         out[_within(values, np.flatnonzero(~out), center, r, np.less)] = True
-        screens[prefix] = out.copy()
+        if screens is not None:
+            screens[prefix] = out.copy()
     return out
 
 

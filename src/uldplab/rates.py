@@ -182,8 +182,8 @@ def _level_set_controls(
 
     The factor r is uniform on [0, 1] and the direction is uniform.
     """
-    if not level >= 0:
-        raise ValueError("level must be nonnegative")
+    if not 0 <= level < math.inf:
+        raise ValueError("level must be nonnegative and finite")
     if count < 1:
         raise ValueError("count must be >= 1")
     out = [zero_control(grid, channels)]

@@ -371,8 +371,8 @@ def fwuldp_gaps(
     below a small positive slack.  Level-set seeds and Monte Carlo
     seeds never depend on x.
     """
-    if not s0 >= 0 or not delta > 0:
-        raise ValueError("need s0 >= 0 and delta > 0")
+    if not 0 <= s0 < math.inf or not delta > 0:
+        raise ValueError("need s0 >= 0 and delta > 0, s0 finite")
     model_spec = model_to_spec(model)
     aset = _index_dict(index_set)
     params = {

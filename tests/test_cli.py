@@ -293,6 +293,44 @@ def test_check_luldp_rejects_nan_eta(capsys):
     assert err.strip() == "config error: etas must be positive and finite"
 
 
+@pytest.mark.parametrize("model", ["translated-bm", "finite-sde"])
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_simulate_rejects_non_finite_eps(model, eps, capsys):
+    # eps < 0 is false for nan, so the old check let it through to nan paths
+    code, out, err = run_cli(capsys, "simulate", "--model", model, "--x", "0", "--eps", eps, "--samples", "1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "config error: eps must be nonnegative and finite"
+
+
+@pytest.mark.parametrize("model", ["translated-bm", "finite-sde"])
+def test_simulate_rejects_a_non_finite_start(model, capsys):
+    for x in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "simulate", "--model", model, "--x", x, "--eps", "0.1", "--samples", "1")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "config error: start must be finite"
+    # far finite starts still simulate
+    for x in ("1e6", "1000"):
+        code, out, _ = run_cli(capsys, "simulate", "--model", model, "--x", x, "--eps", "0.1", "--samples", "1")
+        assert code == 0
+        assert out
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check", "--definition", "fwuldp", "--eps", "0.1", "--delta", "0.3", "--samples", "20"],
+        ["level-set", "--samples", "4"],
+    ],
+)
+def test_infinite_s0_names_the_flag(command, capsys):
+    code, out, err = run_cli(capsys, command[0], "--model", "translated-bm", "--x", "0", "--s0", "inf", *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and "finite --s0" in err
+
+
 BLOWUP_SPEC = {"variant": "finite-sde", "dim": 1, "drift": {"name": "linear", "matrix": [[1e9]]}}
 
 

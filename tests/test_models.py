@@ -17,6 +17,7 @@ from uldplab.models import (
     _noise_apply,
     _noise_block,
     _noise_matrix,
+    _phi1,
     constant_control,
     convolutions,
     load_model,
@@ -399,3 +400,84 @@ def test_control_stack_rows_equal_one_control_walks(model, x, eps, same):
     with pytest.raises(ShapeMismatchError):
         inc = _noise_block(grid, model.channels, 5, 0, len(controls))
         next(simulate_eps_stack(model, grid, x, (0.1, 0.05), controls, inc))
+
+
+# the catalogs written out: each step of the parent evaluated sin(state)
+# once in the drift and once more in the noise
+KAPPA, GAIN, DECAY = 1.5, 0.7, 0.5
+MATRIX = ((-1.0, 0.5, 0.0), (0.25, -2.0, 0.1), (0.0, 0.3, -0.5))
+OFFSET = (0.1, -0.2, 0.05)
+DRIFTS = {
+    "zero": lambda s: np.zeros_like(s),
+    "scaled-sine": lambda s: KAPPA * np.sin(s),
+    "linear": lambda s: s @ np.asarray(MATRIX).T + np.asarray(OFFSET),
+}
+NOISES = {
+    "zero": lambda g, s, w: np.zeros_like(s),
+    "identity": lambda g, s, w: w.copy(),
+    "diagonal-constant": lambda g, s, w: g * w,
+    "diagonal-bounded": lambda g, s, w: g * (1.0 + 0.5 * np.sin(s)) * w,
+    "diagonal-linear-growth": lambda g, s, w: g * (1.0 + np.abs(s)) * w,
+}
+
+
+@pytest.mark.parametrize("noise", sorted(NOISES))
+@pytest.mark.parametrize("drift", sorted(DRIFTS))
+@pytest.mark.parametrize("family", ["finite-sde", "galerkin-spde"])
+def test_stepped_walk_is_bitwise_the_two_sine_update(family, drift, noise):
+    dspec = DriftSpec(drift, kappa=KAPPA, matrix=MATRIX, offset=OFFSET)
+    nspec = NoiseSpec(noise, gain=GAIN, decay=DECAY)
+    if family == "finite-sde":
+        model = FiniteSDE(dim=3, drift=dspec, noise=nspec)
+    else:
+        model = GalerkinSPDE(modes=3, channels=3, eigen_scale=2.0, drift=dspec, noise=nspec)
+    grid = TimeGrid(1.0, 24)
+    dt = grid.dt
+    inc = _noise_block(grid, 3, 9, 0, 5)
+    u = sine_control(grid, 2, channels=3)
+    eps = 0.3
+    start = np.array([0.4, -1.2, 2.5])
+    got = simulate_batch(model, grid, start, eps, u, inc)
+    g = GAIN * np.arange(1.0, 4.0) ** (-DECAY)
+    a = 2.0 * np.arange(1.0, 4.0) ** 2
+    state = np.tile(start, (5, 1))
+    for i in range(grid.steps):
+        w = math.sqrt(eps) * inc[:, i, :] + u.values[i] * dt
+        if family == "finite-sde":
+            state = state + DRIFTS[drift](state) * dt + NOISES[noise](g, state, w)
+        else:
+            forcing = DRIFTS[drift](state) * dt + NOISES[noise](g, state, w)
+            state = np.exp(-a * dt) * state + _phi1(-a * dt) * forcing
+        assert np.array_equal(got[:, i + 1, :], state)
+
+
+@pytest.mark.parametrize(
+    "model, sines",
+    [
+        (GalerkinSPDE(modes=4, channels=4), 1),  # scaled-sine drift and diagonal-bounded noise
+        (FiniteSDE(dim=2, drift=DriftSpec("scaled-sine")), 1),
+        (FiniteSDE(dim=2, noise=NoiseSpec("diagonal-bounded")), 1),
+        (FiniteSDE(dim=2), 0),  # zero drift, identity noise
+        (FiniteSDE(dim=2, drift=DriftSpec("linear"), noise=NoiseSpec("diagonal-linear-growth")), 0),
+    ],
+    ids=lambda v: f"{v.drift.name}+{v.noise.name}" if hasattr(v, "drift") else None,
+)
+def test_stepped_walk_evaluates_one_sine_per_step(monkeypatch, model, sines):
+    grid = TimeGrid(1.0, 20)
+    inc = _noise_block(grid, model.channels, 4, 0, 6)
+    u = sine_control(grid, 1, model.channels)
+    want = simulate_batch(model, grid, 0.3, 0.1, u, inc)
+    calls = []
+    sin = np.sin
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return sin(*args, **kwargs)
+
+    monkeypatch.setattr(np, "sin", counting)
+    assert np.array_equal(simulate_batch(model, grid, 0.3, 0.1, u, inc), want)
+    assert len(calls) == sines * grid.steps
+    calls.clear()
+    states = list(simulate_eps_stack(model, grid, 0.3, (0.1, 0.01, 0.0), u, inc))
+    assert np.array_equal(states[-1][:6], want[:, -1])
+    assert len(calls) == sines * grid.steps

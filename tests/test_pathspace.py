@@ -363,3 +363,27 @@ def test_probability_batch_screens_each_ball_once_per_start_and_block(monkeypatc
     # 3 distinct balls at 2 starts in 2 blocks, each screened once (24 screens without sharing)
     assert len(screened) == 3 * 2 * 2
     assert len(set(screened)) == len(screened)
+
+
+def test_probability_batch_gives_screens_only_to_shared_starts(monkeypatch):
+    # a lone job at its start gets no prefix dict, since no other job could read it
+    grid = TimeGrid(1.0, 16)
+    model = TranslatedBM()
+    ball = Ball(line_path(grid, 0.0, 1.0), 0.5)
+    union = UnionOfBalls(PathSet([ball.center, line_path(grid, 0.5, 1.0)]), (0.5, 0.25))
+    jobs = [((0.0,), ball, None), ((0.5,), ball, None), ((0.5,), union, None)]
+    alone = [mc_probability(model, grid, x, 0.1, event, 300, 5) for x, event, _ in jobs]
+    seen = []
+    union_hits = pathspace._union_hits
+
+    def recording(values, centers, radii, screens=None):
+        seen.append((values[0, 0, 0], screens))
+        return union_hits(values, centers, radii, screens)
+
+    monkeypatch.setattr(pathspace, "_union_hits", recording)
+    assert _probability_batch(model, grid, 0.1, jobs, 300, 5) == alone
+    assert [start for start, _ in seen] == [0.0, 0.5, 0.5]
+    assert seen[0][1] is None
+    assert isinstance(seen[1][1], dict) and seen[1][1] is seen[2][1]
+    # the one ball the two jobs at 0.5 share is screened once, then the union's second ball
+    assert len(seen[1][1]) == 2

@@ -139,6 +139,12 @@ def test_level_set_rejects_a_negative_or_nan_level(level):
         sample_level_set(TranslatedBM(), GRID, 0.0, level, 8, seed=1)
 
 
+def test_level_set_rejects_an_infinite_level():
+    # inf >= 0 holds, so the level must be checked for finiteness on its own
+    with pytest.raises(ValueError, match="level must be nonnegative and finite"):
+        sample_level_set(TranslatedBM(), GRID, 0.0, math.inf, 8, seed=1)
+
+
 def test_level_set_controls_do_not_depend_on_start():
     a = sample_level_set(TranslatedBM(), GRID, 0.0, 1.0, 8, seed=5)
     b = sample_level_set(TranslatedBM(), GRID, 2.0, 1.0, 8, seed=5)

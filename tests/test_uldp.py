@@ -205,7 +205,7 @@ def test_fwuldp_report_schema(tmp_path):
 
 
 def test_fwuldp_rejects_bad_params():
-    for s0, delta in ((0.25, 0.0), (math.nan, 0.4), (0.25, math.nan)):
+    for s0, delta in ((0.25, 0.0), (math.nan, 0.4), (math.inf, 0.4), (0.25, math.nan)):
         with pytest.raises(ValueError, match="need s0 >= 0 and delta > 0"):
             fwuldp_gaps(
                 BM,
