@@ -111,8 +111,6 @@ def _cmd_simulate(args) -> int:
     x = _parse_vector(args.x)
     eps = _single_eps(args)
     n = args.samples
-    if n < 1:
-        raise CliError("--samples must be >= 1")
     increments = _noise_block(grid, model.channels, args.seed, 0, n)
     values = simulate_batch(model, grid, np.array(x), eps, None, increments)
     if args.format == "csv":
@@ -183,8 +181,8 @@ def _cmd_estimate(args) -> int:
     model = load_model(args.model)
     grid = _grid_from(args)
     x = _parse_vector(args.x)
-    if args.delta is None or not args.delta > 0:
-        raise CliError("estimate needs --delta > 0 (departure threshold)")
+    if args.delta is None or not 0 < args.delta < math.inf:
+        raise CliError("estimate needs a finite --delta > 0 (departure threshold)")
     schedule = _parse_schedule(args)
     center = skeleton(model, grid, np.array(x))
     event = DistanceAtLeast(PathSet([center]), args.delta)
@@ -240,10 +238,12 @@ def _cmd_check(args) -> int:
             raise CliError("fwuldp needs --s0 and --delta")
         if not 0 <= args.s0 < math.inf:
             raise CliError("fwuldp needs a finite --s0 >= 0 (the rate level)")
+        if not 0 < args.delta < math.inf:
+            raise CliError("fwuldp needs a finite --delta > 0 (radius around the level-set members)")
         reports = fwuldp_gaps(model, grid, index, args.s0, args.delta, schedule, budgets)
     else:
-        if args.delta is None or not args.delta > 0:
-            raise CliError(f"{definition} needs --delta > 0 (ball radius around the skeletons)")
+        if args.delta is None or not 0 < args.delta < math.inf:
+            raise CliError(f"{definition} needs a finite --delta > 0 (ball radius around the skeletons)")
         centers = PathSet([skeleton(model, grid, np.array(p)) for p in points])
         open_event = UnionOfBalls(centers, (args.delta,) * len(points))
         closed_event = DistanceAtLeast(centers, args.delta)
@@ -290,8 +290,8 @@ def _cmd_converge(args) -> int:
         raise CliError("converge needs at least one --x start")
     points = [_parse_vector(t) for t in args.x]
     index = IndexSetSample(label="cli", points=tuple(points), tag=args.tag)
-    if args.delta is None or not args.delta > 0:
-        raise CliError("converge needs --delta > 0")
+    if args.delta is None or not 0 < args.delta < math.inf:
+        raise CliError("converge needs a finite --delta > 0")
     schedule = _parse_schedule(args)
     table = control_conv(
         model,
@@ -407,6 +407,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "samples", 1) < 1:  # every sampling subcommand has --samples
+            raise CliError("--samples must be >= 1")
         return args.func(args)
     except CliError as exc:
         print(f"config error: {exc}", file=sys.stderr)

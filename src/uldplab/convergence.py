@@ -30,9 +30,7 @@ import numpy as np
 
 from .models import (
     Control,
-    PerturbedBM,
     ProcessModel,
-    SwappedBM,
     TranslatedBM,
     _noise_block,
     constant_control,
@@ -180,8 +178,8 @@ def control_conv(
     and the reduction walks cells in index order, so the result does not
     depend on ``threads``.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     if threads < 1:
         raise ValueError("threads must be >= 1")
     if n < 1:
@@ -337,7 +335,7 @@ def weak_continuity_check(
         raise ValueError("frequencies must be >= 1")
     controls = [zero_control(grid, model.channels)] + [sine_control(grid, f, model.channels) for f in freqs]
     base, *paths = skeletons(model, grid, x, controls)
-    additive = isinstance(model, (TranslatedBM, PerturbedBM, SwappedBM))
+    additive = isinstance(model, TranslatedBM)
     rows = []
     for f, values in zip(freqs, paths):
         err = float(_norms_along_dim(values - base))

@@ -607,15 +607,14 @@ def quadrature_probability(
     eps: float,
     event: EventSpec,
     nodes: int = 20,
-    analytic_last: bool = True,
 ) -> float:
     """Quadrature value of P(X^eps_x in event) for small scalar grids.
 
-    Tensor Gauss-Hermite over the Gaussian increments; with
-    ``analytic_last`` the final increment is integrated exactly against
-    the normal density over the sections where the event margin is
-    positive (found by scan and bisection), which removes the indicator
-    discontinuity from the quadrature dimensions.
+    Tensor Gauss-Hermite over the Gaussian increments but the last; the
+    final increment is integrated exactly against the normal density
+    over the sections where the event margin is positive (found by scan
+    and bisection), which removes the indicator discontinuity from the
+    quadrature dimensions.
     """
     if model.channels != 1 or model.dim != 1:
         raise ShapeMismatchError("quadrature oracle covers scalar single-channel models")
@@ -628,7 +627,7 @@ def quadrature_probability(
     w = w / math.sqrt(2.0 * math.pi)  # weights of the standard normal density
     sdt = math.sqrt(grid.dt)
     steps = grid.steps
-    outer = steps - 1 if analytic_last and steps >= 1 else steps
+    outer = steps - 1
 
     # tensor grid over the outer increments
     if outer == 0:
@@ -645,12 +644,6 @@ def quadrature_probability(
     total = 0.0
     span = 10.0  # integrate the last increment over +-10 standard deviations
     for combo, weight in zip(combos, cw):
-        if not analytic_last:
-            inc = (combo * sdt)[None, :, None]
-            paths = simulate_batch(model, grid, x, eps, None, inc)
-            total += float(weight) * float(event.margins(paths)[0] > 0.0)
-            continue
-
         def margin_of_last(zlast: np.ndarray) -> np.ndarray:
             b = zlast.shape[0]
             inc = np.empty((b, steps, 1))

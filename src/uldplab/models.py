@@ -370,7 +370,7 @@ class ProcessModel:
 
 @dataclass(frozen=True)
 class TranslatedBM(ProcessModel):
-    """x + sqrt(eps) W + int u on one channel."""
+    """x + sqrt(eps) W + int u on one channel; the variants of the translated family subclass it."""
 
     name: str = field(default="translated-bm", init=False)
     dim: int = field(default=1, init=False)
@@ -378,24 +378,20 @@ class TranslatedBM(ProcessModel):
 
 
 @dataclass(frozen=True)
-class PerturbedBM(ProcessModel):
+class PerturbedBM(TranslatedBM):
     """(1 + eps) x + sqrt(eps) W + int u; starting point leaks with eps."""
 
     name: str = field(default="perturbed-bm", init=False)
-    dim: int = field(default=1, init=False)
-    channels: int = field(default=1, init=False)
 
     def effective_start(self, x, eps):
         return (1.0 + eps) * np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
-class SwappedBM(ProcessModel):
+class SwappedBM(TranslatedBM):
     """Translated BM whose x = 0 copy is replaced by the x = 1/2 copy."""
 
     name: str = field(default="swapped-bm", init=False)
-    dim: int = field(default=1, init=False)
-    channels: int = field(default=1, init=False)
     swap_at: float = 0.0
     swap_to: float = 0.5
 
@@ -626,7 +622,7 @@ def simulate_starts(
     """
     cv = _control_values(model, grid, (eps,), control, increments)
     dt = grid.dt
-    if isinstance(model, (TranslatedBM, PerturbedBM, SwappedBM)):
+    if isinstance(model, TranslatedBM):
         core = _translated_core(eps, cv, increments, dt)
         paths = np.empty_like(core)
         for x in xs:
@@ -660,7 +656,7 @@ def simulate_eps_stack(
     Inputs are checked when the first state is requested.
     """
     cv = _control_values(model, grid, eps, control, increments)
-    if isinstance(model, (TranslatedBM, PerturbedBM, SwappedBM)):
+    if isinstance(model, TranslatedBM):
         paths = np.concatenate([simulate_batch(model, grid, x, e, control, increments) for e in eps])
         yield from (paths[:, i, :] for i in range(grid.steps + 1))
     elif isinstance(model, (FiniteSDE, GalerkinSPDE)):
@@ -775,12 +771,13 @@ def convolutions(
 
 
 def model_to_spec(model: ProcessModel) -> dict:
-    if isinstance(model, TranslatedBM):
-        return {"variant": "translated-bm"}
+    # the variants before TranslatedBM, which they subclass
     if isinstance(model, PerturbedBM):
         return {"variant": "perturbed-bm"}
     if isinstance(model, SwappedBM):
         return {"variant": "swapped-bm", "swap_at": model.swap_at, "swap_to": model.swap_to}
+    if isinstance(model, TranslatedBM):
+        return {"variant": "translated-bm"}
     if isinstance(model, FiniteSDE):
         return {
             "variant": "finite-sde",

@@ -207,9 +207,6 @@ class PathSet:
     def __iter__(self):
         return iter(self.members)
 
-    def value_set(self) -> set:
-        return {p.values.tobytes() for p in self.members}
-
 
 def _point_norms(diff: np.ndarray) -> np.ndarray:
     # diff: (..., steps+1, dim) -> euclidean norm in R^d at each grid point

@@ -29,7 +29,6 @@ import numpy as np
 from .models import (
     Control,
     GalerkinSPDE,
-    PerturbedBM,
     ProcessModel,
     SwappedBM,
     TranslatedBM,
@@ -37,6 +36,7 @@ from .models import (
     _noise_matrix,
     _phi1,
     _rng,
+    simulate_starts,
     skeleton,
     skeletons,
     zero_control,
@@ -85,7 +85,7 @@ def _rate_start(model: ProcessModel, x) -> np.ndarray:
 
 def rate_closed_form(model: ProcessModel, grid: TimeGrid, x, path: DiscretePath) -> RateValue:
     """Half the squared-slope integral for the translated Brownian family."""
-    if not isinstance(model, (TranslatedBM, PerturbedBM, SwappedBM)):
+    if not isinstance(model, TranslatedBM):
         raise TypeError("closed form only covers the translated Brownian family")
     if path.grid != grid:
         raise ShapeMismatchError("path grid differs")
@@ -125,7 +125,7 @@ def rate_variational(
     dt = grid.dt
     scale = max(1.0, float(np.max(np.abs(path.values))))
 
-    if isinstance(model, (TranslatedBM, PerturbedBM, SwappedBM)):
+    if isinstance(model, TranslatedBM):
         slopes = (path.values[1:, 0] - path.values[:-1, 0]) / dt
         control = Control(grid, slopes[:, None])
     else:
@@ -253,20 +253,26 @@ def constant_slope_controls(grid: TimeGrid, channels: int, level: float, count: 
 def rate_candidates(
     model: ProcessModel,
     grid: TimeGrid,
-    x,
+    xs,
     s_max: float,
     count: int,
     seed: int,
     constant_pool: int,
-) -> tuple[list[float], np.ndarray]:
-    """Energies of the candidates that set-infimum estimators search over, and their stacked skeletons.
+) -> tuple[list[float], list[np.ndarray]]:
+    """Energies of the set-infimum search candidates, and their skeletons from each start.
 
     The controls of a level-set sample at ``s_max`` come first, in sample
-    order, then the constant-slope pool; one walk steps them all.
+    order, then the constant-slope pool.  They do not depend on x, so
+    they are built once and one walk over zero increments steps them from
+    every start in ``xs``; entry i of the list is the (C, steps+1, dim)
+    stack from ``xs[i]``, equal to ``skeletons(model, grid, xs[i], controls)``.
     """
     controls = _level_set_controls(grid, model.channels, s_max, count, seed)
     controls += constant_slope_controls(grid, model.channels, s_max, constant_pool)
-    return [c.energy for c in controls], skeletons(model, grid, x, controls)
+    zeros = np.zeros((len(controls), grid.steps, model.channels))
+    # copies: the translated family yields every start in one reused buffer
+    stacks = [paths.copy() for paths in simulate_starts(model, grid, xs, 0.0, controls, zeros)]
+    return [c.energy for c in controls], stacks
 
 
 def inf_h_plus_I(
@@ -286,18 +292,23 @@ def inf_h_plus_I(
     region) plus a pool of constant-slope controls.  Returns the value
     and the argmin path.
     """
+    return _inf_h_plus_I_starts(model, grid, (x,), h, s_max, count, seed, constant_pool)[0]
+
+
+def _inf_h_plus_I_starts(
+    model: ProcessModel, grid: TimeGrid, xs, h, s_max: float, count: int, seed: int, constant_pool: int
+) -> list[tuple[float, DiscretePath]]:
+    """``inf_h_plus_I`` from every start in ``xs``, all searched over one ``rate_candidates`` pool."""
     bound = float(h.bound())
     if s_max < 2.0 * bound:
         raise ValueError(f"s_max = {s_max} is below 2 * bound(h) = {2 * bound}")
-    energies, paths = rate_candidates(model, grid, x, s_max, count, seed, constant_pool)
-    best_val = math.inf
-    best = 0
-    for k, energy in enumerate(energies):
-        val = float(h(DiscretePath(grid, paths[k]))) + energy
-        if val < best_val:
-            best_val = val
-            best = k
-    return best_val, DiscretePath(grid, paths[best])
+    energies, stacks = rate_candidates(model, grid, xs, s_max, count, seed, constant_pool)
+    out = []
+    for paths in stacks:
+        vals = [float(h(DiscretePath(grid, p))) + energy for energy, p in zip(energies, paths)]
+        best = min(range(len(vals)), key=vals.__getitem__)  # the first of equal values
+        out.append((vals[best], DiscretePath(grid, paths[best])))
+    return out
 
 
 def export_level_set(sample: LevelSetSample, directory: str) -> str:

@@ -46,7 +46,7 @@ from .estimators import (
 )
 from .models import Control, ProcessModel, constant_control, model_to_spec, skeletons
 from .pathspace import Ball, DistanceAtLeast, EventSpec, TimeGrid
-from .rates import inf_h_plus_I, rate_candidates, sample_level_set
+from .rates import _inf_h_plus_I_starts, rate_candidates, sample_level_set
 
 __all__ = [
     "subseed",
@@ -308,9 +308,8 @@ def _estimate_probabilities(
 # rate side of set bounds
 
 
-def _rate_scores(pool: tuple[list[float], np.ndarray], event: EventSpec) -> list[tuple[float, float]]:
-    """(energy, event margin) of every candidate of a ``rate_candidates`` pool, from one margin call."""
-    energies, paths = pool
+def _rate_scores(energies: list[float], paths: np.ndarray, event: EventSpec) -> list[tuple[float, float]]:
+    """(energy, event margin) of every ``rate_candidates`` candidate from one start, from one margin call."""
     return list(zip(energies, event.margins(paths).tolist()))
 
 
@@ -344,8 +343,8 @@ def event_rate_bound(
     margin >= -eta (closed sets, where eta fattens).  Returns +inf and
     None when no candidate qualifies.
     """
-    scores = _rate_scores(rate_candidates(model, grid, x, s_max, count, seed, constant_pool), event)
-    return _best_rate(scores, eta, closed)
+    energies, (paths,) = rate_candidates(model, grid, (x,), s_max, count, seed, constant_pool)
+    return _best_rate(_rate_scores(energies, paths, event), eta, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +370,8 @@ def fwuldp_gaps(
     below a small positive slack.  Level-set seeds and Monte Carlo
     seeds never depend on x.
     """
-    if not 0 <= s0 < math.inf or not delta > 0:
-        raise ValueError("need s0 >= 0 and delta > 0, s0 finite")
+    if not 0 <= s0 < math.inf or not 0 < delta < math.inf:
+        raise ValueError("need s0 >= 0 and delta > 0, both finite")
     model_spec = model_to_spec(model)
     aset = _index_dict(index_set)
     params = {
@@ -529,14 +528,13 @@ def _setwise_gaps(
     shared by every eta, and each start's rate candidates are scored
     once per event and filtered per eta.  The seeds depend on neither
     the entry nor x, so for each (kind, eps) the jobs of every entry run
-    as one batch on one noise stream, and each distinct start's rate
-    candidates are stepped once for all entries.  Nothing is kept past
-    the call.  Only the "lu" definition records eta in its params and
-    cells.
+    as one batch on one noise stream, and one ``rate_candidates`` call
+    steps the rate candidates from every distinct start of every entry.
+    Nothing is kept past the call.  Only the "lu" definition records eta
+    in its params and cells.
     """
     tags_eta = tag == "lu"
     model_spec = model_to_spec(model)
-    rate_seed = subseed(budgets.seed, tag, "rate")
     reports: list[list[CheckReport]] = [[] for _ in entries]
     # one params dict per entry, shared by its reports: a sweep records its m there
     params = [
@@ -548,13 +546,21 @@ def _setwise_gaps(
         }
         for _ in entries
     ]
-    pools: dict = {}  # start -> its rate pool, shared by every entry and kind
+    sides = [
+        (kind, closed, side_key, side_of, *_setwise_plan(entries, slot))
+        for kind, slot, closed, side_key, side_of in (
+            ("lower", 1, False, "sup_rate", max),
+            ("upper", 2, True, "inf_rate", min),
+        )
+    ]
+    starts = {_start_key(model, pt): pt for *_, jobs, _ in sides for pt, _, _ in jobs}
+    energies, stacks = rate_candidates(
+        model, grid, list(starts.values()), s_max, budgets.level_count,
+        subseed(budgets.seed, tag, "rate"), budgets.constant_pool,
+    )
+    pools = dict(zip(starts, stacks))  # start key -> its candidates' skeletons
 
-    for kind, slot, closed, side_key, side_of in (
-        ("lower", 1, False, "sup_rate", max),
-        ("upper", 2, True, "inf_rate", min),
-    ):
-        jobs, spans = _setwise_plan(entries, slot)
+    for kind, closed, side_key, side_of, jobs, spans in sides:
         if not jobs:
             continue
         estimates = [
@@ -563,14 +569,7 @@ def _setwise_gaps(
             )
             for ei, eps in enumerate(schedule.eps)
         ]
-        scores = []
-        for pt, event, _ in jobs:
-            key = _start_key(model, pt)
-            if key not in pools:
-                pools[key] = rate_candidates(
-                    model, grid, np.array(pt), s_max, budgets.level_count, rate_seed, budgets.constant_pool
-                )
-            scores.append(_rate_scores(pools[key], event))
+        scores = [_rate_scores(energies, pools[_start_key(model, pt)], event) for pt, event, _ in jobs]
         for e, span in spans:
             points = entries[e][0].points
             cells = []
@@ -618,38 +617,12 @@ def ulp_gap(
 
     The uniform Laplace principle predicts the absolute value shrinks;
     cells keep the sign so counterexamples (gap bounded away below 0)
-    stay visible.  ``s_max`` defaults to twice the bound of h.
+    stay visible.  ``s_max`` defaults to twice the bound of h.  This is
+    ``eulp_gap`` over the one-member family {h}, with its own seeds and
+    no member index.
     """
-    bound = float(h.bound())
-    s_hi = 2.0 * bound if s_max is None else s_max
-    model_spec = model_to_spec(model)
-    aset = _index_dict(index_set)
-    params = {"eps": list(schedule.eps), "s_max": s_hi, "budgets": _budget_dict(budgets)}
-    inf_vals = {
-        pt: inf_h_plus_I(
-            model, grid, pt, h, s_hi, budgets.level_count,
-            subseed(budgets.seed, "ulp", "inf"), budgets.constant_pool,
-        )[0]
-        for pt in index_set.points
-    }
-    cells = []
-    for ei, eps in enumerate(schedule.eps):
-        laps = _laplace_batch(
-            model, grid, eps, index_set.points, h, budgets.mc_samples,
-            subseed(budgets.seed, "ulp", "laplace", ei), schedule.speed,
-        )
-        for pt, lap in zip(index_set.points, laps):
-            inf_val = inf_vals[pt]
-            cells.append(
-                CheckCell(
-                    eps=eps,
-                    x=pt,
-                    extra={},
-                    gap=lap + inf_val,
-                    inputs={"laplace": lap, "inf_h_plus_I": inf_val, "n": budgets.mc_samples},
-                )
-            )
-    return _assemble("ulp", model_spec, aset, params, cells, schedule, budgets, kind="laplace")
+    s_hi = 2.0 * float(h.bound()) if s_max is None else s_max
+    return _laplace_gaps("ulp", model, grid, index_set, (h,), {}, schedule, budgets, s_hi)
 
 
 def eulp_gap(
@@ -663,45 +636,67 @@ def eulp_gap(
 ) -> CheckReport:
     """Laplace gaps uniform over an equibounded equicontinuous family."""
     s_hi = 2.0 * family.bound if s_max is None else s_max
-    model_spec = model_to_spec(model)
-    aset = _index_dict(index_set)
-    params = {
-        "eps": list(schedule.eps),
-        "s_max": s_hi,
-        "family": {"size": len(family.members), "bound": family.bound, "lipschitz": family.lipschitz},
-        "budgets": _budget_dict(budgets),
+    described = {
+        "family": {"size": len(family.members), "bound": family.bound, "lipschitz": family.lipschitz}
     }
-    inf_vals = {
-        (pt, hi_idx): inf_h_plus_I(
-            model, grid, pt, h, s_hi, budgets.level_count,
-            subseed(budgets.seed, "eulp", "inf", hi_idx), budgets.constant_pool,
-        )[0]
-        for pt in index_set.points
-        for hi_idx, h in enumerate(family.members)
-    }
+    return _laplace_gaps("eulp", model, grid, index_set, family.members, described, schedule, budgets, s_hi)
+
+
+def _laplace_gaps(
+    tag: str,
+    model: ProcessModel,
+    grid: TimeGrid,
+    index_set: IndexSetSample,
+    members,
+    described: dict,
+    schedule: EpsilonSchedule,
+    budgets: CheckBudgets,
+    s_max: float,
+) -> CheckReport:
+    """Laplace gap cells laplace + inf(h + I) per (eps, x, member h), in that order.
+
+    ``described`` joins the params after ``s_max``.  Each member's rate
+    side is one search over the index set and each (eps, member) Laplace
+    estimate one batch over it; no seed depends on x.  Only "eulp" tags
+    seeds and cells with the member index, and only "ulp" records the
+    sample size n in its cells.
+    """
+    per_member = tag == "eulp"
+    marks = [(hi,) if per_member else () for hi in range(len(members))]  # each member's seed tail
+    n_input = {} if per_member else {"n": budgets.mc_samples}
+    points = index_set.points
+    params = {"eps": list(schedule.eps), "s_max": s_max, **described, "budgets": _budget_dict(budgets)}
+    inf_vals = [
+        _inf_h_plus_I_starts(
+            model, grid, points, h, s_max, budgets.level_count,
+            subseed(budgets.seed, tag, "inf", *mark), budgets.constant_pool,
+        )
+        for h, mark in zip(members, marks)
+    ]
     cells = []
     for ei, eps in enumerate(schedule.eps):
         laps = [
             _laplace_batch(
-                model, grid, eps, index_set.points, h, budgets.mc_samples,
-                subseed(budgets.seed, "eulp", "laplace", ei, hi_idx), schedule.speed,
+                model, grid, eps, points, h, budgets.mc_samples,
+                subseed(budgets.seed, tag, "laplace", ei, *mark), schedule.speed,
             )
-            for hi_idx, h in enumerate(family.members)
+            for h, mark in zip(members, marks)
         ]
-        for pi, pt in enumerate(index_set.points):
-            for hi_idx, by_start in enumerate(laps):
-                lap = by_start[pi]
-                inf_val = inf_vals[pt, hi_idx]
+        for pi, pt in enumerate(points):
+            for hi, (by_start, infs) in enumerate(zip(laps, inf_vals)):
+                lap, inf_val = by_start[pi], infs[pi][0]
                 cells.append(
                     CheckCell(
                         eps=eps,
                         x=pt,
-                        extra={"h": hi_idx},
+                        extra={"h": hi} if per_member else {},
                         gap=lap + inf_val,
-                        inputs={"laplace": lap, "inf_h_plus_I": inf_val},
+                        inputs={"laplace": lap, "inf_h_plus_I": inf_val, **n_input},
                     )
                 )
-    return _assemble("eulp", model_spec, aset, params, cells, schedule, budgets, kind="laplace")
+    return _assemble(
+        tag, model_to_spec(model), _index_dict(index_set), params, cells, schedule, budgets, kind="laplace"
+    )
 
 
 # ---------------------------------------------------------------------------

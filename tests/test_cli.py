@@ -252,31 +252,47 @@ def test_unknown_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("samples", ["0", "-2"])
-def test_converge_rejects_nonpositive_samples(samples, capsys):
-    code, _, err = run_cli(
-        capsys,
-        "converge", "--model", "translated-bm", "--x", "0",
-        "--eps-grid", "0.01:0.1:3", "--delta", "0.3", "--samples", samples,
-    )
-    assert code == 2
-    assert err.strip() == "config error: n must be >= 1"
+CONVERGE = ["converge", "--eps-grid", "0.01:0.1:3", "--delta", "0.3"]
 
 
 @pytest.mark.parametrize(
     "command",
     [
-        ["converge", "--eps-grid", "0.01:0.1:3", "--samples", "20", "--controls", "3"],
-        ["estimate", "--eps", "0.1", "--samples", "20"],
-        ["check", "--definition", "dzuldp", "--eps-grid", "0.05:0.2:2", "--samples", "20"],
-        ["check", "--definition", "luldp", "--eps-grid", "0.05:0.2:2", "--eta", "0.1", "--samples", "20"],
+        pytest.param(CONVERGE + ["--samples", "0"], id="0"),
+        pytest.param(CONVERGE + ["--samples", "-2"], id="-2"),
+        # every sampling subcommand shares the check
+        pytest.param(["simulate", "--eps", "0.1", "--samples", "0"], id="simulate-0"),
+        pytest.param(["level-set", "--s0", "1", "--samples", "0"], id="level-set-0"),
+        pytest.param(["estimate", "--eps", "0.1", "--delta", "0.3", "--samples", "0"], id="estimate-0"),
+        pytest.param(
+            ["check", "--definition", "dzuldp", "--eps", "0.1", "--delta", "0.3", "--samples", "0"],
+            id="check-0",
+        ),
     ],
 )
+def test_converge_rejects_nonpositive_samples(command, capsys):
+    code, out, err = run_cli(capsys, command[0], "--model", "translated-bm", "--x", "0", *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "config error: --samples must be >= 1"
+
+
+DELTA_COMMANDS = [
+    ["converge", "--eps-grid", "0.01:0.1:3", "--samples", "20", "--controls", "3"],
+    ["estimate", "--eps", "0.1", "--samples", "20"],
+    ["check", "--definition", "dzuldp", "--eps-grid", "0.05:0.2:2", "--samples", "20"],
+    ["check", "--definition", "luldp", "--eps-grid", "0.05:0.2:2", "--eta", "0.1", "--samples", "20"],
+    ["check", "--definition", "fwuldp", "--eps", "0.1", "--s0", "0.5", "--samples", "20"],
+]
+
+
+@pytest.mark.parametrize(
+    "command", [[c[0], "--delta", delta, *c[1:]] for delta in ("nan", "inf") for c in DELTA_COMMANDS]
+)
 def test_nan_delta_exits_two(command, capsys):
-    # nan > 0 and nan <= 0 are both false: a nan delta must fail the positivity check
-    code, out, err = run_cli(
-        capsys, command[0], "--model", "translated-bm", "--x", "0", "--delta", "nan", *command[1:]
-    )
+    # nan > 0 and nan <= 0 are both false, so a nan delta must fail the positivity
+    # check; an infinite delta would make every departure event empty
+    code, out, err = run_cli(capsys, command[0], "--model", "translated-bm", "--x", "0", *command[1:])
     assert code == 2
     assert out == ""
     assert err.startswith("config error: ") and "--delta > 0" in err

@@ -130,8 +130,8 @@ def test_table_serialization_round_trip(tmp_path):
 
 
 def test_control_conv_rejects_bad_parameters():
-    for delta in (0.0, math.nan):
-        with pytest.raises(ValueError, match="delta must be positive"):
+    for delta in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
             control_conv(BM, GRID, STARTS, 1.0, delta, EpsilonSchedule((0.1,)))
     with pytest.raises(ValueError):
         control_conv(BM, GRID, STARTS, 1.0, 0.3, EpsilonSchedule((0.1,)), threads=0)

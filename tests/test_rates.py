@@ -11,17 +11,20 @@ from uldplab.models import (
     FiniteSDE,
     GalerkinSPDE,
     NoiseSpec,
+    PerturbedBM,
     SwappedBM,
     TranslatedBM,
     constant_control,
     sine_control,
     skeleton,
+    skeletons,
 )
 from uldplab.pathspace import DiscretePath, TimeGrid, line_path
 from uldplab.rates import (
     constant_slope_controls,
     export_level_set,
     inf_h_plus_I,
+    rate_candidates,
     rate_closed_form,
     rate_variational,
     sample_level_set,
@@ -160,6 +163,22 @@ def test_constant_pool_hits_prescribed_energies():
     assert len(pool) == 32
     energies = sorted({round(c.energy, 12) for c in pool})
     assert energies == pytest.approx([0.125 * j for j in range(1, 17)], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model", [TranslatedBM(), PerturbedBM(), GalerkinSPDE(modes=3, channels=3)], ids=lambda m: m.name
+)
+def test_rate_candidates_equal_the_skeletons_from_each_start(model):
+    grid = TimeGrid(1.0, 16)
+    starts = [0.0, 1.5, 0.0, -2.0]  # a repeated start: each entry must be its own copy
+    energies, stacks = rate_candidates(model, grid, starts, 1.5, 5, 7, 3)
+    controls = list(sample_level_set(model, grid, 0.0, 1.5, 5, seed=7).controls)
+    controls += constant_slope_controls(grid, model.channels, 1.5, 3)
+    assert energies == [c.energy for c in controls]
+    assert len(stacks) == len(starts)
+    for x, paths in zip(starts, stacks):
+        assert np.array_equal(paths, skeletons(model, grid, x, controls))
+    assert stacks[0] is not stacks[2]
 
 
 class _FlatCost:

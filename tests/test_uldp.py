@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -205,7 +206,7 @@ def test_fwuldp_report_schema(tmp_path):
 
 
 def test_fwuldp_rejects_bad_params():
-    for s0, delta in ((0.25, 0.0), (math.nan, 0.4), (math.inf, 0.4), (0.25, math.nan)):
+    for s0, delta in ((0.25, 0.0), (math.nan, 0.4), (math.inf, 0.4), (0.25, math.nan), (0.25, math.inf)):
         with pytest.raises(ValueError, match="need s0 >= 0 and delta > 0"):
             fwuldp_gaps(
                 BM,
@@ -263,6 +264,19 @@ def test_eulp_cells_enumerate_family_members():
     assert len(report.cells) == 1
     assert report.cells[0].extra == {"h": 0}
     assert math.isfinite(report.cells[0].gap)
+
+
+def test_eulp_report_bytes_are_pinned(tmp_path):
+    # two starts and two members, each member with its own rate and Laplace seeds
+    fam = make_families("lower", 0.5, 0.4, [line_path(GRID, 0.0, 0.0), line_path(GRID, 1.0, 0.5)])
+    report = eulp_gap(
+        BM, GRID, IndexSetSample("pair", [(0.0,), (1.0,)]), fam, EpsilonSchedule((0.2, 0.1)), TINY
+    )
+    out = tmp_path / "eulp.json"
+    report.save_json(str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "38b8ea938d0931e3c9b4c642118154b4e0852cb1d7ba0ce801f3c600978c7253"
+    )
 
 
 def test_luldp_requires_positive_etas_and_tags_cells():
