@@ -292,6 +292,8 @@ def _cmd_converge(args) -> int:
     index = IndexSetSample(label="cli", points=tuple(points), tag=args.tag)
     if args.delta is None or not 0 < args.delta < math.inf:
         raise CliError("converge needs a finite --delta > 0")
+    if not 0 <= args.control_bound < math.inf:
+        raise CliError("converge needs a finite --control-bound >= 0")
     schedule = _parse_schedule(args)
     table = control_conv(
         model,

@@ -7,7 +7,7 @@ admissible set and controls in an L2 ball.  The experiments couple the
 noise across eps (common random numbers), so the sqrt(eps) scaling of
 the pathwise error is visible without Monte Carlo blur.
 
-In ``control_conv`` the skeletons of all sampled controls from a start
+In ``control_conv`` the skeletons of all sampled controls from all starts
 are one walk, and each (start, control) cell draws one noise block and
 steps every eps of the schedule on it in one batch, one row block per
 eps, through the models' one stepping loop.  Rows are bitwise what a
@@ -33,6 +33,7 @@ from .models import (
     ProcessModel,
     TranslatedBM,
     _noise_block,
+    _skeleton_stacks,
     constant_control,
     model_to_spec,
     simulate_batch,
@@ -123,8 +124,8 @@ def ball_controls(
     full radius, since the quantity under study takes a sup over the
     whole ball and the extreme shell is where it is attained.
     """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+    if not 0 <= bound < math.inf:
+        raise ValueError("bound must be nonnegative and finite")
     if count < 2:
         raise ValueError("need at least two controls (zero + constant)")
     controls = [zero_control(grid, channels)]
@@ -166,8 +167,8 @@ def control_conv(
     sup-over-time norm of X^{eps,u}_x,i minus the skeleton.  The table
     keeps the worst cell probability of exceeding ``delta`` per eps.
 
-    The skeletons of every control from a start are one ``skeletons``
-    walk, taken before the cells run.  A cell steps all eps of the
+    The skeletons of every control from every start are one walk, taken
+    before the cells run.  A cell steps all eps of the
     schedule in one batch of len(eps) * n rows (``simulate_eps_stack``)
     and keeps each row's sup error as a running maximum over the grid
     points, so no path array is stored.
@@ -190,7 +191,7 @@ def control_conv(
     )
     master = subseed(seed, "conv", "noise")
     eps_grid = tuple(schedule.eps)
-    bases = [skeletons(model, grid, pt, controls) for pt in x_sample.points]
+    bases = _skeleton_stacks(model, grid, x_sample.points, controls)
     cells = [
         (xi, pt, uj, control)
         for xi, pt in enumerate(x_sample.points)

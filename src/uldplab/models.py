@@ -714,7 +714,14 @@ def skeletons(model: ProcessModel, grid: TimeGrid, x, controls, eps: float = 0.0
     ``simulate_batch`` of ``controls[k]`` alone.  A positive eps gives
     the eps-skeletons, which differ only where the start moves with eps.
     """
-    return simulate_batch(model, grid, x, eps, controls, np.zeros((len(controls), grid.steps, model.channels)))
+    return _skeleton_stacks(model, grid, (x,), controls, eps)[0]
+
+
+def _skeleton_stacks(model: ProcessModel, grid: TimeGrid, xs, controls, eps: float = 0.0) -> list[np.ndarray]:
+    """``skeletons`` from every start in ``xs``: one walk, one (C, steps+1, dim) copy per start."""
+    zeros = np.zeros((len(controls), grid.steps, model.channels))
+    # copies: the translated family yields every start in one reused buffer
+    return [paths.copy() for paths in simulate_starts(model, grid, xs, eps, controls, zeros)]
 
 
 # ---------------------------------------------------------------------------

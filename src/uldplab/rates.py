@@ -36,9 +36,8 @@ from .models import (
     _noise_matrix,
     _phi1,
     _rng,
-    simulate_starts,
+    _skeleton_stacks,
     skeleton,
-    skeletons,
     zero_control,
 )
 from .pathspace import DiscretePath, PathSet, ShapeMismatchError, TimeGrid, sup_metric
@@ -219,15 +218,24 @@ def sample_level_set(
     does not depend on x, so samples at different starts share controls
     under a shared seed and the paths differ by the skeleton flow only.
     """
+    return _level_sets(model, grid, (x,), level, count, seed)[0]
+
+
+def _level_sets(model: ProcessModel, grid: TimeGrid, xs, level: float, count: int, seed: int) -> list[LevelSetSample]:
+    """``sample_level_set`` at every start in ``xs``: the controls are drawn once and walked from each start."""
     controls = _level_set_controls(grid, model.channels, level, count, seed)
-    return LevelSetSample(
-        x=model._as_state(x),
-        level=level,
-        paths=PathSet([DiscretePath(grid, p) for p in skeletons(model, grid, x, controls)]),
-        controls=tuple(controls),
-        energies=tuple(c.energy for c in controls),
-        seed=seed,
-    )
+    energies = tuple(c.energy for c in controls)
+    return [
+        LevelSetSample(
+            x=model._as_state(x),
+            level=level,
+            paths=PathSet([DiscretePath(grid, p) for p in paths]),
+            controls=tuple(controls),
+            energies=energies,
+            seed=seed,
+        )
+        for x, paths in zip(xs, _skeleton_stacks(model, grid, xs, controls))
+    ]
 
 
 def constant_slope_controls(grid: TimeGrid, channels: int, level: float, count: int) -> list[Control]:
@@ -269,10 +277,7 @@ def rate_candidates(
     """
     controls = _level_set_controls(grid, model.channels, s_max, count, seed)
     controls += constant_slope_controls(grid, model.channels, s_max, constant_pool)
-    zeros = np.zeros((len(controls), grid.steps, model.channels))
-    # copies: the translated family yields every start in one reused buffer
-    stacks = [paths.copy() for paths in simulate_starts(model, grid, xs, 0.0, controls, zeros)]
-    return [c.energy for c in controls], stacks
+    return [c.energy for c in controls], _skeleton_stacks(model, grid, xs, controls)
 
 
 def inf_h_plus_I(

@@ -44,9 +44,9 @@ from .estimators import (
     _probability_batch,
     _start_key,
 )
-from .models import Control, ProcessModel, constant_control, model_to_spec, skeletons
+from .models import Control, ProcessModel, _skeleton_stacks, constant_control, model_to_spec
 from .pathspace import Ball, DistanceAtLeast, EventSpec, TimeGrid
-from .rates import _inf_h_plus_I_starts, rate_candidates, sample_level_set
+from .rates import _inf_h_plus_I_starts, _level_sets, rate_candidates
 
 __all__ = [
     "subseed",
@@ -114,6 +114,11 @@ class CheckBudgets:
     def __post_init__(self) -> None:
         if self.tilt not in ("none", "level-member", "auto-constant"):
             raise ValueError(f"unknown tilt policy {self.tilt!r}")
+        for name, least in (("mc_samples", 1), ("level_count", 1), ("s_levels", 1), ("constant_pool", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
+        if not 0 <= self.hold_threshold < math.inf:
+            raise ValueError("hold_threshold must be nonnegative and finite")
 
 
 @dataclass
@@ -280,23 +285,22 @@ def _estimate_probabilities(
 
     Each job's tilt follows the budget policy; an absent or all-zero
     tilt means plain Monte Carlo.  The auto-constant scan's controls are
-    built once per call, stepped once per distinct start and scored
-    against each job's event.
+    built once per call, stepped from the distinct starts in one walk and
+    scored against each job's event.
     """
+    scans: dict = {}
     if budgets.tilt == "auto-constant":
         cs = np.linspace(-3.0, 3.0, 121)
         controls = [constant_control(grid, float(c), model.channels) for c in cs]
-    scans: dict = {}
+        starts = {_start_key(model, x): x for x, _, _ in jobs}
+        scans = dict(zip(starts, _skeleton_stacks(model, grid, starts.values(), controls, eps)))
     resolved = []
     for x, event, member_tilt in jobs:
         tilt: Control | None = None
         if budgets.tilt == "level-member":
             tilt = member_tilt
         elif budgets.tilt == "auto-constant":
-            key = _start_key(model, x)
-            if key not in scans:
-                scans[key] = cs, skeletons(model, grid, x, controls, eps)
-            tilt = _auto_constant_tilt(grid, model.channels, scans[key], event)
+            tilt = _auto_constant_tilt(grid, model.channels, (cs, scans[_start_key(model, x)]), event)
         if tilt is not None and not np.any(tilt.values):
             tilt = None
         resolved.append((x, event, tilt))
@@ -368,7 +372,8 @@ def fwuldp_gaps(
     over s in a grid of [0, s0] of
     a(eps) log P(dist(X, level set at s) >= delta) + s; should stay
     below a small positive slack.  Level-set seeds and Monte Carlo
-    seeds never depend on x.
+    seeds never depend on x, so each level set is drawn once per call
+    and walked from every start.
     """
     if not 0 <= s0 < math.inf or not 0 < delta < math.inf:
         raise ValueError("need s0 >= 0 and delta > 0, both finite")
@@ -383,37 +388,29 @@ def fwuldp_gaps(
     lower_cells: list[CheckCell] = []
     upper_cells: list[CheckCell] = []
 
-    level_seed = subseed(budgets.seed, "fw", "level", s0)
-    samples = {
-        pt: sample_level_set(model, grid, np.array(pt), s0, budgets.level_count, level_seed)
-        for pt in index_set.points
-    }
-    s_grid = [s0 * k / (budgets.s_levels - 1) for k in range(budgets.s_levels)] if budgets.s_levels > 1 else [s0]
-    upper_samples = {
-        (pt, si): sample_level_set(
-            model, grid, np.array(pt), s, budgets.level_count, subseed(budgets.seed, "fw", "upper-level", si)
-        )
-        for pt in index_set.points
-        for si, s in enumerate(s_grid)
-    }
-
     points = index_set.points
+    samples = _level_sets(model, grid, points, s0, budgets.level_count, subseed(budgets.seed, "fw", "level", s0))
+    s_grid = [s0 * k / (budgets.s_levels - 1) for k in range(budgets.s_levels)] if budgets.s_levels > 1 else [s0]
+    upper_samples = [
+        _level_sets(model, grid, points, s, budgets.level_count, subseed(budgets.seed, "fw", "upper-level", si))
+        for si, s in enumerate(s_grid)
+    ]
+
     for ei, eps in enumerate(schedule.eps):
         # one batch over the starts per member and per level: the seed is x-free
         member_rows: list[list[dict]] = [[] for _ in points]
-        for k in range(len(samples[points[0]])):
+        for k in range(len(samples[0])):
             jobs = [
-                (pt, Ball(samples[pt].paths.members[k], delta), samples[pt].controls[k])
-                for pt in points
+                (pt, Ball(sample.paths.members[k], delta), sample.controls[k]) for pt, sample in zip(points, samples)
             ]
             ests = _estimate_probabilities(
                 model, grid, eps, jobs, budgets, subseed(budgets.seed, "fw", "lower", ei, k), schedule.speed
             )
-            for rows, pt, est in zip(member_rows, points, ests):
-                rows.append({"member": k, "rate": samples[pt].energies[k], **_estimate_csv_inputs(est)})
+            for rows, sample, est in zip(member_rows, samples, ests):
+                rows.append({"member": k, "rate": sample.energies[k], **_estimate_csv_inputs(est)})
         s_rows: list[list[dict]] = [[] for _ in points]
-        for si, s in enumerate(s_grid):
-            jobs = [(pt, DistanceAtLeast(upper_samples[(pt, si)].paths, delta), None) for pt in points]
+        for si, (s, level_samples) in enumerate(zip(s_grid, upper_samples)):
+            jobs = [(pt, DistanceAtLeast(level.paths, delta), None) for pt, level in zip(points, level_samples)]
             ests = _estimate_probabilities(
                 model, grid, eps, jobs, budgets, subseed(budgets.seed, "fw", "upper", ei, si), schedule.speed
             )
@@ -421,36 +418,8 @@ def fwuldp_gaps(
                 rows.append({"s": s, **_estimate_csv_inputs(est)})
 
         for pt, rows, levels in zip(points, member_rows, s_rows):
-            best = min(rows, key=lambda r: gap_sum(r["log_value"], r["rate"]))
-            lower_cells.append(
-                CheckCell(
-                    eps=eps,
-                    x=pt,
-                    extra={"member": best["member"]},
-                    gap=gap_sum(best["log_value"], best["rate"]),
-                    inputs={
-                        "phat": best["phat"],
-                        "log_value": best["log_value"],
-                        "rate": best["rate"],
-                        "members": rows,
-                    },
-                )
-            )
-            best_s = max(levels, key=lambda r: gap_sum(r["log_value"], r["s"]))
-            upper_cells.append(
-                CheckCell(
-                    eps=eps,
-                    x=pt,
-                    extra={"s": best_s["s"]},
-                    gap=gap_sum(best_s["log_value"], best_s["s"]),
-                    inputs={
-                        "phat": best_s["phat"],
-                        "log_value": best_s["log_value"],
-                        "rate": best_s["s"],
-                        "levels": levels,
-                    },
-                )
-            )
+            lower_cells.append(_fw_cell(eps, pt, rows, min, "member", "rate", "members"))
+            upper_cells.append(_fw_cell(eps, pt, levels, max, "s", "s", "levels"))
 
     lower = _assemble(
         "fwuldp-lower", model_spec, aset, params, lower_cells, schedule, budgets, kind="lower"
@@ -459,6 +428,18 @@ def fwuldp_gaps(
         "fwuldp-upper", model_spec, aset, params, upper_cells, schedule, budgets, kind="upper"
     )
     return [lower, upper]
+
+
+def _fw_cell(eps: float, x, rows: list[dict], pick, label: str, rate_key: str, rows_key: str) -> CheckCell:
+    """FW cell of the row that ``pick`` (min or max) takes by gap; all ``rows`` go under ``rows_key``."""
+    best = pick(rows, key=lambda r: gap_sum(r["log_value"], r[rate_key]))
+    return CheckCell(
+        eps=eps,
+        x=x,
+        extra={label: best[label]},
+        gap=gap_sum(best["log_value"], best[rate_key]),
+        inputs={"phat": best["phat"], "log_value": best["log_value"], "rate": best[rate_key], rows_key: rows},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,17 @@ def test_nan_delta_exits_two(command, capsys):
     assert err.startswith("config error: ") and "--delta > 0" in err
 
 
+@pytest.mark.parametrize("bound", ["nan", "inf", "-1"])
+def test_converge_rejects_a_bad_control_bound(bound, capsys):
+    code, out, err = run_cli(
+        capsys, "converge", "--model", "translated-bm", "--x", "0", "--eps-grid", "0.01:0.1:3",
+        "--delta", "0.3", "--samples", "20", "--controls", "3", "--control-bound", bound,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "config error: converge needs a finite --control-bound >= 0"
+
+
 def test_check_luldp_rejects_nan_eta(capsys):
     code, out, err = run_cli(
         capsys,

@@ -138,6 +138,9 @@ def test_control_conv_rejects_bad_parameters():
     for n in (0, -2):
         with pytest.raises(ValueError, match="n must be >= 1"):
             control_conv(BM, GRID, STARTS, 1.0, 0.3, EpsilonSchedule((0.1,)), n=n)
+    for bound in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bound must be nonnegative and finite"):
+            control_conv(BM, GRID, STARTS, bound, 0.3, EpsilonSchedule((0.1,)))
 
 
 def test_moment_bound_monotone_and_finite():

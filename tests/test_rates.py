@@ -21,6 +21,7 @@ from uldplab.models import (
 )
 from uldplab.pathspace import DiscretePath, TimeGrid, line_path
 from uldplab.rates import (
+    _level_sets,
     constant_slope_controls,
     export_level_set,
     inf_h_plus_I,
@@ -179,6 +180,18 @@ def test_rate_candidates_equal_the_skeletons_from_each_start(model):
     for x, paths in zip(starts, stacks):
         assert np.array_equal(paths, skeletons(model, grid, x, controls))
     assert stacks[0] is not stacks[2]
+    # the level sets of all starts are one walk, bit for bit the one-start samples
+    samples = _level_sets(model, grid, starts, 1.5, 5, 7)
+    assert len(samples) == len(starts)
+    for x, got in zip(starts, samples):
+        want = sample_level_set(model, grid, x, 1.5, 5, seed=7)
+        assert np.array_equal(got.x, want.x)
+        assert (got.level, got.seed, got.energies) == (want.level, want.seed, want.energies)
+        assert len(got.controls) == len(want.controls)
+        for a, b in zip(got.controls, want.controls):
+            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(got.paths.stack, want.paths.stack)
+    assert not np.shares_memory(samples[0].paths.members[0].values, samples[2].paths.members[0].values)
 
 
 class _FlatCost:

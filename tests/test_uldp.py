@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from uldplab import rates
 from uldplab.estimators import CHUNK, Constant, EpsilonSchedule
-from uldplab.models import TranslatedBM
+from uldplab.models import DriftSpec, FiniteSDE, NoiseSpec, TranslatedBM
 from uldplab.pathspace import (
     Ball,
     DistanceAtLeast,
@@ -57,9 +58,23 @@ def test_index_set_sample_validation():
     assert t.radius is None
 
 
-def test_budgets_reject_unknown_tilt():
-    with pytest.raises(ValueError):
-        CheckBudgets(tilt="gradient")
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tilt", "gradient"),
+        ("mc_samples", 0),
+        ("level_count", 0),
+        ("s_levels", 0),
+        ("s_levels", -1),
+        ("constant_pool", -1),
+        ("hold_threshold", -0.1),
+        ("hold_threshold", math.nan),
+        ("hold_threshold", math.inf),
+    ],
+)
+def test_budgets_reject_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        CheckBudgets(**{field: value})
 
 
 def test_gap_sum_sentinel_table():
@@ -217,6 +232,39 @@ def test_fwuldp_rejects_bad_params():
                 schedule=EpsilonSchedule((0.2,)),
                 budgets=TINY,
             )
+
+
+def test_fwuldp_report_bytes_are_pinned(tmp_path):
+    # the auto-constant tilt on a stepped model, with a repeated start
+    model = FiniteSDE(dim=2, drift=DriftSpec("scaled-sine"), noise=NoiseSpec("diagonal-bounded"))
+    starts = IndexSetSample("repeat", [(0.0, 0.0), (0.5, -0.5), (0.0, 0.0)])
+    budgets = CheckBudgets(mc_samples=300, level_count=5, s_levels=2, seed=0, tilt="auto-constant")
+    reports = fwuldp_gaps(model, TimeGrid(1.0, 16), starts, 0.5, 0.4, EpsilonSchedule((0.2, 0.1)), budgets)
+    digests = {}
+    for report in reports:
+        out = tmp_path / f"{report.definition}.json"
+        report.save_json(str(out))
+        digests[report.definition] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == {
+        "fwuldp-lower": "da44eaafa6581ecf662038f1d0f46861608e17d6267f8d56b2899d4d099bc05d",
+        "fwuldp-upper": "6902c76e91e40956bd3e83f7cf341d90bb969de641235cadf2a929e629ab9874",
+    }
+
+
+def test_fwuldp_draws_each_level_set_once(monkeypatch):
+    # one draw for the lower sample and one per s-level, whatever the number of starts
+    calls = []
+    draw = rates._level_set_controls
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(rates, "_level_set_controls", counted)
+    fwuldp_gaps(
+        BM, GRID, IndexSetSample("three", [(0.0,), (1.0,), (-1.0,)]), 0.5, 0.4, EpsilonSchedule((0.2,)), TINY
+    )
+    assert len(calls) == 1 + TINY.s_levels
 
 
 def test_translation_identity_across_starts():
