@@ -28,6 +28,7 @@ from .convergence import control_conv
 from .estimators import EpsilonSchedule, LogProbEstimate, mc_probability
 from .models import NumericalBlowupError, _noise_block, load_model, simulate_batch, skeleton
 from .pathspace import (
+    FLOAT_FMT,
     DiscretePath,
     DistanceAtLeast,
     PathSet,
@@ -46,9 +47,6 @@ from .uldp import (
     luldp_gaps,
     subseed,
 )
-
-FLOAT_FMT = ".17g"
-
 
 class CliError(Exception):
     """Raised for precondition violations detected at the CLI layer."""
@@ -151,7 +149,7 @@ def _cmd_rate(args) -> int:
         value = rate_closed_form(model, path.grid, np.array(x), path).value
     except TypeError:
         value = rate_variational(model, path.grid, np.array(x), path).value
-    print(_fmt(value) if np.isfinite(value) else ("inf" if value > 0 else "-inf"))
+    print(_fmt(value))
     return 0
 
 
@@ -224,6 +222,12 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    definition = args.definition
+    # a flag the definition does not read is refused rather than silently dropped
+    if args.eta and definition != "luldp":
+        raise CliError(f"{definition} takes no --eta (only luldp shrinks and fattens its sets)")
+    if args.s0 is not None and definition != "fwuldp":
+        raise CliError(f"{definition} takes no --s0 (only fwuldp samples a rate level set)")
     model = load_model(args.model)
     grid = _grid_from(args)
     if not args.x:
@@ -232,7 +236,6 @@ def _cmd_check(args) -> int:
     index = IndexSetSample(label="cli", points=tuple(points), tag=args.tag)
     schedule = _parse_schedule(args)
     budgets = CheckBudgets(mc_samples=args.samples, seed=args.seed, tilt=args.tilt)
-    definition = args.definition
     if definition == "fwuldp":
         if args.s0 is None or args.delta is None:
             raise CliError("fwuldp needs --s0 and --delta")
@@ -327,14 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
-        if model:
-            p.add_argument("--model", required=True, help="builtin name or JSON spec file")
+    def common(p, formats=True):
+        p.add_argument("--model", required=True, help="builtin name or JSON spec file")
         p.add_argument("--grid-steps", type=int, default=64)
         p.add_argument("--horizon", type=float, default=1.0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if formats:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("simulate", help="sample controlled paths")
     common(p)
@@ -349,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", required=True, help="CSV path file (t,x0,... header)")
     p.set_defaults(func=_cmd_rate)
 
-    p = sub.add_parser("level-set", help="sample a rate-function level set")
-    common(p)
+    p = sub.add_parser("level-set", help="sample a rate-function level set (JSON, or a CSV directory with --out)")
+    common(p, formats=False)
     p.add_argument("--x", required=True)
     p.add_argument("--s0", type=float, default=None, help="rate level")
     p.add_argument("--samples", type=int, default=16, help="member count")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,9 +176,10 @@ def control_conv(
     If a state becomes non-finite, the NumericalBlowupError names the
     first step at which any eps row of the cell is non-finite.
 
-    Each (x, u) cell is a pure function of the seed and the cell index,
-    and the reduction walks cells in index order, so the result does not
-    depend on ``threads``.
+    Each (x, u) cell is a pure function of the seed and the cell index.
+    A pool of ``threads`` workers fills one preallocated (cell, eps,
+    sample) error array in cell order, and every column of the table is
+    reduced from that array, so the result does not depend on ``threads``.
     """
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
@@ -198,37 +200,22 @@ def control_conv(
         for uj, control in enumerate(controls)
     ]
 
-    def run_cell(cell):
-        xi, pt, uj, control = cell
+    errs = np.zeros((len(cells), len(eps_grid), n))
+
+    def run_cell(ci):
+        xi, pt, uj, control = cells[ci]
         increments = _noise_block(grid, model.channels, master, xi * len(controls) + uj, n)
         base = bases[xi][uj]
         # one walk steps every eps; row e * n + k is sample k at eps_grid[e]
-        err = np.zeros(len(eps_grid) * n)
+        err = errs[ci].reshape(-1)
         for i, state in enumerate(simulate_eps_stack(model, grid, pt, eps_grid, control, increments)):
             np.maximum(err, _point_norms(state - base[i]), out=err)
-        errs = err.reshape(len(eps_grid), n)
-        return [float(np.mean(row > delta)) for row in errs], errs
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(cell) for cell in cells]
-    cell_probs = {e: [] for e in eps_grid}
-    pooled = {e: [] for e in eps_grid}
-    for probs, errs in results:
-        for e, pr, er in zip(eps_grid, probs, errs):
-            cell_probs[e].append(pr)
-            pooled[e].append(er)
-    sup_prob = tuple(max(cell_probs[e]) for e in eps_grid)
-    med = []
-    q90 = []
-    for e in eps_grid:
-        allerr = np.concatenate(pooled[e])
-        med.append(float(np.median(allerr)))
-        q90.append(float(np.quantile(allerr, 0.9)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run_cell, range(len(cells))))  # re-raises the first failing cell's error
+    sup_prob = tuple(float(np.max(np.mean(errs[:, e] > delta, axis=1))) for e in range(len(eps_grid)))
+    med = [float(np.median(errs[:, e])) for e in range(len(eps_grid))]
+    q90 = [float(np.quantile(errs[:, e], 0.9)) for e in range(len(eps_grid))]
     positive = [(e, m) for e, m in zip(eps_grid, med) if m > 0]
     if len(positive) >= 2:
         from scipy import stats  # deferred: importing scipy.stats dominates package import time

@@ -145,7 +145,7 @@ class LogProbEstimate:
             format(self.p_hat, ".17g"),
             format(self.ci_low, ".17g"),
             format(self.ci_high, ".17g"),
-            format(self.log_value, ".17g") if math.isfinite(self.log_value) else "-inf",
+            format(self.log_value, ".17g"),
             "1" if self.zero_hit else "0",
             format(self.ess, ".17g"),
             str(self.n),
@@ -567,37 +567,35 @@ def _laplace_batch(
 # deterministic quadrature oracle for tiny grids
 
 
-def _last_step_sections(margin_fn, lo: float, hi: float, scan: int = 257) -> list[tuple[float, float]]:
-    """Subintervals of [lo, hi] where a continuous margin is positive."""
+def _last_step_sections(
+    margin_fn, combos: np.ndarray, lo: float, hi: float, scan: int = 257
+) -> list[list[tuple[float, float]]]:
+    """Per row of ``combos``, the subintervals of [lo, hi] where a continuous margin is positive.
+
+    ``margin_fn(rows, zlast)`` scores a batch of (outer increments, last
+    increment) pairs.  The scan is one batch; then every sign change of
+    every row is bisected to 1e-13 absolute, all live brackets in one
+    batch per step, and a bracket stops once it is that narrow.
+    """
     zs = np.linspace(lo, hi, scan)
-    ms = margin_fn(zs)
-    sections: list[tuple[float, float]] = []
-
-    def refine(a, b, fa, fb):
-        # bisect a sign change to 1e-13 absolute
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            fm = float(margin_fn(np.array([mid]))[0])
-            if (fa > 0) == (fm > 0):
-                a, fa = mid, fm
-            else:
-                b, fb = mid, fm
-            if b - a < 1e-13:
-                break
-        return 0.5 * (a + b)
-
-    inside = ms[0] > 0
-    start = lo if inside else None
-    for i in range(1, scan):
-        now = ms[i] > 0
-        if now and not inside:
-            start = refine(zs[i - 1], zs[i], ms[i - 1], ms[i])
-        elif inside and not now:
-            sections.append((start, refine(zs[i - 1], zs[i], ms[i - 1], ms[i])))
-        inside = now
-    if inside:
-        sections.append((start, hi))
-    return sections
+    pos = margin_fn(np.repeat(combos, scan, axis=0), np.tile(zs, len(combos))).reshape(len(combos), scan) > 0
+    rows, cols = np.nonzero(pos[:, 1:] != pos[:, :-1])
+    a, b, left_pos = zs[cols], zs[cols + 1], pos[rows, cols]  # a keeps the sign of its scan point
+    live = np.arange(len(a))
+    for _ in range(60):
+        if not live.size:
+            break
+        mid = 0.5 * (a[live] + b[live])
+        left = (margin_fn(combos[rows[live]], mid) > 0) == left_pos[live]
+        a[live] = np.where(left, mid, a[live])
+        b[live] = np.where(left, b[live], mid)
+        live = live[b[live] - a[live] >= 1e-13]
+    bounds: list[list[float]] = [[lo] if p else [] for p in pos[:, 0]]
+    for r, root in zip(rows.tolist(), (0.5 * (a + b)).tolist()):
+        bounds[r].append(root)
+    for r in np.flatnonzero(pos[:, -1]):
+        bounds[r].append(hi)
+    return [list(zip(bd[::2], bd[1::2])) for bd in bounds]
 
 
 def quadrature_probability(
@@ -614,7 +612,8 @@ def quadrature_probability(
     final increment is integrated exactly against the normal density
     over the sections where the event margin is positive (found by scan
     and bisection), which removes the indicator discontinuity from the
-    quadrature dimensions.
+    quadrature dimensions.  The nodes run in chunks of 512 tensor
+    points, each one batch of scans and of bisection steps.
     """
     if model.channels != 1 or model.dim != 1:
         raise ShapeMismatchError("quadrature oracle covers scalar single-channel models")
@@ -641,21 +640,21 @@ def quadrature_probability(
         for g in wgrids:
             cw = cw * g.reshape(-1)
 
+    def margins(rows: np.ndarray, zlast: np.ndarray) -> np.ndarray:
+        inc = np.empty((zlast.shape[0], steps, 1))
+        inc[:, :outer, 0] = rows * sdt
+        inc[:, outer, 0] = zlast * sdt
+        return event.margins(simulate_batch(model, grid, x, eps, None, inc))
+
     total = 0.0
     span = 10.0  # integrate the last increment over +-10 standard deviations
-    for combo, weight in zip(combos, cw):
-        def margin_of_last(zlast: np.ndarray) -> np.ndarray:
-            b = zlast.shape[0]
-            inc = np.empty((b, steps, 1))
-            inc[:, :outer, 0] = combo * sdt
-            inc[:, outer, 0] = zlast * sdt
-            paths = simulate_batch(model, grid, x, eps, None, inc)
-            return event.margins(paths)
-
-        mass = 0.0
-        for a, b in _last_step_sections(margin_of_last, -span, span):
-            mass += float(norm.cdf(b) - norm.cdf(a))
-        total += float(weight) * mass
+    for start in range(0, len(combos), 512):
+        chunk = slice(start, start + 512)
+        for sections, weight in zip(_last_step_sections(margins, combos[chunk], -span, span), cw[chunk]):
+            mass = 0.0
+            for a, b in sections:
+                mass += float(norm.cdf(b) - norm.cdf(a))
+            total += float(weight) * mass
     return total
 
 

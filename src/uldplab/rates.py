@@ -310,10 +310,21 @@ def _inf_h_plus_I_starts(
     energies, stacks = rate_candidates(model, grid, xs, s_max, count, seed, constant_pool)
     out = []
     for paths in stacks:
-        vals = [float(h(DiscretePath(grid, p))) + energy for energy, p in zip(energies, paths)]
-        best = min(range(len(vals)), key=vals.__getitem__)  # the first of equal values
-        out.append((vals[best], DiscretePath(grid, paths[best])))
+        value, best = _pool_min(energies, [float(h(DiscretePath(grid, p))) for p in paths])
+        out.append((value, DiscretePath(grid, paths[best])))
     return out
+
+
+def _pool_min(energies, costs) -> tuple[float, int | None]:
+    """Least energy + cost over a candidate pool and the first index that attains it.
+
+    Returns (inf, None) when no candidate has a finite total, so an
+    infinite cost excludes a candidate.
+    """
+    totals = np.add(energies, costs)
+    best = int(np.argmin(totals))
+    value = float(totals[best])
+    return (value, best) if value < math.inf else (math.inf, None)
 
 
 def export_level_set(sample: LevelSetSample, directory: str) -> str:

@@ -109,14 +109,16 @@ def run(name: str, seed: int | None = None, out: str | None = None) -> ScenarioR
 # shared plumbing
 
 
-def _grid(cfg: dict) -> TimeGrid:
-    return TimeGrid(float(cfg.get("horizon", 1.0)), int(cfg["steps"]))
-
-
-def _budgets(cfg: dict) -> CheckBudgets:
-    raw = dict(cfg.get("budgets", {}))
-    raw["seed"] = int(cfg["seed"])
-    return CheckBudgets(**raw)
+def _setting(cfg: dict):
+    """The model, time grid, eps schedule, budgets and ``params`` block of a scenario config."""
+    grid = TimeGrid(float(cfg.get("horizon", 1.0)), int(cfg["steps"]))
+    schedule = EpsilonSchedule(
+        tuple(float(e) for e in cfg["eps"]),
+        power=float(cfg.get("speed_power", 1.0)),
+        scale=float(cfg.get("speed_scale", 1.0)),
+    )
+    budgets = CheckBudgets(**{**cfg.get("budgets", {}), "seed": int(cfg["seed"])})
+    return model_from_spec(cfg["model"]), grid, schedule, budgets, cfg["params"]
 
 
 def _index(cfg: dict) -> IndexSetSample:
@@ -129,14 +131,6 @@ def _index(cfg: dict) -> IndexSetSample:
     )
 
 
-def _schedule(cfg: dict) -> EpsilonSchedule:
-    return EpsilonSchedule(
-        tuple(float(e) for e in cfg["eps"]),
-        power=float(cfg.get("speed_power", 1.0)),
-        scale=float(cfg.get("speed_scale", 1.0)),
-    )
-
-
 def _by_tag(reports: list[CheckReport], tag: str) -> CheckReport:
     for r in reports:
         if r.definition == tag:
@@ -146,6 +140,12 @@ def _by_tag(reports: list[CheckReport], tag: str) -> CheckReport:
 
 def _final_eps(report: CheckReport) -> float:
     return report.aggregates[-1]["eps"]
+
+
+def _bound(name: str, what: str, got: float, limit: float, floor: bool = False) -> ScenarioCheck:
+    """The check ``got >= limit`` (a floor) or ``got <= limit`` (a cap): "<what> <got> vs floor|cap <limit>"."""
+    passed = got >= limit if floor else got <= limit
+    return ScenarioCheck(name, passed, f"{what} {got:.4g} vs {'floor' if floor else 'cap'} {limit}")
 
 
 def _verdict_checks(reports: list[CheckReport], expected: dict) -> list[ScenarioCheck]:
@@ -180,13 +180,8 @@ def _translation_identical(reports: list[CheckReport]) -> tuple[bool, str]:
 
 
 def _run_fwuldp(cfg: dict) -> ScenarioResult:
-    model = model_from_spec(cfg["model"])
-    grid = _grid(cfg)
-    aset = _index(cfg)
-    sched = _schedule(cfg)
-    budgets = _budgets(cfg)
-    p = cfg["params"]
-    reports = fwuldp_gaps(model, grid, aset, float(p["s0"]), float(p["delta"]), sched, budgets)
+    model, grid, sched, budgets, p = _setting(cfg)
+    reports = fwuldp_gaps(model, grid, _index(cfg), float(p["s0"]), float(p["delta"]), sched, budgets)
     lower = _by_tag(reports, "fwuldp-lower")
     upper = _by_tag(reports, "fwuldp-upper")
     summary = {
@@ -208,16 +203,17 @@ def _run_fwuldp(cfg: dict) -> ScenarioResult:
         )
         checks.append(ScenarioCheck("lower-sentinel-zero-hits", ok, detail))
     if "lower_final_min_ge" in exp:
-        floor = float(exp["lower_final_min_ge"])
-        got = summary["lower"]["final_gap"]
         checks.append(
-            ScenarioCheck("lower-final-min", got >= floor, f"final lower gap {got:.4g} vs floor {floor}")
+            _bound(
+                "lower-final-min", "final lower gap", summary["lower"]["final_gap"],
+                float(exp["lower_final_min_ge"]), floor=True,
+            )
         )
     if "upper_final_max_le" in exp:
-        cap = float(exp["upper_final_max_le"])
-        got = summary["upper"]["final_gap"]
         checks.append(
-            ScenarioCheck("upper-final-max", got <= cap, f"final upper gap {got:.4g} vs cap {cap}")
+            _bound(
+                "upper-final-max", "final upper gap", summary["upper"]["final_gap"], float(exp["upper_final_max_le"])
+            )
         )
     return ScenarioResult(cfg["name"], int(cfg["seed"]), cfg["operation"], reports, summary, checks)
 
@@ -245,11 +241,7 @@ def _run_dz_sweep(cfg: dict) -> ScenarioResult:
     that m alone.  Sampling memory is one block plus one bit per sample
     per (m, start) job.
     """
-    model = model_from_spec(cfg["model"])
-    grid = _grid(cfg)
-    sched = _schedule(cfg)
-    budgets = _budgets(cfg)
-    p = cfg["params"]
+    model, grid, sched, budgets, p = _setting(cfg)
     rule = p["start_rule"]
     slope = float(p.get("slope", 1.0))
     rbase = float(p["radius"]["base"])
@@ -290,11 +282,8 @@ def _run_dz_sweep(cfg: dict) -> ScenarioResult:
     exp = cfg.get("expected", {})
     checks: list[ScenarioCheck] = []
     if "sup_rate_le" in exp:
-        cap = float(exp["sup_rate_le"])
         worst = max(r["sup_rate"] for r in rows)
-        checks.append(
-            ScenarioCheck("sup-rate", worst <= cap, f"max over m of sup_x rate {worst:.4g} vs cap {cap}")
-        )
+        checks.append(_bound("sup-rate", "max over m of sup_x rate", worst, float(exp["sup_rate_le"])))
     if "drop_ge" in exp:
         need = float(exp["drop_ge"])
         first, last = rows[0]["inf_log"], rows[-1]["inf_log"]
@@ -324,12 +313,7 @@ def _run_dz_sweep(cfg: dict) -> ScenarioResult:
 
 
 def _run_ulp(cfg: dict) -> ScenarioResult:
-    model = model_from_spec(cfg["model"])
-    grid = _grid(cfg)
-    aset = _index(cfg)
-    sched = _schedule(cfg)
-    budgets = _budgets(cfg)
-    p = cfg["params"]
+    model, grid, sched, budgets, p = _setting(cfg)
     j = float(p["j"])
     m = int(p["m"])
     wbase = float(p.get("weight_base", 2.0))
@@ -337,7 +321,7 @@ def _run_ulp(cfg: dict) -> ScenarioResult:
     weights = tuple(wbase**n for n in range(1, m + 1))
     h = MinOverCenters(centers, weights, cap=j)
     s_max = float(p["s_max"]) if "s_max" in p else None
-    report = ulp_gap(model, grid, aset, h, sched, budgets, s_max=s_max)
+    report = ulp_gap(model, grid, _index(cfg), h, sched, budgets, s_max=s_max)
     final_cells = [c for c in report.cells if c.eps == sched.eps[-1]]
     min_signed = min(c.gap for c in final_cells)
     summary = {
@@ -349,24 +333,14 @@ def _run_ulp(cfg: dict) -> ScenarioResult:
     exp = cfg.get("expected", {})
     checks = _verdict_checks([report], exp)
     if "final_min_gap_le" in exp:
-        cap = float(exp["final_min_gap_le"])
-        checks.append(
-            ScenarioCheck(
-                "final-min-gap",
-                min_signed <= cap,
-                f"min signed gap at eps={sched.eps[-1]:g} is {min_signed:.4g} vs cap {cap}",
-            )
-        )
+        what = f"min signed gap at eps={sched.eps[-1]:g} is"
+        checks.append(_bound("final-min-gap", what, min_signed, float(exp["final_min_gap_le"])))
     return ScenarioResult(cfg["name"], int(cfg["seed"]), cfg["operation"], [report], summary, checks)
 
 
 def _run_luldp(cfg: dict) -> ScenarioResult:
-    model = model_from_spec(cfg["model"])
-    grid = _grid(cfg)
+    model, grid, sched, budgets, p = _setting(cfg)
     aset = _index(cfg)
-    sched = _schedule(cfg)
-    budgets = _budgets(cfg)
-    p = cfg["params"]
     radius = float(p["radius"])
     etas = tuple(float(e) for e in p["etas"])
     s_max = float(p.get("s_max", 2.0))
@@ -387,16 +361,13 @@ def _run_luldp(cfg: dict) -> ScenarioResult:
     checks = _verdict_checks(reports, exp)
     if "lower_min_ge" in exp:
         eta = float(exp["lower_min_ge"]["eta"])
-        floor = float(exp["lower_min_ge"]["value"])
         got = per_eta[eta]
-        ok = math.isfinite(got) and got >= floor
-        checks.append(
-            ScenarioCheck(
-                "lower-min-at-eta",
-                ok,
-                f"min gap over cells at eta={eta:g} is {got:.4g} vs floor {floor}",
-            )
+        check = _bound(
+            "lower-min-at-eta", f"min gap over cells at eta={eta:g} is", got, float(exp["lower_min_ge"]["value"]),
+            floor=True,
         )
+        check.passed = check.passed and math.isfinite(got)  # a vacuous (+inf) gap does not hold the bound
+        checks.append(check)
     return ScenarioResult(cfg["name"], int(cfg["seed"]), cfg["operation"], reports, summary, checks)
 
 

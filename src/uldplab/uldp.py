@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .estimators import (
 )
 from .models import Control, ProcessModel, _skeleton_stacks, constant_control, model_to_spec
 from .pathspace import Ball, DistanceAtLeast, EventSpec, TimeGrid
-from .rates import _inf_h_plus_I_starts, _level_sets, rate_candidates
+from .rates import _inf_h_plus_I_starts, _level_sets, _pool_min, rate_candidates
 
 __all__ = [
     "subseed",
@@ -186,10 +186,7 @@ class CheckReport:
 
 
 def _fmt_float(v) -> str:
-    if v is None:
-        return ""
-    v = _jsonable(float(v))  # non-finite values become the JSON sentinel strings
-    return v if isinstance(v, str) else format(v, ".17g")
+    return "" if v is None else format(float(v), ".17g")
 
 
 def _jsonable(obj):
@@ -312,21 +309,10 @@ def _estimate_probabilities(
 # rate side of set bounds
 
 
-def _rate_scores(energies: list[float], paths: np.ndarray, event: EventSpec) -> list[tuple[float, float]]:
-    """(energy, event margin) of every ``rate_candidates`` candidate from one start, from one margin call."""
-    return list(zip(energies, event.margins(paths).tolist()))
-
-
-def _best_rate(scores: list[tuple[float, float]], eta: float, closed: bool) -> tuple[float, int | None]:
-    """Least energy among the scores that pass the eta filter, and its index."""
-    best = math.inf
-    best_idx: int | None = None
-    for idx, (energy, margin) in enumerate(scores):
-        ok = margin >= -eta if closed else margin > eta
-        if ok and energy < best:
-            best = energy
-            best_idx = idx
-    return best, best_idx
+def _membership_costs(margins: np.ndarray, eta: float, closed: bool) -> np.ndarray:
+    """0 for a candidate in the eta-shrunk open (eta-fattened closed) set, +inf outside it."""
+    inside = margins >= -eta if closed else margins > eta
+    return np.where(inside, 0.0, math.inf)
 
 
 def event_rate_bound(
@@ -348,7 +334,7 @@ def event_rate_bound(
     None when no candidate qualifies.
     """
     energies, (paths,) = rate_candidates(model, grid, (x,), s_max, count, seed, constant_pool)
-    return _best_rate(_rate_scores(energies, paths, event), eta, closed)
+    return _pool_min(energies, _membership_costs(event.margins(paths), eta, closed))
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +363,7 @@ def fwuldp_gaps(
     """
     if not 0 <= s0 < math.inf or not 0 < delta < math.inf:
         raise ValueError("need s0 >= 0 and delta > 0, both finite")
-    model_spec = model_to_spec(model)
-    aset = _index_dict(index_set)
-    params = {
-        "eps": list(schedule.eps),
-        "delta": delta,
-        "s0": s0,
-        "budgets": _budget_dict(budgets),
-    }
+    params = {"eps": list(schedule.eps), "delta": delta, "s0": s0, "budgets": asdict(budgets)}
     lower_cells: list[CheckCell] = []
     upper_cells: list[CheckCell] = []
 
@@ -421,13 +400,10 @@ def fwuldp_gaps(
             lower_cells.append(_fw_cell(eps, pt, rows, min, "member", "rate", "members"))
             upper_cells.append(_fw_cell(eps, pt, levels, max, "s", "s", "levels"))
 
-    lower = _assemble(
-        "fwuldp-lower", model_spec, aset, params, lower_cells, schedule, budgets, kind="lower"
-    )
-    upper = _assemble(
-        "fwuldp-upper", model_spec, aset, params, upper_cells, schedule, budgets, kind="upper"
-    )
-    return [lower, upper]
+    return [
+        _assemble(f"fwuldp-{kind}", model, index_set, params, cells, schedule, budgets, kind)
+        for kind, cells in (("lower", lower_cells), ("upper", upper_cells))
+    ]
 
 
 def _fw_cell(eps: float, x, rows: list[dict], pick, label: str, rate_key: str, rows_key: str) -> CheckCell:
@@ -515,7 +491,6 @@ def _setwise_gaps(
     in its params and cells.
     """
     tags_eta = tag == "lu"
-    model_spec = model_to_spec(model)
     reports: list[list[CheckReport]] = [[] for _ in entries]
     # one params dict per entry, shared by its reports: a sweep records its m there
     params = [
@@ -523,7 +498,7 @@ def _setwise_gaps(
             "eps": list(schedule.eps),
             **({"eta": list(etas)} if tags_eta else {}),
             "s_max": s_max,
-            "budgets": _budget_dict(budgets),
+            "budgets": asdict(budgets),
         }
         for _ in entries
     ]
@@ -550,12 +525,12 @@ def _setwise_gaps(
             )
             for ei, eps in enumerate(schedule.eps)
         ]
-        scores = [_rate_scores(energies, pools[_start_key(model, pt)], event) for pt, event, _ in jobs]
+        margins = [event.margins(pools[_start_key(model, pt)]) for pt, event, _ in jobs]
         for e, span in spans:
             points = entries[e][0].points
             cells = []
             for eta in etas:
-                rates = [_best_rate(sc, eta, closed)[0] for sc in scores[span]]
+                rates = [_pool_min(energies, _membership_costs(m, eta, closed))[0] for m in margins[span]]
                 side = side_of(rates)
                 for eps, row in zip(schedule.eps, estimates):
                     for pt, rate, est in zip(points, rates, row[span]):
@@ -574,8 +549,7 @@ def _setwise_gaps(
                         )
             reports[e].append(
                 _assemble(
-                    f"{_SETWISE_NAMES[tag]}-{kind}", model_spec, _index_dict(entries[e][0]), params[e],
-                    cells, schedule, budgets, kind=kind,
+                    f"{_SETWISE_NAMES[tag]}-{kind}", model, entries[e][0], params[e], cells, schedule, budgets, kind
                 )
             )
     return reports
@@ -646,7 +620,7 @@ def _laplace_gaps(
     marks = [(hi,) if per_member else () for hi in range(len(members))]  # each member's seed tail
     n_input = {} if per_member else {"n": budgets.mc_samples}
     points = index_set.points
-    params = {"eps": list(schedule.eps), "s_max": s_max, **described, "budgets": _budget_dict(budgets)}
+    params = {"eps": list(schedule.eps), "s_max": s_max, **described, "budgets": asdict(budgets)}
     inf_vals = [
         _inf_h_plus_I_starts(
             model, grid, points, h, s_max, budgets.level_count,
@@ -675,9 +649,7 @@ def _laplace_gaps(
                         inputs={"laplace": lap, "inf_h_plus_I": inf_val, **n_input},
                     )
                 )
-    return _assemble(
-        tag, model_to_spec(model), _index_dict(index_set), params, cells, schedule, budgets, kind="laplace"
-    )
+    return _assemble(tag, model, index_set, params, cells, schedule, budgets, "laplace")
 
 
 # ---------------------------------------------------------------------------
@@ -740,31 +712,10 @@ def make_families(
 # assembly
 
 
-def _index_dict(index_set: IndexSetSample) -> dict:
-    return {
-        "label": index_set.label,
-        "points": [list(p) for p in index_set.points],
-        "tag": index_set.tag,
-        "radius": index_set.radius,
-    }
-
-
-def _budget_dict(b: CheckBudgets) -> dict:
-    return {
-        "mc_samples": b.mc_samples,
-        "level_count": b.level_count,
-        "constant_pool": b.constant_pool,
-        "s_levels": b.s_levels,
-        "seed": b.seed,
-        "tilt": b.tilt,
-        "hold_threshold": b.hold_threshold,
-    }
-
-
 def _assemble(
     definition: str,
-    model_spec: dict,
-    aset: dict,
+    model: ProcessModel,
+    index_set: IndexSetSample,
     params: dict,
     cells: list[CheckCell],
     schedule: EpsilonSchedule,
@@ -799,8 +750,8 @@ def _assemble(
     verdict = _verdict(kind, pairs, budgets.hold_threshold)
     return CheckReport(
         definition=definition,
-        model=model_spec,
-        index_set=aset,
+        model=model_to_spec(model),
+        index_set=asdict(index_set),
         params=params,
         cells=cells,
         aggregates=aggregates,

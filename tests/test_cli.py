@@ -179,7 +179,8 @@ def test_level_set_export_and_summary(tmp_path, capsys):
         "--out", str(out_dir),
     )
     assert code == 0
-    manifest = json.loads(open(out.strip()).read())
+    with open(out.strip()) as fh:
+        manifest = json.load(fh)
     assert manifest["count"] == 5
     code, out, _ = run_cli(
         capsys,
@@ -455,3 +456,82 @@ def test_check_output_bytes_match_the_pinned_digest(bench_workloads, tmp_path):
     assert main([*bench_workloads.CLI_CHECK_ARGS, "--out", str(out)]) == 0
     want = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())["cli-check"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+CHECK_PIN = ["--model", "translated-bm", "--x", "0", "--x", "0.5", "--delta", "0.3", "--samples", "200", "--seed", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        pytest.param(
+            ["check", "--definition", "dzuldp", *CHECK_PIN, "--eps", "0.2", "--eps", "0.005"],
+            "91109a1e6e4808d88a08a6ad0f07d0f750e77f1b48ae64d35c0ad9aec4867224",
+            id="dzuldp-json",
+        ),
+        pytest.param(
+            [
+                "check", "--definition", "luldp", *CHECK_PIN, "--eps", "0.2", "--eps", "0.02",
+                "--eta", "0.05", "--eta", "0.5",
+            ],
+            "38fef7be3d0cce6330898c9e05e82ebd43bd09f95950b00e3c5f7dadb9b7d73e",
+            id="luldp-json",
+        ),
+        # eta 0.5 empties the shrunk ball (an inf rate) and eps 0.005 misses the
+        # closed set (a -inf log value), so both non-finite spellings are pinned
+        pytest.param(
+            [
+                "check", "--definition", "luldp", *CHECK_PIN, "--eps", "0.2", "--eps", "0.005",
+                "--eta", "0.05", "--eta", "0.5", "--format", "csv",
+            ],
+            "361cf285d2013fe4189435ddd08bb1ee1fc3b906b0c3d7652a696c81b9a7f8d6",
+            id="luldp-csv",
+        ),
+        pytest.param(
+            [
+                "estimate", "--model", "translated-bm", "--x", "0", "--eps", "0.5", "--eps", "0.02",
+                "--delta", "1.5", "--samples", "200", "--seed", "4", "--format", "csv",
+            ],
+            "01d561c10eaf6f764cc25e3b0312d1f1d88ee7e8f8cee75006c5cc3019623e98",
+            id="estimate-csv",
+        ),
+    ],
+)
+def test_output_bytes_are_pinned(argv, want, tmp_path):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        pytest.param(["level-set", "--s0", "1", "--format", "csv"], "--format", id="level-set-format"),
+        pytest.param(
+            ["check", "--definition", "fwuldp", "--eps", "0.1", "--s0", "0.5", "--delta", "0.3", "--eta", "0.1"],
+            "--eta",
+            id="fwuldp-eta",
+        ),
+        pytest.param(
+            ["check", "--definition", "dzuldp", "--eps", "0.1", "--delta", "0.3", "--eta", "0.1"], "--eta", id="dzuldp-eta"
+        ),
+        pytest.param(
+            ["check", "--definition", "dzuldp", "--eps", "0.1", "--delta", "0.3", "--s0", "0.5"], "--s0", id="dzuldp-s0"
+        ),
+        pytest.param(
+            ["check", "--definition", "luldp", "--eps", "0.1", "--delta", "0.3", "--eta", "0.1", "--s0", "0.5"],
+            "--s0",
+            id="luldp-s0",
+        ),
+    ],
+)
+def test_flags_a_command_ignores_exit_two(command, flag, capsys):
+    # a flag that would not change the output is refused, not silently dropped
+    try:
+        code = main([command[0], "--model", "translated-bm", "--x", "0", "--samples", "20", *command[1:]])
+    except SystemExit as exc:  # argparse refuses flags a subcommand does not register
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert flag in err

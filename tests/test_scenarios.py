@@ -112,3 +112,21 @@ def test_scenario_output_bytes_match_the_pinned_digest(name, pinned_run, tmp_pat
     pinned_run(name).save_json(str(out))
     want = json.loads(DIGESTS.read_text())[name]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+def test_a_vacuous_gap_fails_the_eta_floor(monkeypatch):
+    # eta 0.6 shrinks the radius-0.5 balls to nothing, so no rate candidate
+    # qualifies and every gap is +inf: above any floor, yet no bound holds
+    from uldplab import scenarios
+
+    cfg = load_config("y-luldp-holds")
+    cfg = {
+        **cfg,
+        "params": {**cfg["params"], "etas": [0.6]},
+        "expected": {"lower_min_ge": {"eta": 0.6, "value": -0.3}},
+    }
+    monkeypatch.setattr(scenarios, "load_config", lambda name: cfg)
+    (check,) = run("y-luldp-holds").checks
+    assert check.name == "lower-min-at-eta"
+    assert not check.passed
+    assert check.detail == "min gap over cells at eta=0.6 is inf vs floor -0.3"
