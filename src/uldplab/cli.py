@@ -184,20 +184,10 @@ def _cmd_estimate(args) -> int:
     schedule = _parse_schedule(args)
     center = skeleton(model, grid, np.array(x))
     event = DistanceAtLeast(PathSet([center]), args.delta)
-    rows = []
-    for i, eps in enumerate(schedule.eps):
-        rows.append(
-            mc_probability(
-                model,
-                grid,
-                np.array(x),
-                eps,
-                event,
-                args.samples,
-                subseed(args.seed, "cli-estimate", i),
-                speed=schedule.speed,
-            )
-        )
+    rows = [
+        mc_probability(model, grid, np.array(x), eps, event, args.samples, subseed(args.seed, "cli-estimate", i))
+        for i, eps in enumerate(schedule.eps)
+    ]
     if args.format == "csv":
         text = LogProbEstimate.CSV_HEADER + "\n" + "\n".join(r.csv_row() for r in rows) + "\n"
     else:
@@ -257,6 +247,8 @@ def _cmd_check(args) -> int:
         else:
             if not args.eta:
                 raise CliError("luldp needs at least one --eta > 0")
+            if not all(0 < e < math.inf for e in args.eta):
+                raise CliError("luldp needs every --eta finite and > 0 (the shrink/fatten margin)")
             reports = luldp_gaps(
                 model,
                 grid,

@@ -1,14 +1,14 @@
 """Probability and Laplace-functional estimators at small noise.
 
-Estimates are organized around a noise schedule eps_1 > eps_2 > ... and
-a speed function a(eps) (a(eps) = eps unless configured otherwise).  Log
-probabilities are reported on the a(eps) * log scale that the large
+Estimates are organized around a noise schedule eps_1 > eps_2 > ...,
+and log probabilities are reported on the eps * log scale that the large
 deviation bounds live on; a zero-hit estimate carries an explicit -inf
 sentinel plus the one-sided rule-of-three bound 3/n so downstream
 comparisons stay meaningful.
 
-Importance sampling uses Girsanov tilting by a deterministic control u:
-simulate the controlled process and reweight each sample by
+Importance sampling of probabilities uses Girsanov tilting by a
+deterministic control u: simulate the controlled process and reweight
+each sample by
 
     exp( -(1/sqrt(eps)) sum_i u_i . dW_i  -  (1/(2 eps)) |u|^2_{L2} )
 
@@ -83,11 +83,9 @@ Z95 = 1.959963984540054
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
-    """Decreasing noise grid with speed a(eps) = scale * eps**power."""
+    """Strictly decreasing noise levels; estimates at eps report eps * log values."""
 
     eps: tuple[float, ...]
-    power: float = 1.0
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         vals = tuple(float(e) for e in self.eps)
@@ -99,11 +97,8 @@ class EpsilonSchedule:
             raise ValueError("schedule must be strictly decreasing")
         object.__setattr__(self, "eps", vals)
 
-    def speed(self, eps: float) -> float:
-        return self.scale * eps**self.power
-
     @staticmethod
-    def geometric(lo: float, hi: float, count: int, power: float = 1.0, scale: float = 1.0) -> "EpsilonSchedule":
+    def geometric(lo: float, hi: float, count: int) -> "EpsilonSchedule":
         if not (0 < lo < hi):
             raise ValueError("need 0 < lo < hi")
         if count < 1:
@@ -113,15 +108,14 @@ class EpsilonSchedule:
         else:
             ratio = (lo / hi) ** (1.0 / (count - 1))
             grid = tuple(hi * ratio**k for k in range(count))
-        return EpsilonSchedule(grid, power=power, scale=scale)
+        return EpsilonSchedule(grid)
 
 
 @dataclass(frozen=True)
 class LogProbEstimate:
-    """One probability estimate on the a(eps) log scale."""
+    """One probability estimate on the eps * log scale."""
 
     eps: float
-    a_eps: float
     x: tuple[float, ...]
     p_hat: float
     ci_low: float
@@ -368,9 +362,7 @@ def _girsanov_log_weights(control: Control, increments: np.ndarray, eps: float) 
     return -dot / math.sqrt(eps) - control.squared_l2 / (2.0 * eps)
 
 
-def _finish_estimate(
-    *, model, x, eps, a_eps, hits, weights, ess, n, seed
-) -> LogProbEstimate:
+def _finish_estimate(*, model, x, eps, hits, weights, ess, n, seed) -> LogProbEstimate:
     """One estimate from its hit flags; ``ess`` belongs to ``weights`` (None for plain MC)."""
     hit_count = int(np.sum(hits))
     zero = hit_count == 0
@@ -387,13 +379,12 @@ def _finish_estimate(
         ci_high = min(1.0, p_hat + Z95 * se)
         degenerate = ess < 10.0
     if p_hat > 0.0:
-        log_value = a_eps * math.log(p_hat)
+        log_value = eps * math.log(p_hat)
     else:
         log_value = -math.inf
     start = model._as_state(x)
     return LogProbEstimate(
         eps=eps,
-        a_eps=a_eps,
         x=tuple(float(v) for v in start),
         p_hat=p_hat,
         ci_low=ci_low,
@@ -427,7 +418,6 @@ def _probability_batch(
     jobs,
     n: int,
     seed: int,
-    speed=None,
 ) -> list[LogProbEstimate]:
     """Estimates of P(X^eps_x in event) for (x, event, tilt) jobs sharing eps, n and seed.
 
@@ -448,7 +438,6 @@ def _probability_batch(
         raise ValueError("eps must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
-    a_eps = float(speed(eps)) if speed is not None else eps
     keys = [
         None if tilt is None else (tilt.grid, tilt.values.shape, tilt.values.tobytes())
         for _, _, tilt in jobs
@@ -475,7 +464,7 @@ def _probability_batch(
     ess = {key: _effective_sample_size(w) for key, w in weights.items()}
     return [
         _finish_estimate(
-            model=model, x=x, eps=eps, a_eps=a_eps, hits=np.unpackbits(packed, count=n).view(bool),
+            model=model, x=x, eps=eps, hits=np.unpackbits(packed, count=n).view(bool),
             weights=weights.get(key), ess=ess.get(key), n=n, seed=seed,
         )
         for (x, _, _), key, packed in zip(jobs, keys, hits)
@@ -490,10 +479,9 @@ def mc_probability(
     event: EventSpec,
     n: int,
     seed: int,
-    speed=None,
 ) -> LogProbEstimate:
     """Plain Monte Carlo estimate of P(X^eps_x in event) with Wilson CI."""
-    return _probability_batch(model, grid, eps, [(x, event, None)], n, seed, speed)[0]
+    return _probability_batch(model, grid, eps, [(x, event, None)], n, seed)[0]
 
 
 def is_probability(
@@ -505,10 +493,9 @@ def is_probability(
     tilt: Control,
     n: int,
     seed: int,
-    speed=None,
 ) -> LogProbEstimate:
     """Girsanov-tilted importance sampling estimate of P(X^eps_x in event)."""
-    return _probability_batch(model, grid, eps, [(x, event, tilt)], n, seed, speed)[0]
+    return _probability_batch(model, grid, eps, [(x, event, tilt)], n, seed)[0]
 
 
 def laplace_functional(
@@ -519,16 +506,14 @@ def laplace_functional(
     h: TestFunction,
     n: int,
     seed: int,
-    speed=None,
-    tilt: Control | None = None,
 ) -> float:
-    """Estimate of a(eps) * log E exp(-h(X^eps_x) / a(eps)).
+    """Estimate of eps * log E exp(-h(X^eps_x) / eps).
 
     The exponent is max-shifted (log-sum-exp) before exponentiation, so
     constant h returns exactly -h and rare large values cannot
     underflow the whole sum.
     """
-    return _laplace_batch(model, grid, eps, [x], h, n, seed, speed, tilt)[0]
+    return _laplace_batch(model, grid, eps, [x], h, n, seed)[0]
 
 
 def _laplace_batch(
@@ -539,10 +524,8 @@ def _laplace_batch(
     h: TestFunction,
     n: int,
     seed: int,
-    speed=None,
-    tilt: Control | None = None,
 ) -> list[float]:
-    """``laplace_functional`` at every start in ``xs``, sharing eps, h, n, seed and tilt.
+    """``laplace_functional`` at every start in ``xs``, sharing eps, h, n and seed.
 
     Each noise block is drawn once and read by every start, as in
     ``_probability_batch``; each value equals the one its start would
@@ -550,17 +533,12 @@ def _laplace_batch(
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
-    a_eps = float(speed(eps)) if speed is not None else eps
     exponents = np.empty((len(xs), n))
     for block, offset, size in _iter_blocks(n):
         inc = _noise_block(grid, model.channels, seed, block, size)
-        log_w = None if tilt is None else _girsanov_log_weights(tilt, inc, eps)
-        for row, paths in zip(exponents, simulate_starts(model, grid, xs, eps, tilt, inc)):
-            expo = -h.batch(paths) / a_eps
-            if log_w is not None:
-                expo = expo + log_w
-            row[offset : offset + size] = expo
-    return [a_eps * float(logsumexp(row) - math.log(n)) for row in exponents]
+        for row, paths in zip(exponents, simulate_starts(model, grid, xs, eps, None, inc)):
+            row[offset : offset + size] = -h.batch(paths) / eps
+    return [eps * float(logsumexp(row) - math.log(n)) for row in exponents]
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +696,8 @@ def band_probability(
     """
     from numpy.polynomial.legendre import leggauss
 
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     if model.channels != 1 or model.dim != 1:
         raise ShapeMismatchError("band oracle covers scalar single-channel models")
     bands = _interval_bands(event, grid)

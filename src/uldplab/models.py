@@ -218,16 +218,6 @@ class DriftSpec:
     matrix: tuple | None = None
     offset: tuple | None = None
 
-    def lipschitz(self, dim: int) -> float:
-        if self.name == "zero":
-            return 0.0
-        if self.name == "scaled-sine":
-            return abs(self.kappa)
-        if self.name == "linear":
-            a = np.asarray(self.matrix, dtype=float) if self.matrix is not None else np.eye(dim)
-            return float(np.linalg.norm(a, 2))
-        raise ValueError(f"unknown drift {self.name!r}")
-
     @property
     def reads_sin(self) -> bool:
         """Whether the map reads sin(x); ``_drift_apply`` then takes it precomputed."""

@@ -112,11 +112,7 @@ def run(name: str, seed: int | None = None, out: str | None = None) -> ScenarioR
 def _setting(cfg: dict):
     """The model, time grid, eps schedule, budgets and ``params`` block of a scenario config."""
     grid = TimeGrid(float(cfg.get("horizon", 1.0)), int(cfg["steps"]))
-    schedule = EpsilonSchedule(
-        tuple(float(e) for e in cfg["eps"]),
-        power=float(cfg.get("speed_power", 1.0)),
-        scale=float(cfg.get("speed_scale", 1.0)),
-    )
+    schedule = EpsilonSchedule(tuple(float(e) for e in cfg["eps"]))
     budgets = CheckBudgets(**{**cfg.get("budgets", {}), "seed": int(cfg["seed"])})
     return model_from_spec(cfg["model"]), grid, schedule, budgets, cfg["params"]
 

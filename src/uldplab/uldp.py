@@ -276,7 +276,6 @@ def _estimate_probabilities(
     jobs,
     budgets: CheckBudgets,
     seed: int,
-    speed,
 ) -> list[LogProbEstimate]:
     """One estimate per (x, event, member tilt) job, all from the noise of one seed.
 
@@ -302,7 +301,7 @@ def _estimate_probabilities(
             tilt = None
         resolved.append((x, event, tilt))
     del scans  # so sampling's peak memory does not hold the scanned skeletons
-    return _probability_batch(model, grid, eps, resolved, budgets.mc_samples, seed, speed)
+    return _probability_batch(model, grid, eps, resolved, budgets.mc_samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +352,10 @@ def fwuldp_gaps(
     """Lower and upper Freidlin-Wentzell gap reports.
 
     Lower cells: min over sampled level-set members phi of
-    a(eps) log P(rho(X, phi) < delta) + I(phi); should stay above a
+    eps log P(rho(X, phi) < delta) + I(phi); should stay above a
     small negative slack when the definition holds.  Upper cells: max
     over s in a grid of [0, s0] of
-    a(eps) log P(dist(X, level set at s) >= delta) + s; should stay
+    eps log P(dist(X, level set at s) >= delta) + s; should stay
     below a small positive slack.  Level-set seeds and Monte Carlo
     seeds never depend on x, so each level set is drawn once per call
     and walked from every start.
@@ -382,16 +381,14 @@ def fwuldp_gaps(
             jobs = [
                 (pt, Ball(sample.paths.members[k], delta), sample.controls[k]) for pt, sample in zip(points, samples)
             ]
-            ests = _estimate_probabilities(
-                model, grid, eps, jobs, budgets, subseed(budgets.seed, "fw", "lower", ei, k), schedule.speed
-            )
+            ests = _estimate_probabilities(model, grid, eps, jobs, budgets, subseed(budgets.seed, "fw", "lower", ei, k))
             for rows, sample, est in zip(member_rows, samples, ests):
                 rows.append({"member": k, "rate": sample.energies[k], **_estimate_csv_inputs(est)})
         s_rows: list[list[dict]] = [[] for _ in points]
         for si, (s, level_samples) in enumerate(zip(s_grid, upper_samples)):
             jobs = [(pt, DistanceAtLeast(level.paths, delta), None) for pt, level in zip(points, level_samples)]
             ests = _estimate_probabilities(
-                model, grid, eps, jobs, budgets, subseed(budgets.seed, "fw", "upper", ei, si), schedule.speed
+                model, grid, eps, jobs, budgets, subseed(budgets.seed, "fw", "upper", ei, si)
             )
             for rows, est in zip(s_rows, ests):
                 rows.append({"s": s, **_estimate_csv_inputs(est)})
@@ -434,11 +431,11 @@ def dzuldp_gaps(
 ) -> list[CheckReport]:
     """Gap reports for the open lower bound and the closed upper bound.
 
-    Lower gap cells combine a(eps) log P(X in G) with sup over x of the
+    Lower gap cells combine eps log P(X in G) with sup over x of the
     estimated I_x(G); per-eps aggregates take the inf over x, matching
-    liminf inf_x a log P >= -sup_x I_x(G).  Upper gap cells combine
-    a(eps) log P(X in F) with inf over x of I_x(F), matching
-    limsup sup_x a log P <= -inf_x I_x(F).  This is ``luldp_gaps`` at
+    liminf inf_x eps log P >= -sup_x I_x(G).  Upper gap cells combine
+    eps log P(X in F) with inf over x of I_x(F), matching
+    limsup sup_x eps log P <= -inf_x I_x(F).  This is ``luldp_gaps`` at
     the single margin eta = 0, with its own seeds and no eta tags.
     """
     return _setwise_gaps(
@@ -520,9 +517,7 @@ def _setwise_gaps(
         if not jobs:
             continue
         estimates = [
-            _estimate_probabilities(
-                model, grid, eps, jobs, budgets, subseed(budgets.seed, tag, kind, ei), schedule.speed
-            )
+            _estimate_probabilities(model, grid, eps, jobs, budgets, subseed(budgets.seed, tag, kind, ei))
             for ei, eps in enumerate(schedule.eps)
         ]
         margins = [event.margins(pools[_start_key(model, pt)]) for pt, event, _ in jobs]
@@ -632,8 +627,7 @@ def _laplace_gaps(
     for ei, eps in enumerate(schedule.eps):
         laps = [
             _laplace_batch(
-                model, grid, eps, points, h, budgets.mc_samples,
-                subseed(budgets.seed, tag, "laplace", ei, *mark), schedule.speed,
+                model, grid, eps, points, h, budgets.mc_samples, subseed(budgets.seed, tag, "laplace", ei, *mark)
             )
             for h, mark in zip(members, marks)
         ]

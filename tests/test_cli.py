@@ -311,14 +311,16 @@ def test_converge_rejects_a_bad_control_bound(bound, capsys):
 
 
 def test_check_luldp_rejects_nan_eta(capsys):
-    code, out, err = run_cli(
-        capsys,
-        "check", "--model", "translated-bm", "--definition", "luldp", "--x", "0", "--x", "1",
-        "--eps-grid", "0.05:0.2:2", "--delta", "0.5", "--eta", "nan", "--samples", "500",
-    )
-    assert code == 2
-    assert out == ""
-    assert err.strip() == "config error: etas must be positive and finite"
+    # the error names the flag; a bad margin after a good one is caught too
+    for eta in ("nan", "0", "-1", "inf"):
+        code, out, err = run_cli(
+            capsys,
+            "check", "--model", "translated-bm", "--definition", "luldp", "--x", "0", "--x", "1",
+            "--eps-grid", "0.05:0.2:2", "--delta", "0.5", "--eta", "0.1", "--eta", eta, "--samples", "500",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "config error: luldp needs every --eta finite and > 0 (the shrink/fatten margin)"
 
 
 @pytest.mark.parametrize("model", ["translated-bm", "finite-sde"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -83,9 +84,8 @@ def test_schedule_validation():
     assert sched.eps[0] == pytest.approx(0.1)
     assert sched.eps[-1] == pytest.approx(0.01)
     assert sched.eps[1] == pytest.approx(math.sqrt(0.001))
-    assert sched.speed(0.2) == 0.2
-    sq = EpsilonSchedule((0.1,), power=2.0, scale=3.0)
-    assert sq.speed(0.1) == pytest.approx(0.03)
+    # eps is the only scale: no speed function rides along with the grid
+    assert [f.name for f in dataclasses.fields(sched)] == ["eps"]
 
 
 def test_estimate_csv_row_matches_header():
@@ -111,6 +111,13 @@ def test_band_oracle_matches_closed_form_on_terminal_event():
         got = band_probability(BM, SMALL, 0.0, eps, TerminalAtLeast(c))
         want = norm.sf(c / math.sqrt(eps * SMALL.horizon))
         assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+def test_band_oracle_rejects_a_bad_eps(eps):
+    # nan compares false to everything, so a bare eps <= 0 check lets it through
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        band_probability(BM, SMALL, 0.0, eps, TerminalAtLeast(0.8))
 
 
 def test_band_oracle_node_refinement_is_stable():
@@ -148,7 +155,7 @@ def test_tilted_sampling_is_unbiased_for_rare_terminal_event():
 
 def test_log_value_lives_on_speed_scale():
     est = mc_probability(BM, SMALL, 0.0, 0.25, TerminalAtLeast(0.2), 2000, seed=3)
-    assert est.log_value == pytest.approx(0.25 * math.log(est.p_hat), rel=1e-15)
+    assert est.log_value == 0.25 * math.log(est.p_hat)
 
 
 def test_zero_hit_estimate_carries_sentinel_and_rule_of_three():
@@ -267,6 +274,5 @@ def test_start_batch_equals_single_start_estimates_bit_for_bit(model):
         assert 0 < got.hit_count < n
     h = CappedDistance(constant_path(grid, 0.3, model.dim), 1.0, 0.5)
     xs = (0.0, 0.5, -1.25)
-    for tilt in (None, c):
-        want = [laplace_functional(model, grid, x, eps, h, n, seed, tilt=tilt) for x in xs]
-        assert _laplace_batch(model, grid, eps, xs, h, n, seed, tilt=tilt) == want
+    want = [laplace_functional(model, grid, x, eps, h, n, seed) for x in xs]
+    assert _laplace_batch(model, grid, eps, xs, h, n, seed) == want

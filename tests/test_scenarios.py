@@ -18,6 +18,19 @@ def test_registry_is_complete():
         assert "expected" in cfg
 
 
+# the top-level keys the loader and the builders read, plus the title
+CONFIG_KEYS = {
+    "name", "title", "operation", "model", "horizon", "steps", "eps", "seed", "budgets", "params", "index_set",
+    "expected",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_NAMES))
+def test_configs_hold_only_keys_the_builders_read(name):
+    # a key nothing reads is a knob that looks live but is not
+    assert sorted(set(load_config(name)) - CONFIG_KEYS) == []
+
+
 def test_unknown_scenario_is_rejected():
     with pytest.raises(KeyError):
         load_config("made-up")
