@@ -10,7 +10,6 @@ five definition checkers (``uldp``), uniform convergence experiments
 
 from .convergence import ConvergenceTable, control_conv, moment_bound_check, weak_continuity_check
 from .estimators import (
-    CappedDistance,
     CappedSetDistance,
     Constant,
     EpsilonSchedule,
@@ -28,18 +27,15 @@ from .models import (
     Control,
     FiniteSDE,
     GalerkinSPDE,
-    NoiseDraw,
     PerturbedBM,
     ProcessModel,
     SwappedBM,
     TranslatedBM,
     constant_control,
     load_model,
-    sample_noise,
     simulate_batch,
     sine_control,
     skeleton,
-    solve_controlled,
     zero_control,
 )
 from .pathspace import (
@@ -53,7 +49,6 @@ from .pathspace import (
     UnionOfBalls,
     constant_path,
     dist_to_set,
-    event_margin,
     hausdorff,
     line_path,
     membership,

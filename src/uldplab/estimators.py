@@ -53,7 +53,6 @@ from .pathspace import (
     TimeGrid,
     _dist_batch,
     _member_distances,
-    _norms_along_dim,
 )
 
 __all__ = [
@@ -63,11 +62,8 @@ __all__ = [
     "LogProbEstimate",
     "TestFunction",
     "Constant",
-    "CappedDistance",
     "CappedSetDistance",
     "MinOverCenters",
-    "SumOf",
-    "MinOf",
     "EquicontinuousFamily",
     "wilson_interval",
     "mc_probability",
@@ -197,29 +193,6 @@ class Constant(TestFunction):
 
 
 @dataclass(frozen=True)
-class CappedDistance(TestFunction):
-    """psi -> scale * min(2 rho(psi, center) / width, 1)."""
-
-    center: DiscretePath
-    scale: float
-    width: float
-
-    def __post_init__(self) -> None:
-        if self.scale < 0 or self.width <= 0:
-            raise ValueError("need scale >= 0 and width > 0")
-
-    def bound(self) -> float:
-        return self.scale
-
-    def lipschitz(self) -> float:
-        return 2.0 * self.scale / self.width
-
-    def batch(self, values: np.ndarray) -> np.ndarray:
-        rho = _norms_along_dim(values - self.center.values)
-        return self.scale * np.minimum(2.0 * rho / self.width, 1.0)
-
-
-@dataclass(frozen=True)
 class CappedSetDistance(TestFunction):
     """psi -> scale * min(2 dist(psi, targets) / width, 1), optionally inverted.
 
@@ -279,40 +252,6 @@ class MinOverCenters(TestFunction):
         for w, d in zip(self.weights[1:], dists):
             np.minimum(best, w * d, out=best)
         return self.cap * np.minimum(best, 1.0)
-
-
-@dataclass(frozen=True)
-class SumOf(TestFunction):
-    parts: tuple[TestFunction, ...]
-
-    def bound(self) -> float:
-        return sum(p.bound() for p in self.parts)
-
-    def lipschitz(self) -> float:
-        return sum(p.lipschitz() for p in self.parts)
-
-    def batch(self, values: np.ndarray) -> np.ndarray:
-        out = self.parts[0].batch(values)
-        for p in self.parts[1:]:
-            out = out + p.batch(values)
-        return out
-
-
-@dataclass(frozen=True)
-class MinOf(TestFunction):
-    parts: tuple[TestFunction, ...]
-
-    def bound(self) -> float:
-        return max(p.bound() for p in self.parts)
-
-    def lipschitz(self) -> float:
-        return max(p.lipschitz() for p in self.parts)
-
-    def batch(self, values: np.ndarray) -> np.ndarray:
-        out = self.parts[0].batch(values)
-        for p in self.parts[1:]:
-            out = np.minimum(out, p.batch(values))
-        return out
 
 
 @dataclass(frozen=True)
@@ -533,6 +472,8 @@ def _laplace_batch(
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     exponents = np.empty((len(xs), n))
     for block, offset, size in _iter_blocks(n):
         inc = _noise_block(grid, model.channels, seed, block, size)

@@ -29,7 +29,7 @@ by (master_seed, block), so a block never depends on how many other
 blocks were drawn, and estimators are reproducible under any execution
 schedule.  Estimators cut a batch into blocks of ``estimators.CHUNK =
 8192`` samples, which makes that size part of the stream definition:
-``sample_noise(grid, channels, seed, k)`` is block k of size one, i.e.
+``_noise_block(grid, channels, seed, k, 1)``, block k of size one, is
 estimator sample k * 8192, not estimator sample k.
 """
 
@@ -45,12 +45,10 @@ from .pathspace import DiscretePath, ShapeMismatchError, TimeGrid
 
 __all__ = [
     "NumericalBlowupError",
-    "NoiseDraw",
     "Control",
     "zero_control",
     "constant_control",
     "sine_control",
-    "sample_noise",
     "ProcessModel",
     "TranslatedBM",
     "PerturbedBM",
@@ -62,7 +60,6 @@ __all__ = [
     "Regularity",
     "simulate_starts",
     "simulate_eps_stack",
-    "solve_controlled",
     "skeleton",
     "skeletons",
     "convolutions",
@@ -86,44 +83,6 @@ class NumericalBlowupError(RuntimeError):
 def _rng(seed: int, *spawn: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=tuple(k & _MASK64 for k in spawn))
     return np.random.Generator(np.random.Philox(seed=ss))
-
-
-@dataclass(frozen=True)
-class NoiseDraw:
-    """Brownian increments, shape (steps, channels), variance dt each."""
-
-    grid: TimeGrid
-    increments: np.ndarray
-    master_seed: int | None = None
-    sample_index: int | None = None
-
-    def __post_init__(self) -> None:
-        inc = np.asarray(self.increments, dtype=float)
-        if inc.ndim == 1:
-            inc = inc[:, None]
-        if inc.ndim != 2 or inc.shape[0] != self.grid.steps:
-            raise ShapeMismatchError(
-                f"increments shape {inc.shape} does not fit grid with {self.grid.steps} steps"
-            )
-        if not np.all(np.isfinite(inc)):
-            raise ValueError("noise increments must be finite")
-        object.__setattr__(self, "increments", inc)
-
-    @property
-    def channels(self) -> int:
-        return self.increments.shape[1]
-
-
-def sample_noise(grid: TimeGrid, channels: int, master_seed: int, sample_index: int) -> NoiseDraw:
-    """Draw the increments for one sample of one substream.
-
-    The substream is keyed by (master_seed, sample_index); draws commute
-    with each other, so parallel workers can fill samples in any order.
-    It is the size-one block ``sample_index``, which estimators read as
-    their sample ``sample_index * CHUNK`` (see the module docstring).
-    """
-    inc = _noise_block(grid, channels, master_seed, sample_index, 1)[0]
-    return NoiseDraw(grid, inc, master_seed, sample_index)
 
 
 def _noise_block(grid: TimeGrid, channels: int, master_seed: int, block: int, size: int) -> np.ndarray:
@@ -667,34 +626,10 @@ def simulate_batch(
     return next(simulate_starts(model, grid, (x,), eps, control, increments))
 
 
-def solve_controlled(
-    model: ProcessModel,
-    grid: TimeGrid,
-    x,
-    eps: float,
-    control: Control | None = None,
-    noise: NoiseDraw | None = None,
-) -> DiscretePath:
-    """One controlled path.  With eps = 0 the noise may be omitted."""
-    if noise is None:
-        if eps != 0.0:
-            raise ValueError("noise draw required when eps > 0")
-        increments = np.zeros((1, grid.steps, model.channels))
-    else:
-        if noise.grid != grid:
-            raise ShapeMismatchError("noise grid differs from simulation grid")
-        if noise.channels != model.channels:
-            raise ShapeMismatchError(
-                f"noise has {noise.channels} channels, model wants {model.channels}"
-            )
-        increments = noise.increments[None, :, :]
-    values = simulate_batch(model, grid, x, eps, control, increments)[0]
-    return DiscretePath(grid, values)
-
-
 def skeleton(model: ProcessModel, grid: TimeGrid, x, control: Control | None = None) -> DiscretePath:
     """Noise-free controlled path (the eps = 0 flow of the control)."""
-    return solve_controlled(model, grid, x, 0.0, control, None)
+    zeros = np.zeros((1, grid.steps, model.channels))
+    return DiscretePath(grid, simulate_batch(model, grid, x, 0.0, control, zeros)[0])
 
 
 def skeletons(model: ProcessModel, grid: TimeGrid, x, controls, eps: float = 0.0) -> np.ndarray:
@@ -723,7 +658,7 @@ def convolutions(
     grid: TimeGrid,
     path: DiscretePath,
     control: Control | None = None,
-    noise: NoiseDraw | None = None,
+    increments: np.ndarray | None = None,
 ) -> dict[str, DiscretePath]:
     """Discrete stochastic convolution, control convolution and drift convolution.
 
@@ -733,6 +668,7 @@ def convolutions(
       theta(t_j) = sum_{i<j} e^{-a (t_j - t_{i+1})} B(phi_i) dt
     computed by the stable recursion v_{j+1} = e^{-a dt}(v_j) + e^{0} * term_j,
     i.e. each new term enters with weight one and old terms decay.
+    ``increments`` are the Brownian increments dW, shape (steps, channels).
     """
     if not isinstance(model, GalerkinSPDE):
         raise TypeError("convolutions are defined for the spectral model")
@@ -740,8 +676,11 @@ def convolutions(
         raise ShapeMismatchError("path grid differs")
     if path.dim != model.dim:
         raise ShapeMismatchError("path dim differs from model dim")
-    if noise is not None and noise.channels != model.channels:
-        raise ShapeMismatchError("noise channels differ from model channels")
+    if increments is not None and increments.shape != (grid.steps, model.channels):
+        raise ShapeMismatchError(
+            f"increments shape {increments.shape} differs from (steps, channels) = "
+            f"{(grid.steps, model.channels)}"
+        )
     if control is not None and control.channels != model.channels:
         raise ShapeMismatchError("control channels differ from model channels")
     dt = grid.dt
@@ -750,8 +689,8 @@ def convolutions(
     # noise or control leaves its convolution at zero
     states = path.values[:-1]
     terms = {"theta": _drift_apply(model.drift, states) * dt}
-    if noise is not None:
-        terms["gamma"] = _noise_apply(model.noise, states, noise.increments)
+    if increments is not None:
+        terms["gamma"] = _noise_apply(model.noise, states, increments)
     if control is not None:
         terms["lambda"] = _noise_apply(model.noise, states, control.values) * dt
     out = {}

@@ -51,7 +51,6 @@ __all__ = [
     "sup_metric",
     "dist_to_set",
     "hausdorff",
-    "event_margin",
     "membership",
     "line_path",
     "constant_path",
@@ -497,10 +496,6 @@ class Intersection(EventSpec):
         for part in self.parts[1:]:
             out = np.minimum(out, part.margins(values))
         return out
-
-
-def event_margin(path: DiscretePath, event: EventSpec) -> float:
-    return event.margin(path)
 
 
 def membership(path: DiscretePath, event: EventSpec, eta: float = 0.0) -> bool:

@@ -30,13 +30,13 @@ from .models import (
     Control,
     GalerkinSPDE,
     ProcessModel,
-    SwappedBM,
     TranslatedBM,
     _drift_apply,
     _noise_matrix,
     _phi1,
     _rng,
     _skeleton_stacks,
+    constant_control,
     skeleton,
     zero_control,
 )
@@ -76,10 +76,7 @@ def _start_mismatch(phi0: np.ndarray, x: np.ndarray) -> bool:
 
 def _rate_start(model: ProcessModel, x) -> np.ndarray:
     """Start point the rate function of the model compares against."""
-    v = model._as_state(x)
-    if isinstance(model, SwappedBM):
-        return model.effective_start(v, 0.0)
-    return v
+    return model.effective_start(model._as_state(x), 0.0)
 
 
 def rate_closed_form(model: ProcessModel, grid: TimeGrid, x, path: DiscretePath) -> RateValue:
@@ -246,16 +243,8 @@ def constant_slope_controls(grid: TimeGrid, channels: int, level: float, count: 
     (e.g. energy T/2 at slope one); random sampling essentially never
     finds them, so set-infimum estimators mix this pool in.
     """
-    out: list[Control] = []
-    T = grid.horizon
-    for j in range(1, count + 1):
-        energy = level * j / count
-        c = math.sqrt(2.0 * energy / T)
-        for sign in (1.0, -1.0):
-            vals = np.zeros((grid.steps, channels))
-            vals[:, 0] = sign * c
-            out.append(Control(grid, vals))
-    return out
+    speeds = [math.sqrt(2.0 * (level * j / count) / grid.horizon) for j in range(1, count + 1)]
+    return [constant_control(grid, sign * c, channels) for c in speeds for sign in (1.0, -1.0)]
 
 
 def rate_candidates(

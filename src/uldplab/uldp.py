@@ -34,7 +34,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .estimators import (
-    CappedDistance,
     CappedSetDistance,
     EpsilonSchedule,
     EquicontinuousFamily,
@@ -45,7 +44,7 @@ from .estimators import (
     _start_key,
 )
 from .models import Control, ProcessModel, _skeleton_stacks, constant_control, model_to_spec
-from .pathspace import Ball, DistanceAtLeast, EventSpec, TimeGrid
+from .pathspace import Ball, DistanceAtLeast, EventSpec, PathSet, TimeGrid
 from .rates import _inf_h_plus_I_starts, _level_sets, _pool_min, rate_candidates
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "eulp_gap",
     "luldp_gaps",
     "make_families",
-    "scenario",
     "gap_sum",
 ]
 
@@ -685,7 +683,8 @@ def make_families(
 ) -> EquicontinuousFamily:
     """Equicontinuous family of capped-distance test functions.
 
-    ``kind = "lower"``: one member per anchor path,
+    ``kind = "lower"``: one member per anchor path, the one-anchor
+    ``CappedSetDistance(PathSet([anchor]), j, 2 delta)``, that is
     psi -> j min(rho(psi, anchor)/delta, 1), declared modulus j/delta.
     ``kind = "upper"``: one member per anchor path set,
     psi -> j - j min(2 dist(psi, anchors)/delta, 1), declared modulus
@@ -694,7 +693,7 @@ def make_families(
     if not j >= 0 or not delta > 0:
         raise ValueError("need j >= 0 and delta > 0")
     if kind == "lower":
-        members = tuple(CappedDistance(a, j, 2.0 * delta) for a in anchors)
+        members = tuple(CappedSetDistance(PathSet([a]), j, 2.0 * delta) for a in anchors)
         return EquicontinuousFamily(members, bound=j, lipschitz=j / delta)
     if kind == "upper":
         members = tuple(CappedSetDistance(a, j, delta, inverted=True) for a in anchors)
@@ -773,10 +772,3 @@ def _verdict(kind: str, pairs: list[tuple[float, float]], threshold: float) -> s
     if not math.isfinite(last):
         return "fails-sentinel"
     return "holds-trend" if last <= threshold else "fails"
-
-
-def scenario(name: str, seed: int | None = None, out: str | None = None):
-    """Run a pre-registered scenario by name; see ``uldplab.scenarios``."""
-    from . import scenarios
-
-    return scenarios.run(name, seed=seed, out=out)

@@ -9,15 +9,13 @@ from scipy.stats import norm
 
 from uldplab.estimators import (
     CHUNK,
-    CappedDistance,
     CappedSetDistance,
     Constant,
     EpsilonSchedule,
     EquicontinuousFamily,
     LogProbEstimate,
-    MinOf,
     MinOverCenters,
-    SumOf,
+    TestFunction as PathFunction,  # aliased so pytest does not collect it
     band_probability,
     is_probability,
     laplace_functional,
@@ -172,10 +170,29 @@ def test_laplace_of_constant_is_exact():
         assert got == pytest.approx(-c, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_laplace_rejects_a_nonpositive_sample_count(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        laplace_functional(BM, SMALL, 0.0, 0.2, Constant(1.0), n, seed=4)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        _laplace_batch(BM, SMALL, 0.2, [0.0, 0.5], Constant(1.0), n, seed=4)
+
+
+@dataclasses.dataclass(frozen=True)
+class Shifted(PathFunction):
+    """h + shift, pathwise."""
+
+    base: PathFunction
+    shift: float
+
+    def batch(self, values):
+        return self.base.batch(values) + self.shift
+
+
 def test_laplace_is_monotone_in_the_functional():
     center = line_path(SMALL, 0.0, 0.0)
-    small_h = CappedDistance(center, scale=0.5, width=1.0)
-    big_h = SumOf((small_h, Constant(0.4)))
+    small_h = CappedSetDistance(PathSet([center]), scale=0.5, width=1.0)
+    big_h = Shifted(small_h, 0.4)
     a = laplace_functional(BM, SMALL, 0.0, 0.2, small_h, 3000, seed=6)
     b = laplace_functional(BM, SMALL, 0.0, 0.2, big_h, 3000, seed=6)
     # same seed means pathwise domination, so the order is exact
@@ -185,13 +202,9 @@ def test_laplace_is_monotone_in_the_functional():
 
 def test_test_function_algebra_bounds():
     center = line_path(SMALL, 0.0, 1.0)
-    d = CappedDistance(center, scale=2.0, width=0.5)
+    d = CappedSetDistance(PathSet([center]), scale=2.0, width=0.5)
     assert d.bound() == 2.0
     assert d.lipschitz() == 8.0
-    s = SumOf((d, Constant(1.0)))
-    assert s.bound() == 3.0
-    m = MinOf((d, Constant(1.0)))
-    assert m.bound() == 2.0
     sd = CappedSetDistance(PathSet([center]), scale=1.0, width=2.0, inverted=True)
     vals = sd.batch(center.values[None])
     assert vals[0] == pytest.approx(1.0)
@@ -220,7 +233,7 @@ def test_min_over_centers_with_geometric_weights_blows_lipschitz():
 @settings(max_examples=60, deadline=None)
 def test_capped_distance_respects_declared_modulus(a, b, width):
     center = line_path(SMALL, 0.0, 1.0)
-    h = CappedDistance(center, scale=1.5, width=width)
+    h = CappedSetDistance(PathSet([center]), scale=1.5, width=width)
     p = line_path(SMALL, a, 0.0)
     q = line_path(SMALL, b, 0.0)
     gap = abs(h(p) - h(q))
@@ -272,7 +285,7 @@ def test_start_batch_equals_single_start_estimates_bit_for_bit(model):
             want = is_probability(model, grid, x, eps, event, tilt, n, seed)
         assert got == want  # every field: p_hat, CIs, ess, hit_count, log_value, ...
         assert 0 < got.hit_count < n
-    h = CappedDistance(constant_path(grid, 0.3, model.dim), 1.0, 0.5)
+    h = CappedSetDistance(PathSet([constant_path(grid, 0.3, model.dim)]), 1.0, 0.5)
     xs = (0.0, 0.5, -1.25)
     want = [laplace_functional(model, grid, x, eps, h, n, seed) for x in xs]
     assert _laplace_batch(model, grid, eps, xs, h, n, seed) == want

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uldplab.estimators import CHUNK
 from uldplab.models import (
     DriftSpec,
     FiniteSDE,
@@ -23,14 +24,12 @@ from uldplab.models import (
     load_model,
     model_from_spec,
     model_to_spec,
-    sample_noise,
     simulate_batch,
     simulate_eps_stack,
     simulate_starts,
     sine_control,
     skeleton,
     skeletons,
-    solve_controlled,
     zero_control,
 )
 from uldplab.pathspace import DiscretePath, ShapeMismatchError, TimeGrid
@@ -48,18 +47,18 @@ def test_noise_increments_have_step_variance():
     assert np.var(inc) == pytest.approx(grid.dt, rel=0.05)
 
 
-def test_sample_noise_is_a_size_one_block():
+def test_a_size_one_block_is_the_first_sample_of_the_full_block():
+    # the stream rule: block k of size one is estimator sample k * CHUNK
     grid = TimeGrid(1.0, 16)
-    for k in (0, 4, 9):
-        draw = sample_noise(grid, 3, 99, k)
-        assert np.array_equal(draw.increments, _noise_block(grid, 3, 99, k, 1)[0])
+    for k in (0, 4):
+        assert np.array_equal(_noise_block(grid, 3, 99, k, 1)[0], _noise_block(grid, 3, 99, k, CHUNK)[0])
 
 
 def test_sample_noise_differs_across_indices_and_seeds():
     grid = TimeGrid(1.0, 16)
-    a = sample_noise(grid, 1, 5, 0).increments
-    b = sample_noise(grid, 1, 5, 1).increments
-    c = sample_noise(grid, 1, 6, 0).increments
+    a = _noise_block(grid, 1, 5, 0, 1)
+    b = _noise_block(grid, 1, 5, 1, 1)
+    c = _noise_block(grid, 1, 6, 0, 1)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -75,29 +74,30 @@ def test_translated_bm_core_is_start_independent():
 
 def test_translated_bm_control_adds_running_integral():
     u = constant_control(GRID, 2.0)
-    path = solve_controlled(TranslatedBM(), GRID, np.array([1.0]), 0.0, u)
+    path = skeleton(TranslatedBM(), GRID, np.array([1.0]), u)
     expect = 1.0 + 2.0 * GRID.times
     assert np.allclose(path.values[:, 0], expect, rtol=0, atol=1e-14)
 
 
 def test_perturbed_bm_start_leak():
     x = np.array([100.0])
+    inc = _noise_block(GRID, 1, 1, 0, 1)
     for eps in (0.1, 0.01):
-        p = solve_controlled(PerturbedBM(), GRID, x, eps, None, sample_noise(GRID, 1, 1, 0))
-        q = solve_controlled(TranslatedBM(), GRID, x, eps, None, sample_noise(GRID, 1, 1, 0))
-        assert p.values[0, 0] == pytest.approx((1 + eps) * 100.0)
+        p = simulate_batch(PerturbedBM(), GRID, x, eps, None, inc)[0]
+        q = simulate_batch(TranslatedBM(), GRID, x, eps, None, inc)[0]
+        assert p[0, 0] == pytest.approx((1 + eps) * 100.0)
         # same fluctuations, shifted by the start leak eps*x
-        assert np.allclose(p.values - q.values, eps * 100.0, atol=1e-9)
+        assert np.allclose(p - q, eps * 100.0, atol=1e-9)
 
 
 def test_swapped_bm_swaps_only_the_designated_start():
-    noise = sample_noise(GRID, 1, 4, 2)
-    plain = solve_controlled(TranslatedBM(), GRID, np.array([0.25]), 0.2, None, noise)
-    same = solve_controlled(SwappedBM(), GRID, np.array([0.25]), 0.2, None, noise)
-    assert np.array_equal(same.values, plain.values)
-    swapped = solve_controlled(SwappedBM(), GRID, np.array([0.0]), 0.2, None, noise)
-    shifted = solve_controlled(TranslatedBM(), GRID, np.array([0.5]), 0.2, None, noise)
-    assert np.array_equal(swapped.values, shifted.values)
+    inc = _noise_block(GRID, 1, 4, 2, 1)
+    plain = simulate_batch(TranslatedBM(), GRID, np.array([0.25]), 0.2, None, inc)
+    same = simulate_batch(SwappedBM(), GRID, np.array([0.25]), 0.2, None, inc)
+    assert np.array_equal(same, plain)
+    swapped = simulate_batch(SwappedBM(), GRID, np.array([0.0]), 0.2, None, inc)
+    shifted = simulate_batch(TranslatedBM(), GRID, np.array([0.5]), 0.2, None, inc)
+    assert np.array_equal(swapped, shifted)
 
 
 def test_skeleton_is_zero_noise_limit():
@@ -197,9 +197,9 @@ def test_galerkin_convolutions_match_direct_sums():
     grid = TimeGrid(0.5, 16)
     # freeze an arbitrary path so the test pins the definition, not the scheme
     frozen = DiscretePath(grid, np.random.default_rng(5).normal(size=(17, 4)))
-    noise = sample_noise(grid, 4, 21, 0)
+    inc = _noise_block(grid, 4, 21, 0, 1)[0]
     u = constant_control(grid, 0.3, 4)
-    parts = convolutions(model, grid, frozen, control=u, noise=noise)
+    parts = convolutions(model, grid, frozen, control=u, increments=inc)
     a = model.eigenvalues()
     dt = grid.dt
     for j in (1, 7, 16):
@@ -209,12 +209,16 @@ def test_galerkin_convolutions_match_direct_sums():
         for i in range(j):
             w = np.exp(-a * (grid.times[j] - grid.times[i + 1]))
             state = frozen.values[i][None, :]
-            g += w * _noise_apply(model.noise, state, noise.increments[i][None, :])[0]
+            g += w * _noise_apply(model.noise, state, inc[i][None, :])[0]
             l += w * _noise_apply(model.noise, state, u.values[i][None, :])[0] * dt
             th += w * _drift_apply(model.drift, state)[0] * dt
         assert np.allclose(parts["gamma"].values[j], g, rtol=1e-11, atol=1e-13)
         assert np.allclose(parts["lambda"].values[j], l, rtol=1e-11, atol=1e-13)
         assert np.allclose(parts["theta"].values[j], th, rtol=1e-11, atol=1e-13)
+    # the increments are one (steps, channels) draw
+    for bad in (inc[:-1], inc[:, :3], inc[None]):
+        with pytest.raises(ShapeMismatchError):
+            convolutions(model, grid, frozen, increments=bad)
 
 
 def test_hilbert_space_weighting_orders_modes():
@@ -271,9 +275,7 @@ def test_load_model_builtin_and_file(tmp_path):
 
 
 def test_eps_zero_requires_no_noise_but_eps_positive_does():
-    with pytest.raises(ValueError):
-        solve_controlled(TranslatedBM(), GRID, np.array([0.0]), 0.5, None, None)
-    p = solve_controlled(TranslatedBM(), GRID, np.array([0.0]), 0.0, None, None)
+    p = skeleton(TranslatedBM(), GRID, np.array([0.0]))
     assert np.all(p.values == 0.0)
 
 

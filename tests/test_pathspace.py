@@ -25,7 +25,6 @@ from uldplab.pathspace import (
     _norms_along_dim,
     constant_path,
     dist_to_set,
-    event_margin,
     hausdorff,
     line_path,
     membership,
@@ -107,8 +106,8 @@ def test_ball_margin_sign_matches_distance():
     ball = Ball(center, 0.5)
     inside = center.translate(0.25)
     outside = center.translate(0.75)
-    assert event_margin(inside, ball) == pytest.approx(0.25)
-    assert event_margin(outside, ball) == pytest.approx(-0.25)
+    assert ball.margin(inside) == pytest.approx(0.25)
+    assert ball.margin(outside) == pytest.approx(-0.25)
     assert membership(inside, ball)
     assert not membership(outside, ball)
 
@@ -118,7 +117,7 @@ def test_union_of_balls_takes_best_margin():
     centers = PathSet([constant_path(grid, 0.0), constant_path(grid, 2.0)])
     ev = UnionOfBalls(centers, (0.5, 0.25))
     probe = constant_path(grid, 1.9)
-    assert event_margin(probe, ev) == pytest.approx(0.25 - 0.1)
+    assert ev.margin(probe) == pytest.approx(0.25 - 0.1)
 
 
 def test_dyadic_union_margin_at_a_center_is_its_radius():
@@ -127,15 +126,15 @@ def test_dyadic_union_margin_at_a_center_is_its_radius():
     grid = TimeGrid(1.0, 64)
     centers = PathSet([line_path(grid, 2.0**-n, 1.0) for n in (1, 2)])
     ev = UnionOfBalls(centers, (4.0**-1, 4.0**-2))
-    assert event_margin(line_path(grid, 0.25, 1.0), ev) == 0.0625
+    assert ev.margin(line_path(grid, 0.25, 1.0)) == 0.0625
 
 
 def test_distance_at_least_margin():
     grid = TimeGrid(1.0, 8)
     targets = PathSet([constant_path(grid, 0.0)])
     ev = DistanceAtLeast(targets, 1.0)
-    assert event_margin(constant_path(grid, 1.5), ev) == pytest.approx(0.5)
-    assert event_margin(constant_path(grid, 0.5), ev) == pytest.approx(-0.5)
+    assert ev.margin(constant_path(grid, 1.5)) == pytest.approx(0.5)
+    assert ev.margin(constant_path(grid, 0.5)) == pytest.approx(-0.5)
 
 
 def test_terminal_and_initial_events():
@@ -153,9 +152,9 @@ def test_complement_union_intersection_margins():
     a = TerminalAtLeast(1.0)
     b = TerminalAtLeast(3.0)
     p = line_path(grid, 0.0, 2.0)
-    assert event_margin(p, Complement(b)) == pytest.approx(1.0)
-    assert event_margin(p, Union((a, b))) == pytest.approx(1.0)
-    assert event_margin(p, Intersection((a, b))) == pytest.approx(-1.0)
+    assert Complement(b).margin(p) == pytest.approx(1.0)
+    assert Union((a, b)).margin(p) == pytest.approx(1.0)
+    assert Intersection((a, b)).margin(p) == pytest.approx(-1.0)
 
 
 def test_eta_membership_shrinks_open_sets():
@@ -212,7 +211,7 @@ def test_ball_margin_equals_radius_minus_distance(radius, offset):
     grid = TimeGrid(1.0, 8)
     center = constant_path(grid, 0.0)
     probe = constant_path(grid, offset)
-    m = event_margin(probe, Ball(center, radius))
+    m = Ball(center, radius).margin(probe)
     assert m == pytest.approx(radius - abs(offset), rel=1e-12, abs=1e-12)
 
 

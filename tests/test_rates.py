@@ -78,6 +78,13 @@ def test_swapped_model_rates_against_swapped_start():
     assert r.value == pytest.approx(0.5 * 0.5 * 0.5)
 
 
+def test_perturbed_model_rates_against_the_start_itself():
+    # the start leak (1 + eps) x vanishes at eps = 0, even far from the origin
+    model = PerturbedBM()
+    assert rate_closed_form(model, GRID, 1000.0, line_path(GRID, 1000.0, 1.0)).value == 0.5
+    assert rate_closed_form(model, GRID, 1000.0, line_path(GRID, 1001.0, 1.0)).value == math.inf
+
+
 def test_variational_recovers_generator_energy_on_spectral_model():
     model = GalerkinSPDE(modes=3, channels=3)
     grid = TimeGrid(0.5, 32)
@@ -164,6 +171,16 @@ def test_constant_pool_hits_prescribed_energies():
     assert len(pool) == 32
     energies = sorted({round(c.energy, 12) for c in pool})
     assert energies == pytest.approx([0.125 * j for j in range(1, 17)], rel=1e-12)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_constant_pool_members_are_constant_controls(channels):
+    pool = constant_slope_controls(GRID, channels, 2.0, 4)
+    assert len(pool) == 8
+    for k, c in enumerate(pool):
+        speed = math.sqrt(2.0 * (2.0 * (k // 2 + 1) / 4) / GRID.horizon)
+        want = constant_control(GRID, speed if k % 2 == 0 else -speed, channels)
+        assert np.array_equal(c.values, want.values)
 
 
 @pytest.mark.parametrize(
