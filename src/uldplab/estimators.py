@@ -25,12 +25,16 @@ drawn once: the block is the outer loop and the start the inner one.
 Jobs at one start with one tilt share its simulated paths, whatever
 their events, and the screens of a common ball prefix: balls and ball
 unions that begin with the same balls test each of those balls once per
-block, and each later ball only on the rows no earlier ball caught.
-Peak sampling memory is one block plus one bit per sample per job (and
-one weight per sample per distinct tilt), plus, at the start being
-tested, one bool per sample per screened prefix.  The translated path
-at x is x plus a core built once per block, so each estimate equals the
-one its start would get alone, bit for bit.
+sub-block, and each later ball only on the rows no earlier ball caught.
+A block is stepped and screened in row sub-blocks whose path array
+holds at most ``_SUB_BLOCK_BYTES``, so peak sampling memory is one noise
+block, one sub-block of paths, one bool per block sample per job and
+one bit per sample per job (and one weight per sample per distinct
+tilt), plus, at the start being tested, one bool per sub-block sample
+per screened prefix.  Every step and screen acts row by row, so neither
+the sub-block size nor the number of starts changes a bit: the
+translated path at x is x plus a core built once per sub-block, and
+each estimate equals the one its start would get alone.
 """
 
 from __future__ import annotations
@@ -75,6 +79,9 @@ __all__ = [
 
 CHUNK = 8192
 Z95 = 1.959963984540054
+# the most bytes one sub-block's path array may hold: with two estimate
+# batches in flight, 1 MiB keeps peak memory near that of one unsplit batch
+_SUB_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -295,6 +302,12 @@ def _iter_blocks(n: int):
         done += size
 
 
+def _sub_block_rows(grid: TimeGrid, dim: int) -> int:
+    """Rows per sub-block: a multiple of 8 in [8, CHUNK] whose paths fit ``_SUB_BLOCK_BYTES``."""
+    rows = _SUB_BLOCK_BYTES // (8 * (grid.steps + 1) * dim) // 8 * 8
+    return min(CHUNK, max(8, rows))
+
+
 def _girsanov_log_weights(control: Control, increments: np.ndarray, eps: float) -> np.ndarray:
     u = control.values
     dot = np.einsum("bik,ik->b", increments, u)
@@ -363,15 +376,18 @@ def _probability_batch(
     Each noise block is drawn once and read by every job.  Jobs with
     equal tilts (None for plain Monte Carlo) form one group that shares
     the simulated core, the Girsanov weights of the block and their
-    effective sample size.  Within a group each distinct start is
-    simulated once per block, and every job at that start reads its
-    paths before the next start is simulated.  Two or more jobs at one
-    start share one dict of screened ball prefixes (``EventSpec.hits``),
-    so a ball that leads several of their ball unions is screened once
-    per block; the dict holds one bool per sample per prefix and is
-    dropped before the next start.  A lone job at its start gets none,
-    since no other job could read it.  A job's estimate equals the one it
-    would get on its own, bit for bit.
+    effective sample size.  A group steps the block in row sub-blocks of
+    ``_sub_block_rows`` rows; within a sub-block each distinct start is
+    simulated once, and every job at that start reads its paths before
+    the next start is simulated.  Two or more jobs at one start share
+    one dict of screened ball prefixes (``EventSpec.hits``), so a ball
+    that leads several of their ball unions is screened once per
+    sub-block; the dict holds one bool per sub-block sample per prefix
+    and is dropped before the next start.  A lone job at its start gets
+    none, since no other job could read it.  The weights are formed on
+    the whole block, and each job's flags are packed to bits once per
+    block.  A job's estimate equals the one it would get on its own, at
+    any sub-block size, bit for bit.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -386,20 +402,25 @@ def _probability_batch(
     for j, (key, (x, _, tilt)) in enumerate(zip(keys, jobs)):
         starts = groups.setdefault(key, (tilt, {}))[1]
         starts.setdefault(_start_key(model, x), (x, []))[1].append(j)
+    step = _sub_block_rows(grid, model.dim)
     # one bit per sample per job; blocks start at multiples of CHUNK, so of 8
-    hits = [np.empty((n + 7) // 8, dtype=np.uint8) for _ in jobs]
+    hits = np.empty((len(jobs), (n + 7) // 8), dtype=np.uint8)
     weights = {key: np.empty(n) for key, (tilt, _) in groups.items() if tilt is not None}
     for block, offset, size in _iter_blocks(n):
-        bits = slice(offset // 8, (offset + size + 7) // 8)
         inc = _noise_block(grid, model.channels, seed, block, size)
+        flags = np.empty((len(jobs), size), dtype=bool)
         for key, (tilt, starts) in groups.items():
-            paths = simulate_starts(model, grid, [x for x, _ in starts.values()], eps, tilt, inc)
-            for (_, members), batch in zip(starts.values(), paths):
-                screens = {} if len(members) > 1 else None
-                for j in members:
-                    hits[j][bits] = np.packbits(jobs[j][1].hits(batch, screens))
+            xs = [x for x, _ in starts.values()]
+            for lo in range(0, size, step):
+                rows = slice(lo, lo + step)
+                paths = simulate_starts(model, grid, xs, eps, tilt, inc[rows])
+                for (_, members), batch in zip(starts.values(), paths):
+                    screens = {} if len(members) > 1 else None
+                    for j in members:
+                        flags[j, rows] = jobs[j][1].hits(batch, screens)
             if tilt is not None:
                 weights[key][offset : offset + size] = np.exp(_girsanov_log_weights(tilt, inc, eps))
+        hits[:, offset // 8 : (offset + size + 7) // 8] = np.packbits(flags, axis=1)
     ess = {key: _effective_sample_size(w) for key, w in weights.items()}
     return [
         _finish_estimate(

@@ -62,7 +62,6 @@ __all__ = [
     "simulate_eps_stack",
     "skeleton",
     "skeletons",
-    "convolutions",
     "model_from_spec",
     "model_to_spec",
     "load_model",
@@ -87,8 +86,9 @@ def _rng(seed: int, *spawn: int) -> np.random.Generator:
 
 def _noise_block(grid: TimeGrid, channels: int, master_seed: int, block: int, size: int) -> np.ndarray:
     """Increments for a whole block of samples, shape (size, steps, channels)."""
-    gen = _rng(master_seed, block)
-    return gen.standard_normal((size, grid.steps, channels)) * math.sqrt(grid.dt)
+    out = _rng(master_seed, block).standard_normal((size, grid.steps, channels))
+    out *= math.sqrt(grid.dt)
+    return out
 
 
 @dataclass(frozen=True)
@@ -647,59 +647,6 @@ def _skeleton_stacks(model: ProcessModel, grid: TimeGrid, xs, controls, eps: flo
     zeros = np.zeros((len(controls), grid.steps, model.channels))
     # copies: the translated family yields every start in one reused buffer
     return [paths.copy() for paths in simulate_starts(model, grid, xs, eps, controls, zeros)]
-
-
-# ---------------------------------------------------------------------------
-# Duhamel convolutions of the spectral model
-
-
-def convolutions(
-    model: GalerkinSPDE,
-    grid: TimeGrid,
-    path: DiscretePath,
-    control: Control | None = None,
-    increments: np.ndarray | None = None,
-) -> dict[str, DiscretePath]:
-    """Discrete stochastic convolution, control convolution and drift convolution.
-
-    Evaluated along a frozen path phi: at t_j the sums are
-      gamma(t_j) = sum_{i<j} e^{-a (t_j - t_{i+1})} G(phi_i) dW_i
-      lam(t_j)   = sum_{i<j} e^{-a (t_j - t_{i+1})} G(phi_i) u_i dt
-      theta(t_j) = sum_{i<j} e^{-a (t_j - t_{i+1})} B(phi_i) dt
-    computed by the stable recursion v_{j+1} = e^{-a dt}(v_j) + e^{0} * term_j,
-    i.e. each new term enters with weight one and old terms decay.
-    ``increments`` are the Brownian increments dW, shape (steps, channels).
-    """
-    if not isinstance(model, GalerkinSPDE):
-        raise TypeError("convolutions are defined for the spectral model")
-    if path.grid != grid:
-        raise ShapeMismatchError("path grid differs")
-    if path.dim != model.dim:
-        raise ShapeMismatchError("path dim differs from model dim")
-    if increments is not None and increments.shape != (grid.steps, model.channels):
-        raise ShapeMismatchError(
-            f"increments shape {increments.shape} differs from (steps, channels) = "
-            f"{(grid.steps, model.channels)}"
-        )
-    if control is not None and control.channels != model.channels:
-        raise ShapeMismatchError("control channels differ from model channels")
-    dt = grid.dt
-    decay = np.exp(-model.eigenvalues() * dt)
-    # the catalog terms along the frozen path, one row per step; an absent
-    # noise or control leaves its convolution at zero
-    states = path.values[:-1]
-    terms = {"theta": _drift_apply(model.drift, states) * dt}
-    if increments is not None:
-        terms["gamma"] = _noise_apply(model.noise, states, increments)
-    if control is not None:
-        terms["lambda"] = _noise_apply(model.noise, states, control.values) * dt
-    out = {}
-    for name in ("gamma", "lambda", "theta"):
-        v = np.zeros((grid.steps + 1, model.dim))
-        for i, term in enumerate(terms.get(name, ())):
-            v[i + 1] = decay * v[i] + term
-        out[name] = DiscretePath(grid, v)
-    return out
 
 
 # ---------------------------------------------------------------------------

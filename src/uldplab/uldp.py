@@ -22,6 +22,9 @@ Conventions
 * All sub-seeds are derived from the budget seed with stable hashing
   and never depend on the index point x, so index sets sharing a model
   family share their noise (common random numbers).
+* The FW checker's estimate batches each have their own sub-seed, so
+  they run side by side on ``_WORKERS`` threads; no output depends on
+  the worker count.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -63,6 +67,11 @@ __all__ = [
     "make_families",
     "gap_sum",
 ]
+
+
+# threads that run the FW checker's independent estimate batches; outputs
+# do not depend on it, so it is neither a budget nor a CLI flag
+_WORKERS = 2
 
 
 def subseed(seed: int, *tags) -> int:
@@ -356,7 +365,10 @@ def fwuldp_gaps(
     eps log P(dist(X, level set at s) >= delta) + s; should stay
     below a small positive slack.  Level-set seeds and Monte Carlo
     seeds never depend on x, so each level set is drawn once per call
-    and walked from every start.
+    and walked from every start.  Every (eps, member) and (eps, level)
+    batch has its own seed, so the batches are listed first and then
+    run on ``_WORKERS`` threads; the rows are built from the results in
+    list order, so the reports do not depend on the worker count.
     """
     if not 0 <= s0 < math.inf or not 0 < delta < math.inf:
         raise ValueError("need s0 >= 0 and delta > 0, both finite")
@@ -371,24 +383,30 @@ def fwuldp_gaps(
         _level_sets(model, grid, points, s, budgets.level_count, subseed(budgets.seed, "fw", "upper-level", si))
         for si, s in enumerate(s_grid)
     ]
+    members = range(len(samples[0]))
 
+    # one batch over the starts per member and per level: the seed is x-free
+    tasks = []
     for ei, eps in enumerate(schedule.eps):
-        # one batch over the starts per member and per level: the seed is x-free
-        member_rows: list[list[dict]] = [[] for _ in points]
-        for k in range(len(samples[0])):
+        for k in members:
             jobs = [
                 (pt, Ball(sample.paths.members[k], delta), sample.controls[k]) for pt, sample in zip(points, samples)
             ]
-            ests = _estimate_probabilities(model, grid, eps, jobs, budgets, subseed(budgets.seed, "fw", "lower", ei, k))
-            for rows, sample, est in zip(member_rows, samples, ests):
+            tasks.append((eps, jobs, budgets, subseed(budgets.seed, "fw", "lower", ei, k)))
+        for si, level_samples in enumerate(upper_samples):
+            jobs = [(pt, DistanceAtLeast(level.paths, delta), None) for pt, level in zip(points, level_samples)]
+            tasks.append((eps, jobs, budgets, subseed(budgets.seed, "fw", "upper", ei, si)))
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        results = pool.map(lambda task: _estimate_probabilities(model, grid, *task), tasks)
+
+    for eps in schedule.eps:
+        member_rows: list[list[dict]] = [[] for _ in points]
+        for k in members:
+            for rows, sample, est in zip(member_rows, samples, next(results)):
                 rows.append({"member": k, "rate": sample.energies[k], **_estimate_csv_inputs(est)})
         s_rows: list[list[dict]] = [[] for _ in points]
-        for si, (s, level_samples) in enumerate(zip(s_grid, upper_samples)):
-            jobs = [(pt, DistanceAtLeast(level.paths, delta), None) for pt, level in zip(points, level_samples)]
-            ests = _estimate_probabilities(
-                model, grid, eps, jobs, budgets, subseed(budgets.seed, "fw", "upper", ei, si)
-            )
-            for rows, est in zip(s_rows, ests):
+        for s in s_grid:
+            for rows, est in zip(s_rows, next(results)):
                 rows.append({"s": s, **_estimate_csv_inputs(est)})
 
         for pt, rows, levels in zip(points, member_rows, s_rows):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from uldplab import estimators
 from uldplab.estimators import (
     CHUNK,
     CappedSetDistance,
@@ -24,6 +25,7 @@ from uldplab.estimators import (
     wilson_interval,
     _laplace_batch,
     _probability_batch,
+    _sub_block_rows,
 )
 from uldplab.models import (
     DriftSpec,
@@ -42,6 +44,7 @@ from uldplab.pathspace import (
     PathSet,
     TerminalAtLeast,
     TimeGrid,
+    UnionOfBalls,
     constant_path,
     line_path,
     sup_metric,
@@ -289,3 +292,54 @@ def test_start_batch_equals_single_start_estimates_bit_for_bit(model):
     xs = (0.0, 0.5, -1.25)
     want = [laplace_functional(model, grid, x, eps, h, n, seed) for x in xs]
     assert _laplace_batch(model, grid, eps, xs, h, n, seed) == want
+
+
+@pytest.mark.parametrize(("steps", "dim"), [(1, 1), (4, 1), (64, 1), (32, 4), (4096, 3)])
+def test_sub_block_rows_fit_the_byte_budget(steps, dim):
+    rows = _sub_block_rows(TimeGrid(1.0, steps), dim)
+    assert rows % 8 == 0 and 8 <= rows <= CHUNK
+    path_bytes = 8 * (steps + 1) * dim
+    assert rows == 8 or rows * path_bytes <= estimators._SUB_BLOCK_BYTES
+    assert rows == CHUNK or (rows + 8) * path_bytes > estimators._SUB_BLOCK_BYTES
+
+
+def _sub_block_cases():
+    grid = TimeGrid(1.0, 8)
+    near, far = constant_path(grid, 0.2), constant_path(grid, -0.5)
+    linear = DriftSpec("linear", matrix=((-1.0, 0.5, 0.0), (0.2, -0.8, 0.1), (0.0, 0.3, -1.2)))
+    return [
+        # the auto-constant policy's tilt: a constant channel-0 control
+        pytest.param(
+            TranslatedBM(), grid, [(0.5, Ball(line_path(grid, 0.5, 0.6), 0.6), constant_control(grid, 0.6))],
+            id="translated-is",
+        ),
+        pytest.param(
+            TranslatedBM(), grid,
+            [
+                (0.0, UnionOfBalls(PathSet([near, far]), (0.5, 0.4)), None),
+                (0.0, UnionOfBalls(PathSet([near, line_path(grid, 0.0, 0.6)]), (0.5, 0.3)), None),
+            ],
+            id="shared-screens",
+        ),
+        pytest.param(PerturbedBM(), grid, [(1.0, Ball(constant_path(grid, 1.2), 0.5), None)], id="perturbed"),
+        pytest.param(
+            GalerkinSPDE(modes=3, channels=3), grid,
+            [(0.0, Ball(constant_path(grid, 0.2, 3), 1.0), constant_control(grid, 0.3, 3))],
+            id="galerkin",
+        ),
+        pytest.param(
+            FiniteSDE(dim=3, drift=linear), grid, [(0.1, Ball(constant_path(grid, 0.2, 3), 1.0), None)],
+            id="linear-sde",
+        ),
+    ]
+
+
+@pytest.mark.parametrize(("model", "grid", "jobs"), _sub_block_cases())
+def test_sub_block_size_is_invisible_to_the_estimates(model, grid, jobs, monkeypatch):
+    # the last block and its last 8-row sub-block are both partial
+    eps, n, seed = 0.2, CHUNK + 13, 17
+    default = _probability_batch(model, grid, eps, jobs, n, seed)
+    monkeypatch.setattr(estimators, "_SUB_BLOCK_BYTES", 0)
+    assert _sub_block_rows(grid, model.dim) == 8
+    assert _probability_batch(model, grid, eps, jobs, n, seed) == default
+    assert all(0 < est.hit_count < n for est in default)

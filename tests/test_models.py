@@ -20,7 +20,6 @@ from uldplab.models import (
     _noise_matrix,
     _phi1,
     constant_control,
-    convolutions,
     load_model,
     model_from_spec,
     model_to_spec,
@@ -32,7 +31,7 @@ from uldplab.models import (
     skeletons,
     zero_control,
 )
-from uldplab.pathspace import DiscretePath, ShapeMismatchError, TimeGrid
+from uldplab.pathspace import ShapeMismatchError, TimeGrid
 from uldplab.rates import _level_set_controls
 
 
@@ -54,7 +53,7 @@ def test_a_size_one_block_is_the_first_sample_of_the_full_block():
         assert np.array_equal(_noise_block(grid, 3, 99, k, 1)[0], _noise_block(grid, 3, 99, k, CHUNK)[0])
 
 
-def test_sample_noise_differs_across_indices_and_seeds():
+def test_noise_block_differs_across_indices_and_seeds():
     grid = TimeGrid(1.0, 16)
     a = _noise_block(grid, 1, 5, 0, 1)
     b = _noise_block(grid, 1, 5, 1, 1)
@@ -192,35 +191,6 @@ def test_galerkin_zero_noise_decays_like_semigroup():
     assert np.allclose(sk.values, expect, rtol=1e-12, atol=1e-12)
 
 
-def test_galerkin_convolutions_match_direct_sums():
-    model = GalerkinSPDE(modes=4, channels=4)
-    grid = TimeGrid(0.5, 16)
-    # freeze an arbitrary path so the test pins the definition, not the scheme
-    frozen = DiscretePath(grid, np.random.default_rng(5).normal(size=(17, 4)))
-    inc = _noise_block(grid, 4, 21, 0, 1)[0]
-    u = constant_control(grid, 0.3, 4)
-    parts = convolutions(model, grid, frozen, control=u, increments=inc)
-    a = model.eigenvalues()
-    dt = grid.dt
-    for j in (1, 7, 16):
-        g = np.zeros(4)
-        l = np.zeros(4)
-        th = np.zeros(4)
-        for i in range(j):
-            w = np.exp(-a * (grid.times[j] - grid.times[i + 1]))
-            state = frozen.values[i][None, :]
-            g += w * _noise_apply(model.noise, state, inc[i][None, :])[0]
-            l += w * _noise_apply(model.noise, state, u.values[i][None, :])[0] * dt
-            th += w * _drift_apply(model.drift, state)[0] * dt
-        assert np.allclose(parts["gamma"].values[j], g, rtol=1e-11, atol=1e-13)
-        assert np.allclose(parts["lambda"].values[j], l, rtol=1e-11, atol=1e-13)
-        assert np.allclose(parts["theta"].values[j], th, rtol=1e-11, atol=1e-13)
-    # the increments are one (steps, channels) draw
-    for bad in (inc[:-1], inc[:, :3], inc[None]):
-        with pytest.raises(ShapeMismatchError):
-            convolutions(model, grid, frozen, increments=bad)
-
-
 def test_hilbert_space_weighting_orders_modes():
     model = GalerkinSPDE(modes=6, channels=6)
     lam = model.eigenvalues()
@@ -274,7 +244,7 @@ def test_load_model_builtin_and_file(tmp_path):
     assert isinstance(m, SwappedBM)
 
 
-def test_eps_zero_requires_no_noise_but_eps_positive_does():
+def test_eps_zero_skeleton_is_the_control_flow():
     p = skeleton(TranslatedBM(), GRID, np.array([0.0]))
     assert np.all(p.values == 0.0)
 

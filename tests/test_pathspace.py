@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uldplab import pathspace
+from uldplab import estimators, pathspace
 from uldplab.estimators import CHUNK, _probability_batch, mc_probability
 from uldplab.models import TranslatedBM
 from uldplab.pathspace import (
@@ -358,6 +358,8 @@ def test_probability_batch_screens_each_ball_once_per_start_and_block(monkeypatc
         return within(values, rows, center, bound, below)
 
     monkeypatch.setattr(pathspace, "_within", counting)
+    # screens are shared per (start, sub-block); here each block is one sub-block
+    monkeypatch.setattr(estimators, "_SUB_BLOCK_BYTES", CHUNK * (grid.steps + 1) * 8)
     assert _probability_batch(model, grid, 0.1, jobs, n, 5) == alone
     # 3 distinct balls at 2 starts in 2 blocks, each screened once (24 screens without sharing)
     assert len(screened) == 3 * 2 * 2

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from uldplab import rates
+from uldplab import rates, scenarios, uldp
 from uldplab.estimators import CHUNK, Constant, EpsilonSchedule
 from uldplab.models import DriftSpec, FiniteSDE, NoiseSpec, TranslatedBM
 from uldplab.pathspace import (
@@ -249,6 +249,26 @@ def test_fwuldp_report_bytes_are_pinned(tmp_path):
         "fwuldp-lower": "da44eaafa6581ecf662038f1d0f46861608e17d6267f8d56b2899d4d099bc05d",
         "fwuldp-upper": "6902c76e91e40956bd3e83f7cf341d90bb969de641235cadf2a929e629ab9874",
     }
+
+
+def test_fw_outputs_do_not_depend_on_the_worker_count(monkeypatch, pinned_run, tmp_path):
+    # the reports of the pinned-bytes test above and a pinned FW scenario
+    model = FiniteSDE(dim=2, drift=DriftSpec("scaled-sine"), noise=NoiseSpec("diagonal-bounded"))
+    starts = IndexSetSample("repeat", [(0.0, 0.0), (0.5, -0.5), (0.0, 0.0)])
+    budgets = CheckBudgets(mc_samples=300, level_count=5, s_levels=2, seed=0, tilt="auto-constant")
+
+    def outputs(tag, scenario):
+        reports = fwuldp_gaps(model, TimeGrid(1.0, 16), starts, 0.5, 0.4, EpsilonSchedule((0.2, 0.1)), budgets)
+        paths = [tmp_path / f"{tag}-{report.definition}.json" for report in reports]
+        for report, path in zip(reports, paths):
+            report.save_json(str(path))
+        paths.append(tmp_path / f"{tag}-scenario.json")
+        scenario.save_json(str(paths[-1]))
+        return [path.read_bytes() for path in paths]
+
+    default = outputs("default", pinned_run("bm-fwuldp-holds"))
+    monkeypatch.setattr(uldp, "_WORKERS", 1)
+    assert outputs("one", scenarios.run("bm-fwuldp-holds")) == default
 
 
 def test_fwuldp_draws_each_level_set_once(monkeypatch):
