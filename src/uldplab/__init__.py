@@ -43,15 +43,12 @@ from .pathspace import (
     DiscretePath,
     DistanceAtLeast,
     EventSpec,
-    InitialEquals,
     PathSet,
     TimeGrid,
     UnionOfBalls,
     constant_path,
-    dist_to_set,
     hausdorff,
     line_path,
-    membership,
     sup_metric,
 )
 from .rates import (

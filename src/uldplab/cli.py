@@ -159,7 +159,7 @@ def _cmd_level_set(args) -> int:
     x = _parse_vector(args.x)
     if args.s0 is None or not 0 <= args.s0 < math.inf:
         raise CliError("level-set needs a finite --s0 >= 0 (the rate level)")
-    sample = sample_level_set(model, grid, np.array(x), args.s0, args.samples, args.seed)
+    (sample,) = sample_level_set(model, grid, (np.array(x),), args.s0, args.samples, args.seed)
     if args.out:
         manifest = export_level_set(sample, args.out)
         print(manifest)

@@ -34,7 +34,6 @@ from .models import (
     ProcessModel,
     TranslatedBM,
     _noise_block,
-    _skeleton_stacks,
     constant_control,
     model_to_spec,
     simulate_batch,
@@ -193,7 +192,7 @@ def control_conv(
     )
     master = subseed(seed, "conv", "noise")
     eps_grid = tuple(schedule.eps)
-    bases = _skeleton_stacks(model, grid, x_sample.points, controls)
+    bases = skeletons(model, grid, x_sample.points, controls)
     cells = [
         (xi, pt, uj, control)
         for xi, pt in enumerate(x_sample.points)
@@ -261,8 +260,8 @@ def moment_bound_check(
     (radius, control_bound) by construction whenever no blowup occurs.
     The constant in front of the analytic bound is not estimated.
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    if not 2 <= p < math.inf:
+        raise ValueError("p must be finite and at least 2")
     if radius < 0 or control_bound < 0:
         raise ValueError("radius and control_bound must be nonnegative")
     master = subseed(seed, "moment")
@@ -319,10 +318,12 @@ def weak_continuity_check(
     2T/(n pi) exactly; state-dependent models should still show decay.
     """
     freqs = sorted(int(f) for f in frequencies)
+    if not freqs:
+        raise ValueError("need at least one frequency")
     if any(f < 1 for f in freqs):
         raise ValueError("frequencies must be >= 1")
     controls = [zero_control(grid, model.channels)] + [sine_control(grid, f, model.channels) for f in freqs]
-    base, *paths = skeletons(model, grid, x, controls)
+    base, *paths = skeletons(model, grid, (x,), controls)[0]
     additive = isinstance(model, TranslatedBM)
     rows = []
     for f, values in zip(freqs, paths):

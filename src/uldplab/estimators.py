@@ -461,35 +461,19 @@ def is_probability(
 def laplace_functional(
     model: ProcessModel,
     grid: TimeGrid,
-    x,
-    eps: float,
-    h: TestFunction,
-    n: int,
-    seed: int,
-) -> float:
-    """Estimate of eps * log E exp(-h(X^eps_x) / eps).
-
-    The exponent is max-shifted (log-sum-exp) before exponentiation, so
-    constant h returns exactly -h and rare large values cannot
-    underflow the whole sum.
-    """
-    return _laplace_batch(model, grid, eps, [x], h, n, seed)[0]
-
-
-def _laplace_batch(
-    model: ProcessModel,
-    grid: TimeGrid,
-    eps: float,
     xs,
+    eps: float,
     h: TestFunction,
     n: int,
     seed: int,
 ) -> list[float]:
-    """``laplace_functional`` at every start in ``xs``, sharing eps, h, n and seed.
+    """Estimates of eps * log E exp(-h(X^eps_x) / eps), one per start x in ``xs``.
 
-    Each noise block is drawn once and read by every start, as in
-    ``_probability_batch``; each value equals the one its start would
-    get on its own.
+    The exponent is max-shifted (log-sum-exp) before exponentiation, so
+    constant h returns exactly -h and rare large values cannot
+    underflow the whole sum.  Each noise block is drawn once and read by
+    every start, as in ``_probability_batch``; each value equals the one
+    its start would get on its own.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")

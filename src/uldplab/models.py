@@ -124,10 +124,6 @@ class Control:
         """Half the squared L2 norm; the rate of the skeleton it generates."""
         return 0.5 * self.squared_l2
 
-    def in_ball(self, bound: float) -> bool:
-        """Whether the control lies in the L2 ball of squared radius `bound`."""
-        return self.squared_l2 <= bound
-
 
 def zero_control(grid: TimeGrid, channels: int = 1) -> Control:
     return Control(grid, np.zeros((grid.steps, channels)))
@@ -404,12 +400,6 @@ class GalerkinSPDE(ProcessModel):
             return self.eigen_scale * k
         raise ValueError(f"unknown eigenvalue rule {self.eigen_rule!r}")
 
-    def hs_bound(self, t: float) -> float:
-        """Frobenius bound |S(t) G(x)|_HS for the bounded catalogs."""
-        a = self.eigenvalues()
-        g = 1.5 * self.noise.gains(self.modes)
-        return float(np.sqrt(np.sum(np.exp(-2.0 * a * t) * g * g)))
-
 
 BUILTIN_MODELS = {
     "translated-bm": TranslatedBM,
@@ -632,18 +622,15 @@ def skeleton(model: ProcessModel, grid: TimeGrid, x, control: Control | None = N
     return DiscretePath(grid, simulate_batch(model, grid, x, 0.0, control, zeros)[0])
 
 
-def skeletons(model: ProcessModel, grid: TimeGrid, x, controls, eps: float = 0.0) -> np.ndarray:
-    """Noise-free paths from x of every control in ``controls``, shape (C, steps+1, dim).
+def skeletons(model: ProcessModel, grid: TimeGrid, xs, controls, eps: float = 0.0) -> list[np.ndarray]:
+    """Noise-free paths of every control in ``controls`` from each start in ``xs``.
 
-    One walk over zero increments steps the whole stack; row k equals
-    ``simulate_batch`` of ``controls[k]`` alone.  A positive eps gives
-    the eps-skeletons, which differ only where the start moves with eps.
+    One walk over zero increments steps the whole stack from every
+    start; entry i is the (C, steps+1, dim) stack from ``xs[i]``, its own
+    copy, and its row k equals ``simulate_batch`` of ``controls[k]``
+    alone.  A positive eps gives the eps-skeletons, which differ only
+    where the start moves with eps.
     """
-    return _skeleton_stacks(model, grid, (x,), controls, eps)[0]
-
-
-def _skeleton_stacks(model: ProcessModel, grid: TimeGrid, xs, controls, eps: float = 0.0) -> list[np.ndarray]:
-    """``skeletons`` from every start in ``xs``: one walk, one (C, steps+1, dim) copy per start."""
     zeros = np.zeros((len(controls), grid.steps, model.channels))
     # copies: the translated family yields every start in one reused buffer
     return [paths.copy() for paths in simulate_starts(model, grid, xs, eps, controls, zeros)]

@@ -44,14 +44,9 @@ __all__ = [
     "UnionOfBalls",
     "DistanceAtLeast",
     "TerminalAtLeast",
-    "InitialEquals",
-    "Complement",
-    "Union",
     "Intersection",
     "sup_metric",
-    "dist_to_set",
     "hausdorff",
-    "membership",
     "line_path",
     "constant_path",
 ]
@@ -317,13 +312,6 @@ def _union_hits(values: np.ndarray, centers: np.ndarray, radii, screens: dict | 
     return out
 
 
-def dist_to_set(path: DiscretePath, target: PathSet) -> float:
-    _check_same_grid(path.grid, target.grid)
-    if path.dim != target.dim:
-        raise ShapeMismatchError("dimension mismatch with path set")
-    return float(_dist_batch(path.values[None], target)[0])
-
-
 def hausdorff(a: PathSet, b: PathSet) -> float:
     """Hausdorff distance, the max of the two one-sided sup-inf distances."""
     _check_same_grid(a.grid, b.grid)
@@ -439,51 +427,6 @@ class TerminalAtLeast(EventSpec):
 
 
 @dataclass(frozen=True)
-class InitialEquals(EventSpec):
-    """Paths starting at a given point (within tolerance), and-ed with a clause."""
-
-    value: np.ndarray
-    tolerance: float
-    clause: EventSpec | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", np.asarray(self.value, dtype=float).reshape(-1))
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
-
-    def margins(self, values: np.ndarray) -> np.ndarray:
-        start = values[:, 0, :]
-        diff = start - self.value
-        m = self.tolerance - np.sqrt(np.sum(diff * diff, axis=-1))
-        if self.clause is not None:
-            m = np.minimum(m, self.clause.margins(values))
-        return m
-
-
-@dataclass(frozen=True)
-class Complement(EventSpec):
-    inner: EventSpec
-
-    def margins(self, values: np.ndarray) -> np.ndarray:
-        return -self.inner.margins(values)
-
-
-@dataclass(frozen=True)
-class Union(EventSpec):
-    parts: tuple[EventSpec, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise ValueError("union of nothing")
-
-    def margins(self, values: np.ndarray) -> np.ndarray:
-        out = self.parts[0].margins(values)
-        for part in self.parts[1:]:
-            out = np.maximum(out, part.margins(values))
-        return out
-
-
-@dataclass(frozen=True)
 class Intersection(EventSpec):
     parts: tuple[EventSpec, ...]
 
@@ -496,12 +439,3 @@ class Intersection(EventSpec):
         for part in self.parts[1:]:
             out = np.minimum(out, part.margins(values))
         return out
-
-
-def membership(path: DiscretePath, event: EventSpec, eta: float = 0.0) -> bool:
-    """Margin-thresholded membership.
-
-    eta = 0 is plain membership, eta > 0 the eta-shrunk set, eta < 0 the
-    |eta|-fattened set.
-    """
-    return event.margin(path) > eta

@@ -35,9 +35,9 @@ from .models import (
     _noise_matrix,
     _phi1,
     _rng,
-    _skeleton_stacks,
     constant_control,
     skeleton,
+    skeletons,
     zero_control,
 )
 from .pathspace import DiscretePath, PathSet, ShapeMismatchError, TimeGrid, sup_metric
@@ -203,23 +203,19 @@ def _level_set_controls(
 def sample_level_set(
     model: ProcessModel,
     grid: TimeGrid,
-    x,
+    xs,
     level: float,
     count: int,
     seed: int,
-) -> LevelSetSample:
-    """Sampled level set of the rate function at ``level``.
+) -> list[LevelSetSample]:
+    """Sampled level sets of the rate function at ``level``, one per start in ``xs``.
 
-    The zero control is always the first member; at level 0 the sample
-    degenerates to the single noise-free path from x.  The control draw
-    does not depend on x, so samples at different starts share controls
-    under a shared seed and the paths differ by the skeleton flow only.
+    The zero control is always the first member; at level 0 a sample
+    degenerates to the single noise-free path from its start.  The
+    control draw does not depend on x, so it is made once and walked
+    from every start: the samples share controls and their paths differ
+    by the skeleton flow only.
     """
-    return _level_sets(model, grid, (x,), level, count, seed)[0]
-
-
-def _level_sets(model: ProcessModel, grid: TimeGrid, xs, level: float, count: int, seed: int) -> list[LevelSetSample]:
-    """``sample_level_set`` at every start in ``xs``: the controls are drawn once and walked from each start."""
     controls = _level_set_controls(grid, model.channels, level, count, seed)
     energies = tuple(c.energy for c in controls)
     return [
@@ -231,7 +227,7 @@ def _level_sets(model: ProcessModel, grid: TimeGrid, xs, level: float, count: in
             energies=energies,
             seed=seed,
         )
-        for x, paths in zip(xs, _skeleton_stacks(model, grid, xs, controls))
+        for x, paths in zip(xs, skeletons(model, grid, xs, controls))
     ]
 
 
@@ -262,46 +258,36 @@ def rate_candidates(
     order, then the constant-slope pool.  They do not depend on x, so
     they are built once and one walk over zero increments steps them from
     every start in ``xs``; entry i of the list is the (C, steps+1, dim)
-    stack from ``xs[i]``, equal to ``skeletons(model, grid, xs[i], controls)``.
+    stack from ``xs[i]``, as ``skeletons`` gives it.
     """
     controls = _level_set_controls(grid, model.channels, s_max, count, seed)
     controls += constant_slope_controls(grid, model.channels, s_max, constant_pool)
-    return [c.energy for c in controls], _skeleton_stacks(model, grid, xs, controls)
+    return [c.energy for c in controls], skeletons(model, grid, xs, controls)
 
 
 def inf_h_plus_I(
     model: ProcessModel,
     grid: TimeGrid,
-    x,
+    xs,
     h,
     s_max: float,
     count: int,
     seed: int,
     constant_pool: int = 16,
-) -> tuple[float, DiscretePath]:
-    """Upper-bound estimate of inf over paths of h(phi) + I_x(phi).
+) -> list[float]:
+    """Upper-bound estimates of inf over paths of h(phi) + I_x(phi), one per start in ``xs``.
 
     Searches a level-set sample at s_max (which must be at least twice
     the bound of h, so the true minimizer's level is inside the search
-    region) plus a pool of constant-slope controls.  Returns the value
-    and the argmin path.
+    region) plus a pool of constant-slope controls: one
+    ``rate_candidates`` pool for all starts, each start's candidates
+    scored by one ``h.batch`` call.
     """
-    return _inf_h_plus_I_starts(model, grid, (x,), h, s_max, count, seed, constant_pool)[0]
-
-
-def _inf_h_plus_I_starts(
-    model: ProcessModel, grid: TimeGrid, xs, h, s_max: float, count: int, seed: int, constant_pool: int
-) -> list[tuple[float, DiscretePath]]:
-    """``inf_h_plus_I`` from every start in ``xs``, all searched over one ``rate_candidates`` pool."""
     bound = float(h.bound())
     if s_max < 2.0 * bound:
         raise ValueError(f"s_max = {s_max} is below 2 * bound(h) = {2 * bound}")
     energies, stacks = rate_candidates(model, grid, xs, s_max, count, seed, constant_pool)
-    out = []
-    for paths in stacks:
-        value, best = _pool_min(energies, [float(h(DiscretePath(grid, p))) for p in paths])
-        out.append((value, DiscretePath(grid, paths[best])))
-    return out
+    return [_pool_min(energies, h.batch(paths))[0] for paths in stacks]
 
 
 def _pool_min(energies, costs) -> tuple[float, int | None]:

@@ -43,13 +43,13 @@ from .estimators import (
     EquicontinuousFamily,
     LogProbEstimate,
     TestFunction,
-    _laplace_batch,
     _probability_batch,
     _start_key,
+    laplace_functional,
 )
-from .models import Control, ProcessModel, _skeleton_stacks, constant_control, model_to_spec
+from .models import Control, ProcessModel, constant_control, model_to_spec, skeletons
 from .pathspace import Ball, DistanceAtLeast, EventSpec, PathSet, TimeGrid
-from .rates import _inf_h_plus_I_starts, _level_sets, _pool_min, rate_candidates
+from .rates import _pool_min, inf_h_plus_I, rate_candidates, sample_level_set
 
 __all__ = [
     "subseed",
@@ -296,7 +296,7 @@ def _estimate_probabilities(
         cs = np.linspace(-3.0, 3.0, 121)
         controls = [constant_control(grid, float(c), model.channels) for c in cs]
         starts = {_start_key(model, x): x for x, _, _ in jobs}
-        scans = dict(zip(starts, _skeleton_stacks(model, grid, starts.values(), controls, eps)))
+        scans = dict(zip(starts, skeletons(model, grid, starts.values(), controls, eps)))
     resolved = []
     for x, event, member_tilt in jobs:
         tilt: Control | None = None
@@ -377,10 +377,12 @@ def fwuldp_gaps(
     upper_cells: list[CheckCell] = []
 
     points = index_set.points
-    samples = _level_sets(model, grid, points, s0, budgets.level_count, subseed(budgets.seed, "fw", "level", s0))
+    samples = sample_level_set(
+        model, grid, points, s0, budgets.level_count, subseed(budgets.seed, "fw", "level", s0)
+    )
     s_grid = [s0 * k / (budgets.s_levels - 1) for k in range(budgets.s_levels)] if budgets.s_levels > 1 else [s0]
     upper_samples = [
-        _level_sets(model, grid, points, s, budgets.level_count, subseed(budgets.seed, "fw", "upper-level", si))
+        sample_level_set(model, grid, points, s, budgets.level_count, subseed(budgets.seed, "fw", "upper-level", si))
         for si, s in enumerate(s_grid)
     ]
     members = range(len(samples[0]))
@@ -633,7 +635,7 @@ def _laplace_gaps(
     points = index_set.points
     params = {"eps": list(schedule.eps), "s_max": s_max, **described, "budgets": asdict(budgets)}
     inf_vals = [
-        _inf_h_plus_I_starts(
+        inf_h_plus_I(
             model, grid, points, h, s_max, budgets.level_count,
             subseed(budgets.seed, tag, "inf", *mark), budgets.constant_pool,
         )
@@ -642,14 +644,14 @@ def _laplace_gaps(
     cells = []
     for ei, eps in enumerate(schedule.eps):
         laps = [
-            _laplace_batch(
-                model, grid, eps, points, h, budgets.mc_samples, subseed(budgets.seed, tag, "laplace", ei, *mark)
+            laplace_functional(
+                model, grid, points, eps, h, budgets.mc_samples, subseed(budgets.seed, tag, "laplace", ei, *mark)
             )
             for h, mark in zip(members, marks)
         ]
         for pi, pt in enumerate(points):
             for hi, (by_start, infs) in enumerate(zip(laps, inf_vals)):
-                lap, inf_val = by_start[pi], infs[pi][0]
+                lap, inf_val = by_start[pi], infs[pi]
                 cells.append(
                     CheckCell(
                         eps=eps,
@@ -682,6 +684,8 @@ def luldp_gaps(
     Probabilities are estimated on the plain sets; only the rate-side
     membership filter moves by eta.  Cells carry their eta in ``extra``.
     """
+    if not etas:
+        raise ValueError("etas must be nonempty")
     if not all(0 < e < math.inf for e in etas):
         raise ValueError("etas must be positive and finite")
     return _setwise_gaps(
@@ -708,8 +712,8 @@ def make_families(
     psi -> j - j min(2 dist(psi, anchors)/delta, 1), declared modulus
     2 j/delta.
     """
-    if not j >= 0 or not delta > 0:
-        raise ValueError("need j >= 0 and delta > 0")
+    if not 0 <= j < math.inf or not 0 < delta < math.inf:
+        raise ValueError("need j >= 0 and delta > 0, both finite")
     if kind == "lower":
         members = tuple(CappedSetDistance(PathSet([a]), j, 2.0 * delta) for a in anchors)
         return EquicontinuousFamily(members, bound=j, lipschitz=j / delta)

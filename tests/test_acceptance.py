@@ -181,16 +181,14 @@ def test_ac07_level_set_hausdorff_continuity_and_jump():
     grid = TimeGrid(1.0, 64)
     worst = 0.0
     for xn in (0.25, 2.0**-6, 1.5, -3.0):
-        a = sample_level_set(bm, grid, xn, 1.0, 24, seed=7).paths
-        b = sample_level_set(bm, grid, 0.0, 1.0, 24, seed=7).paths
+        a, b = (sample.paths for sample in sample_level_set(bm, grid, (xn, 0.0), 1.0, 24, seed=7))
         worst = max(worst, abs(hausdorff(a, b) - abs(xn)))
     translated_ok = worst <= 1e-12
 
     sw = SwappedBM()
     devs = []
     for n in (6, 8):
-        a = sample_level_set(sw, grid, 2.0**-n, 1.0, 24, seed=7).paths
-        b = sample_level_set(sw, grid, 0.0, 1.0, 24, seed=7).paths
+        a, b = (sample.paths for sample in sample_level_set(sw, grid, (2.0**-n, 0.0), 1.0, 24, seed=7))
         devs.append(abs(hausdorff(a, b) - 0.5))
     swapped_ok = all(d <= 0.05 for d in devs) and devs[1] < devs[0]
 

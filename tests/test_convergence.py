@@ -149,8 +149,10 @@ def test_moment_bound_monotone_and_finite():
     assert out["nondecreasing_radius"]
     assert out["nondecreasing_bound"]
     assert len(out["rows"]) == 4
-    with pytest.raises(ValueError):
-        moment_bound_check(BM, GRID, 1.0, 1.0, p=1.5, eps=0.1)
+    # max(0.0, nan) is 0.0, so a nan p would report every moment as a finite 0.0
+    for p in (1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="p must be finite and at least 2"):
+            moment_bound_check(BM, GRID, 1.0, 1.0, p=p, eps=0.1)
 
 
 def test_moment_bound_on_spectral_model():
@@ -173,6 +175,8 @@ def test_weak_continuity_needs_resolvable_frequencies():
         weak_continuity_check(BM, GRID, 0.0, (32,))
     with pytest.raises(ValueError):
         weak_continuity_check(BM, GRID, 0.0, (0,))
+    with pytest.raises(ValueError, match="need at least one frequency"):
+        weak_continuity_check(BM, GRID, 0.0, [])
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

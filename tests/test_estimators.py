@@ -23,7 +23,6 @@ from uldplab.estimators import (
     mc_probability,
     quadrature_probability,
     wilson_interval,
-    _laplace_batch,
     _probability_batch,
     _sub_block_rows,
 )
@@ -169,16 +168,16 @@ def test_zero_hit_estimate_carries_sentinel_and_rule_of_three():
 
 def test_laplace_of_constant_is_exact():
     for c in (0.0, 0.7, 2.5):
-        got = laplace_functional(BM, SMALL, 0.0, 0.2, Constant(c), 500, seed=4)
+        (got,) = laplace_functional(BM, SMALL, (0.0,), 0.2, Constant(c), 500, seed=4)
         assert got == pytest.approx(-c, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_laplace_rejects_a_nonpositive_sample_count(n):
     with pytest.raises(ValueError, match="n must be >= 1"):
-        laplace_functional(BM, SMALL, 0.0, 0.2, Constant(1.0), n, seed=4)
+        laplace_functional(BM, SMALL, (0.0,), 0.2, Constant(1.0), n, seed=4)
     with pytest.raises(ValueError, match="n must be >= 1"):
-        _laplace_batch(BM, SMALL, 0.2, [0.0, 0.5], Constant(1.0), n, seed=4)
+        laplace_functional(BM, SMALL, [0.0, 0.5], 0.2, Constant(1.0), n, seed=4)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -196,8 +195,8 @@ def test_laplace_is_monotone_in_the_functional():
     center = line_path(SMALL, 0.0, 0.0)
     small_h = CappedSetDistance(PathSet([center]), scale=0.5, width=1.0)
     big_h = Shifted(small_h, 0.4)
-    a = laplace_functional(BM, SMALL, 0.0, 0.2, small_h, 3000, seed=6)
-    b = laplace_functional(BM, SMALL, 0.0, 0.2, big_h, 3000, seed=6)
+    (a,) = laplace_functional(BM, SMALL, (0.0,), 0.2, small_h, 3000, seed=6)
+    (b,) = laplace_functional(BM, SMALL, (0.0,), 0.2, big_h, 3000, seed=6)
     # same seed means pathwise domination, so the order is exact
     assert b <= a
     assert b == pytest.approx(a - 0.4, abs=1e-10)
@@ -290,8 +289,8 @@ def test_start_batch_equals_single_start_estimates_bit_for_bit(model):
         assert 0 < got.hit_count < n
     h = CappedSetDistance(PathSet([constant_path(grid, 0.3, model.dim)]), 1.0, 0.5)
     xs = (0.0, 0.5, -1.25)
-    want = [laplace_functional(model, grid, x, eps, h, n, seed) for x in xs]
-    assert _laplace_batch(model, grid, eps, xs, h, n, seed) == want
+    want = [laplace_functional(model, grid, (x,), eps, h, n, seed)[0] for x in xs]
+    assert laplace_functional(model, grid, xs, eps, h, n, seed) == want
 
 
 @pytest.mark.parametrize(("steps", "dim"), [(1, 1), (4, 1), (64, 1), (32, 4), (4096, 3)])

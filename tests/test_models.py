@@ -195,15 +195,12 @@ def test_hilbert_space_weighting_orders_modes():
     model = GalerkinSPDE(modes=6, channels=6)
     lam = model.eigenvalues()
     assert np.all(np.diff(lam) > 0)
-    assert model.hs_bound(0.25) > 0
 
 
-def test_control_energy_and_ball():
+def test_control_energy():
     u = constant_control(GRID, 1.0)
     assert u.squared_l2 == pytest.approx(1.0)
     assert u.energy == pytest.approx(0.5)
-    assert u.in_ball(1.0)
-    assert not u.in_ball(0.99)
 
 
 def test_sine_control_needs_resolvable_frequency():
@@ -362,7 +359,7 @@ def test_control_stack_rows_equal_one_control_walks(model, x, eps, same):
     controls = _level_set_controls(grid, model.channels, 1.5, 6, seed=3)
     controls.append(constant_control(grid, 0.7, model.channels))
     zeros = np.zeros((1, grid.steps, model.channels))
-    stack = skeletons(model, grid, x, controls, eps)
+    stack = skeletons(model, grid, (x,), controls, eps)[0]
     assert stack.shape == (len(controls), grid.steps + 1, model.dim)
     for row, control in zip(stack, controls):
         assert same(row, simulate_batch(model, grid, x, eps, control, zeros)[0])

@@ -10,24 +10,19 @@ from uldplab.estimators import CHUNK, _probability_batch, mc_probability
 from uldplab.models import TranslatedBM
 from uldplab.pathspace import (
     Ball,
-    Complement,
     DiscretePath,
     DistanceAtLeast,
-    InitialEquals,
     Intersection,
     PathSet,
     ShapeMismatchError,
     TerminalAtLeast,
     TimeGrid,
-    Union,
     UnionOfBalls,
     _dist_batch,
     _norms_along_dim,
     constant_path,
-    dist_to_set,
     hausdorff,
     line_path,
-    membership,
     sup_metric,
 )
 
@@ -93,13 +88,6 @@ def test_hausdorff_symmetry_and_identity():
     assert hausdorff(a, b) == hausdorff(b, a)
 
 
-def test_dist_to_set_picks_nearest_member():
-    grid = TimeGrid(1.0, 8)
-    targets = PathSet([constant_path(grid, 0.0), constant_path(grid, 5.0)])
-    probe = constant_path(grid, 4.0)
-    assert dist_to_set(probe, targets) == 1.0
-
-
 def test_ball_margin_sign_matches_distance():
     grid = TimeGrid(1.0, 8)
     center = line_path(grid, 0.0, 1.0)
@@ -108,8 +96,6 @@ def test_ball_margin_sign_matches_distance():
     outside = center.translate(0.75)
     assert ball.margin(inside) == pytest.approx(0.25)
     assert ball.margin(outside) == pytest.approx(-0.25)
-    assert membership(inside, ball)
-    assert not membership(outside, ball)
 
 
 def test_union_of_balls_takes_best_margin():
@@ -135,25 +121,23 @@ def test_distance_at_least_margin():
     ev = DistanceAtLeast(targets, 1.0)
     assert ev.margin(constant_path(grid, 1.5)) == pytest.approx(0.5)
     assert ev.margin(constant_path(grid, 0.5)) == pytest.approx(-0.5)
+    # the distance to a set is the one to its nearest member
+    two = DistanceAtLeast(PathSet([constant_path(grid, 0.0), constant_path(grid, 5.0)]), 0.0)
+    assert two.margin(constant_path(grid, 4.0)) == 1.0
 
 
-def test_terminal_and_initial_events():
+def test_terminal_events():
     grid = TimeGrid(1.0, 8)
     up = line_path(grid, 0.0, 2.0)
-    assert membership(up, TerminalAtLeast(1.5))
-    assert not membership(up, TerminalAtLeast(2.5))
-    ev = InitialEquals(0.0, 1e-9, clause=TerminalAtLeast(1.5))
-    assert membership(up, ev)
-    assert not membership(up.translate(1.0), ev)
+    assert TerminalAtLeast(1.5).margin(up) > 0.0
+    assert not TerminalAtLeast(2.5).margin(up) > 0.0
 
 
-def test_complement_union_intersection_margins():
+def test_intersection_margin_is_the_least_part():
     grid = TimeGrid(1.0, 8)
     a = TerminalAtLeast(1.0)
     b = TerminalAtLeast(3.0)
     p = line_path(grid, 0.0, 2.0)
-    assert Complement(b).margin(p) == pytest.approx(1.0)
-    assert Union((a, b)).margin(p) == pytest.approx(1.0)
     assert Intersection((a, b)).margin(p) == pytest.approx(-1.0)
 
 
@@ -161,8 +145,9 @@ def test_eta_membership_shrinks_open_sets():
     grid = TimeGrid(1.0, 8)
     ball = Ball(constant_path(grid, 0.0), 1.0)
     probe = constant_path(grid, 0.85)
-    assert membership(probe, ball, eta=0.0)
-    assert not membership(probe, ball, eta=0.2)
+    # the eta-shrunk set is margin > eta
+    assert ball.margin(probe) > 0.0
+    assert not ball.margin(probe) > 0.2
 
 
 @st.composite

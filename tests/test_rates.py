@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uldplab.estimators import CappedSetDistance
 from uldplab.models import (
     DriftSpec,
     FiniteSDE,
@@ -19,9 +20,8 @@ from uldplab.models import (
     skeleton,
     skeletons,
 )
-from uldplab.pathspace import DiscretePath, TimeGrid, line_path
+from uldplab.pathspace import DiscretePath, PathSet, TimeGrid, constant_path, line_path
 from uldplab.rates import (
-    _level_sets,
     constant_slope_controls,
     export_level_set,
     inf_h_plus_I,
@@ -129,7 +129,7 @@ def test_dual_routes_agree_on_sine_skeletons(n, x0):
 
 
 def test_level_set_members_stay_under_level():
-    sample = sample_level_set(TranslatedBM(), GRID, 0.0, 1.5, 40, seed=9)
+    (sample,) = sample_level_set(TranslatedBM(), GRID, (0.0,), 1.5, 40, seed=9)
     assert len(sample) == 40
     assert sample.energies[0] == 0.0
     assert np.all(sample.controls[0].values == 0.0)
@@ -139,7 +139,7 @@ def test_level_set_members_stay_under_level():
 
 
 def test_level_zero_degenerates_to_noise_free_path():
-    sample = sample_level_set(TranslatedBM(), GRID, 0.3, 0.0, 12, seed=1)
+    (sample,) = sample_level_set(TranslatedBM(), GRID, (0.3,), 0.0, 12, seed=1)
     assert len(sample) == 1
     assert np.all(sample.paths.members[0].values == 0.3)
 
@@ -147,18 +147,18 @@ def test_level_zero_degenerates_to_noise_free_path():
 @pytest.mark.parametrize("level", [-0.5, math.nan])
 def test_level_set_rejects_a_negative_or_nan_level(level):
     with pytest.raises(ValueError):
-        sample_level_set(TranslatedBM(), GRID, 0.0, level, 8, seed=1)
+        sample_level_set(TranslatedBM(), GRID, (0.0,), level, 8, seed=1)
 
 
 def test_level_set_rejects_an_infinite_level():
     # inf >= 0 holds, so the level must be checked for finiteness on its own
     with pytest.raises(ValueError, match="level must be nonnegative and finite"):
-        sample_level_set(TranslatedBM(), GRID, 0.0, math.inf, 8, seed=1)
+        sample_level_set(TranslatedBM(), GRID, (0.0,), math.inf, 8, seed=1)
 
 
 def test_level_set_controls_do_not_depend_on_start():
-    a = sample_level_set(TranslatedBM(), GRID, 0.0, 1.0, 8, seed=5)
-    b = sample_level_set(TranslatedBM(), GRID, 2.0, 1.0, 8, seed=5)
+    (a,) = sample_level_set(TranslatedBM(), GRID, (0.0,), 1.0, 8, seed=5)
+    (b,) = sample_level_set(TranslatedBM(), GRID, (2.0,), 1.0, 8, seed=5)
     for ca, cb in zip(a.controls, b.controls):
         assert np.array_equal(ca.values, cb.values)
     # so the members differ by the translation flow alone
@@ -190,18 +190,18 @@ def test_rate_candidates_equal_the_skeletons_from_each_start(model):
     grid = TimeGrid(1.0, 16)
     starts = [0.0, 1.5, 0.0, -2.0]  # a repeated start: each entry must be its own copy
     energies, stacks = rate_candidates(model, grid, starts, 1.5, 5, 7, 3)
-    controls = list(sample_level_set(model, grid, 0.0, 1.5, 5, seed=7).controls)
+    controls = list(sample_level_set(model, grid, (0.0,), 1.5, 5, seed=7)[0].controls)
     controls += constant_slope_controls(grid, model.channels, 1.5, 3)
     assert energies == [c.energy for c in controls]
     assert len(stacks) == len(starts)
     for x, paths in zip(starts, stacks):
-        assert np.array_equal(paths, skeletons(model, grid, x, controls))
+        assert np.array_equal(paths, skeletons(model, grid, (x,), controls)[0])
     assert stacks[0] is not stacks[2]
     # the level sets of all starts are one walk, bit for bit the one-start samples
-    samples = _level_sets(model, grid, starts, 1.5, 5, 7)
+    samples = sample_level_set(model, grid, starts, 1.5, 5, 7)
     assert len(samples) == len(starts)
     for x, got in zip(starts, samples):
-        want = sample_level_set(model, grid, x, 1.5, 5, seed=7)
+        (want,) = sample_level_set(model, grid, (x,), 1.5, 5, seed=7)
         assert np.array_equal(got.x, want.x)
         assert (got.level, got.seed, got.energies) == (want.level, want.seed, want.energies)
         assert len(got.controls) == len(want.controls)
@@ -221,37 +221,50 @@ class _FlatCost:
     def bound(self):
         return self.c
 
-    def __call__(self, path):
-        from uldplab.pathspace import sup_metric
-
-        return 0.0 if sup_metric(path, self.target) < 1e-9 else self.c
+    def batch(self, values):
+        on_target = np.max(np.abs(values - self.target.values), axis=(1, 2)) < 1e-9
+        return np.where(on_target, 0.0, self.c)
 
 
 def test_inf_h_plus_I_zero_cost_picks_zero_control():
     h = _FlatCost(0.0, line_path(GRID, 0.0, 0.0))
-    val, arg = inf_h_plus_I(TranslatedBM(), GRID, 0.0, h, s_max=1.0, count=32, seed=2)
-    assert val == 0.0
-    assert np.all(arg.values == 0.0)
+    # every control but the zero one has positive energy
+    assert inf_h_plus_I(TranslatedBM(), GRID, (0.0,), h, s_max=1.0, count=32, seed=2) == [0.0]
 
 
 def test_inf_h_plus_I_requires_wide_enough_search():
     h = _FlatCost(1.1, line_path(GRID, 0.0, 1.0))
     with pytest.raises(ValueError):
-        inf_h_plus_I(TranslatedBM(), GRID, 0.0, h, s_max=2.0, count=8, seed=2)
+        inf_h_plus_I(TranslatedBM(), GRID, (0.0,), h, s_max=2.0, count=8, seed=2)
 
 
 def test_inf_h_plus_I_finds_line_witness_through_constant_pool():
     # paying c off the line: optimum is the line itself at energy 1/2
     h = _FlatCost(5.0, line_path(GRID, 0.0, 1.0))
-    val, arg = inf_h_plus_I(
-        TranslatedBM(), GRID, 0.0, h, s_max=10.0, count=16, seed=4, constant_pool=40
-    )
+    (val,) = inf_h_plus_I(TranslatedBM(), GRID, (0.0,), h, s_max=10.0, count=16, seed=4, constant_pool=40)
     assert val == pytest.approx(0.5, abs=1e-9)
-    assert np.allclose(arg.values[:, 0], GRID.times, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "model", [TranslatedBM(), SwappedBM(), GalerkinSPDE(modes=4, channels=4), FiniteSDE(dim=9)], ids=lambda m: m.name
+)
+def test_inf_h_plus_I_over_a_start_set_equals_the_one_path_scores(model):
+    # each start's candidates are scored by one h.batch call: the value is
+    # the least energy + h(path) of its candidates scored one path at a
+    # time, and what a call with that start alone gives, bit for bit
+    grid = TimeGrid(1.0, 16)
+    starts = [0.0, 1.5, -2.0]
+    h = CappedSetDistance(PathSet([constant_path(grid, 0.5, model.dim)]), 1.0, 0.5)
+    got = inf_h_plus_I(model, grid, starts, h, 2.0, 6, 11, 3)
+    energies, stacks = rate_candidates(model, grid, starts, 2.0, 6, 11, 3)
+    assert len(got) == len(starts)
+    for x, value, paths in zip(starts, got, stacks):
+        assert value == min(e + h(DiscretePath(grid, p)) for e, p in zip(energies, paths))
+        assert inf_h_plus_I(model, grid, (x,), h, 2.0, 6, 11, 3) == [value]
 
 
 def test_export_level_set_round_trip(tmp_path):
-    sample = sample_level_set(TranslatedBM(), GRID, 0.0, 1.0, 4, seed=8)
+    (sample,) = sample_level_set(TranslatedBM(), GRID, (0.0,), 1.0, 4, seed=8)
     manifest_path = export_level_set(sample, str(tmp_path / "ls"))
     with open(manifest_path) as fh:
         manifest = json.load(fh)

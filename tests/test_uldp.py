@@ -175,7 +175,7 @@ def test_make_families_constants():
     assert up.lipschitz == 8.0
     with pytest.raises(ValueError):
         make_families("sideways", 1.0, 0.5, anchors)
-    for j, delta in ((-1.0, 0.5), (math.nan, 0.5), (1.0, math.nan), (1.0, 0.0)):
+    for j, delta in ((-1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (1.0, 0.0), (1.0, math.inf)):
         with pytest.raises(ValueError, match="need j >= 0 and delta > 0"):
             make_families("lower", j, delta, anchors)
 
@@ -348,15 +348,16 @@ def test_eulp_report_bytes_are_pinned(tmp_path):
 
 
 def test_luldp_requires_positive_etas_and_tags_cells():
-    for bad in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="etas must be positive and finite"):
+    bad_etas = [((0.2, bad), "etas must be positive and finite") for bad in (0.0, math.nan, math.inf)]
+    for etas, message in bad_etas + [((), "etas must be nonempty")]:
+        with pytest.raises(ValueError, match=message):
             luldp_gaps(
                 BM,
                 GRID,
                 IndexSetSample("origin", [(0.0,)]),
                 Ball(line_path(GRID, 0.0, 0.0), 0.5),
                 None,
-                etas=(0.2, bad),
+                etas=etas,
                 schedule=EpsilonSchedule((0.2,)),
                 budgets=TINY,
             )
