@@ -183,9 +183,9 @@ def _cmd_estimate(args) -> int:
         raise CliError("estimate needs a finite --delta > 0 (departure threshold)")
     schedule = _parse_schedule(args)
     center = skeleton(model, grid, np.array(x))
-    event = DistanceAtLeast(PathSet([center]), args.delta)
+    job = (np.array(x), DistanceAtLeast(PathSet([center]), args.delta), None)
     rows = [
-        mc_probability(model, grid, np.array(x), eps, event, args.samples, subseed(args.seed, "cli-estimate", i))
+        mc_probability(model, grid, eps, [job], args.samples, subseed(args.seed, "cli-estimate", i))[0]
         for i, eps in enumerate(schedule.eps)
     ]
     if args.format == "csv":

@@ -22,7 +22,6 @@ tag check here mirrors that split.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from .models import (
     skeletons,
     zero_control,
 )
-from .pathspace import TimeGrid, _norms_along_dim, _point_norms
+from .pathspace import FLOAT_FMT, TimeGrid, _norms_along_dim, _point_norms, _write_json
 from .uldp import IndexSetSample, _jsonable, subseed
 
 __all__ = [
@@ -103,14 +102,12 @@ class ConvergenceTable:
         )
 
     def save_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_json())
 
     def to_csv(self) -> str:
         lines = ["eps,sup_prob,median_err,q90_err"]
         for e, sp, me, qe in zip(self.eps, self.sup_prob, self.median_err, self.q90_err):
-            lines.append(",".join(format(v, ".17g") for v in (e, sp, me, qe)))
+            lines.append(",".join(format(v, FLOAT_FMT) for v in (e, sp, me, qe)))
         return "\n".join(lines) + "\n"
 
 
@@ -317,6 +314,9 @@ def weak_continuity_check(
     For the additive-noise translated family the continuum error is
     2T/(n pi) exactly; state-dependent models should still show decay.
     """
+    bad = [f for f in frequencies if not float(f).is_integer()]
+    if bad:
+        raise ValueError(f"frequencies must be integers, got {bad[0]!r}")
     freqs = sorted(int(f) for f in frequencies)
     if not freqs:
         raise ValueError("need at least one frequency")

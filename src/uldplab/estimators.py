@@ -47,6 +47,7 @@ from scipy.special import logsumexp
 
 from .models import Control, ProcessModel, _noise_block, simulate_batch, simulate_starts
 from .pathspace import (
+    FLOAT_FMT,
     Ball,
     DiscretePath,
     EventSpec,
@@ -135,16 +136,16 @@ class LogProbEstimate:
     CSV_HEADER = "eps,x,phat,ci_lo,ci_hi,log_value,zero_hit,ess,n,seed"
 
     def csv_row(self) -> str:
-        xs = ";".join(format(v, ".17g") for v in self.x)
+        xs = ";".join(format(v, FLOAT_FMT) for v in self.x)
         fields = [
-            format(self.eps, ".17g"),
+            format(self.eps, FLOAT_FMT),
             xs,
-            format(self.p_hat, ".17g"),
-            format(self.ci_low, ".17g"),
-            format(self.ci_high, ".17g"),
-            format(self.log_value, ".17g"),
+            format(self.p_hat, FLOAT_FMT),
+            format(self.ci_low, FLOAT_FMT),
+            format(self.ci_high, FLOAT_FMT),
+            format(self.log_value, FLOAT_FMT),
             "1" if self.zero_hit else "0",
-            format(self.ess, ".17g"),
+            format(self.ess, FLOAT_FMT),
             str(self.n),
             str(self.seed),
         ]
@@ -363,7 +364,7 @@ def _effective_sample_size(weights: np.ndarray) -> float:
     return wsum * wsum / wsq if wsq > 0 else 0.0
 
 
-def _probability_batch(
+def mc_probability(
     model: ProcessModel,
     grid: TimeGrid,
     eps: float,
@@ -371,23 +372,24 @@ def _probability_batch(
     n: int,
     seed: int,
 ) -> list[LogProbEstimate]:
-    """Estimates of P(X^eps_x in event) for (x, event, tilt) jobs sharing eps, n and seed.
+    """Estimates of P(X^eps_x in event), one per (x, event, tilt) job, all at eps, n and seed.
 
-    Each noise block is drawn once and read by every job.  Jobs with
-    equal tilts (None for plain Monte Carlo) form one group that shares
-    the simulated core, the Girsanov weights of the block and their
-    effective sample size.  A group steps the block in row sub-blocks of
-    ``_sub_block_rows`` rows; within a sub-block each distinct start is
-    simulated once, and every job at that start reads its paths before
-    the next start is simulated.  Two or more jobs at one start share
-    one dict of screened ball prefixes (``EventSpec.hits``), so a ball
-    that leads several of their ball unions is screened once per
-    sub-block; the dict holds one bool per sub-block sample per prefix
-    and is dropped before the next start.  A lone job at its start gets
-    none, since no other job could read it.  The weights are formed on
-    the whole block, and each job's flags are packed to bits once per
-    block.  A job's estimate equals the one it would get on its own, at
-    any sub-block size, bit for bit.
+    A job whose tilt is None is plain Monte Carlo with a Wilson interval; a
+    job with a tilt is Girsanov-tilted importance sampling.  Each noise
+    block is drawn once and read by every job.  Jobs with equal tilts form
+    one group that shares the simulated core, the Girsanov weights of the
+    block and their effective sample size.  A group steps the block in row
+    sub-blocks of ``_sub_block_rows`` rows; within a sub-block each
+    distinct start is simulated once, and every job at that start reads its
+    paths before the next start is simulated.  Two or more jobs at one
+    start share one dict of screened ball prefixes (``EventSpec.hits``), so
+    a ball that leads several of their ball unions is screened once per
+    sub-block; the dict holds one bool per sub-block sample per prefix and
+    is dropped before the next start.  A lone job at its start gets none,
+    since no other job could read it.  The weights are formed on the whole
+    block, and each job's flags are packed to bits once per block.  A job's
+    estimate equals the one it would get on its own, at any sub-block size,
+    bit for bit.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -431,19 +433,6 @@ def _probability_batch(
     ]
 
 
-def mc_probability(
-    model: ProcessModel,
-    grid: TimeGrid,
-    x,
-    eps: float,
-    event: EventSpec,
-    n: int,
-    seed: int,
-) -> LogProbEstimate:
-    """Plain Monte Carlo estimate of P(X^eps_x in event) with Wilson CI."""
-    return _probability_batch(model, grid, eps, [(x, event, None)], n, seed)[0]
-
-
 def is_probability(
     model: ProcessModel,
     grid: TimeGrid,
@@ -454,8 +443,8 @@ def is_probability(
     n: int,
     seed: int,
 ) -> LogProbEstimate:
-    """Girsanov-tilted importance sampling estimate of P(X^eps_x in event)."""
-    return _probability_batch(model, grid, eps, [(x, event, tilt)], n, seed)[0]
+    """Girsanov-tilted importance sampling estimate of P(X^eps_x in event): ``mc_probability`` of one job."""
+    return mc_probability(model, grid, eps, [(x, event, tilt)], n, seed)[0]
 
 
 def laplace_functional(
@@ -472,7 +461,7 @@ def laplace_functional(
     The exponent is max-shifted (log-sum-exp) before exponentiation, so
     constant h returns exactly -h and rare large values cannot
     underflow the whole sum.  Each noise block is drawn once and read by
-    every start, as in ``_probability_batch``; each value equals the one
+    every start, as in ``mc_probability``; each value equals the one
     its start would get on its own.
     """
     if not 0 < eps < math.inf:

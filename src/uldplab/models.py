@@ -366,15 +366,14 @@ class FiniteSDE(ProcessModel):
 class GalerkinSPDE(ProcessModel):
     """Spectral truncation with diagonal semigroup e^{-a_k t}.
 
-    ``eigenvalues`` is either the rule name ("quadratic" for a_k = scale*k^2,
-    "linear" for scale*k) or an explicit list; modes is the truncation level.
+    ``eigen_rule`` is "quadratic" for a_k = eigen_scale * k^2 or "linear"
+    for eigen_scale * k; modes is the truncation level.
     """
 
     modes: int = 32
     channels: int = 32
     eigen_rule: str = "quadratic"
     eigen_scale: float = 1.0
-    eigen_values: tuple | None = None
     drift: DriftSpec = field(default_factory=lambda: DriftSpec(name="scaled-sine"))
     noise: NoiseSpec = field(default_factory=lambda: NoiseSpec(name="diagonal-bounded"))
     regularity: Regularity = field(default_factory=Regularity)
@@ -384,15 +383,8 @@ class GalerkinSPDE(ProcessModel):
         if self.modes < 1:
             raise ValueError("modes must be >= 1")
         object.__setattr__(self, "dim", self.modes)
-        if self.eigen_values is not None:
-            ev = tuple(float(a) for a in self.eigen_values)
-            if len(ev) != self.modes:
-                raise ShapeMismatchError("eigenvalue list length != modes")
-            object.__setattr__(self, "eigen_values", ev)
 
     def eigenvalues(self) -> np.ndarray:
-        if self.eigen_values is not None:
-            return np.asarray(self.eigen_values, dtype=float)
         k = np.arange(1, self.modes + 1, dtype=float)
         if self.eigen_rule == "quadratic":
             return self.eigen_scale * k * k
@@ -501,17 +493,6 @@ def _stepped_states(
         yield state
 
 
-def _simulate_stepped(
-    model: FiniteSDE | GalerkinSPDE, x, eps: float, control_values, increments: np.ndarray, dt: float
-) -> np.ndarray:
-    """The paths of one eps from the stepping loop, shape (B, steps+1, dim)."""
-    b, steps, _ = increments.shape
-    out = np.empty((b, steps + 1, model.dim))
-    for i, state in enumerate(_stepped_states(model, x, (eps,), control_values, increments, dt)):
-        out[:, i, :] = state
-    return out
-
-
 def _control_values(model: ProcessModel, grid: TimeGrid, eps, control, increments: np.ndarray):
     """Check a simulation's inputs; the control stack (C, steps, channels), or None without a control.
 
@@ -554,23 +535,20 @@ def simulate_starts(
     one per row.  The translated family builds its x = 0 core once and
     yields ``core + start`` per start; adding the scalar start last keeps
     the core identical across x, which is what the translation-identity
-    checks rely on.  The stepped families step each start in turn.  A
-    yielded batch is valid until the next one is requested (the
-    translated family reuses one buffer), so copy it to keep it.  Inputs
-    are checked when the first batch is requested.
+    checks rely on.  The stepped families walk each start with
+    ``simulate_batch``.  A yielded batch is valid until the next one is
+    requested (the translated family reuses one buffer), so copy it to
+    keep it.  Inputs are checked when the first batch is requested.
     """
-    cv = _control_values(model, grid, (eps,), control, increments)
-    dt = grid.dt
     if isinstance(model, TranslatedBM):
-        core = _translated_core(eps, cv, increments, dt)
+        cv = _control_values(model, grid, (eps,), control, increments)
+        core = _translated_core(eps, cv, increments, grid.dt)
         paths = np.empty_like(core)
         for x in xs:
             yield np.add(core, model.effective_start(model._as_state(x), eps)[0], out=paths)
-    elif isinstance(model, (FiniteSDE, GalerkinSPDE)):
-        for x in xs:
-            yield _simulate_stepped(model, x, eps, cv, increments, dt)
     else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
+        for x in xs:
+            yield simulate_batch(model, grid, x, eps, control, increments)
 
 
 def simulate_eps_stack(
@@ -612,8 +590,20 @@ def simulate_batch(
     control: Control | None,
     increments: np.ndarray,
 ) -> np.ndarray:
-    """Batched controlled paths, increments (B, steps, channels); control as in ``simulate_starts``."""
-    return next(simulate_starts(model, grid, (x,), eps, control, increments))
+    """Batched controlled paths from ``x``, shape (B, steps+1, dim); increments and control as in ``simulate_starts``.
+
+    A stepped family keeps every state of its stepping loop.
+    """
+    cv = _control_values(model, grid, (eps,), control, increments)
+    if isinstance(model, TranslatedBM):
+        core = _translated_core(eps, cv, increments, grid.dt)
+        return np.add(core, model.effective_start(model._as_state(x), eps)[0], out=core)
+    if not isinstance(model, (FiniteSDE, GalerkinSPDE)):
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    out = np.empty((increments.shape[0], grid.steps + 1, model.dim))
+    for i, state in enumerate(_stepped_states(model, x, (eps,), cv, increments, grid.dt)):
+        out[:, i, :] = state
+    return out
 
 
 def skeleton(model: ProcessModel, grid: TimeGrid, x, control: Control | None = None) -> DiscretePath:
@@ -661,11 +651,7 @@ def model_to_spec(model: ProcessModel) -> dict:
             "variant": "galerkin-spde",
             "modes": model.modes,
             "channels": model.channels,
-            "eigenvalues": (
-                list(model.eigen_values)
-                if model.eigen_values is not None
-                else {"rule": model.eigen_rule, "scale": model.eigen_scale}
-            ),
+            "eigenvalues": {"rule": model.eigen_rule, "scale": model.eigen_scale},
             "drift": {"name": model.drift.name, "kappa": model.drift.kappa},
             "noise": {"name": model.noise.name, "gain": model.noise.gain, "decay": model.noise.decay},
             "regularity": {
@@ -715,17 +701,15 @@ def model_from_spec(spec: dict) -> ProcessModel:
             noise=_noise_from(spec.get("noise")),
         )
     if variant == "galerkin-spde":
-        ev = spec.get("eigenvalues")
-        kwargs: dict = {}
-        if isinstance(ev, dict):
-            kwargs["eigen_rule"] = ev.get("rule", "quadratic")
-            kwargs["eigen_scale"] = float(ev.get("scale", 1.0))
-        elif isinstance(ev, (list, tuple)):
-            kwargs["eigen_values"] = tuple(float(a) for a in ev)
+        ev = spec.get("eigenvalues", {})
+        if not isinstance(ev, dict) or not set(ev) <= {"rule", "scale"}:
+            raise ValueError(f"galerkin-spde eigenvalues must be a {{rule, scale}} object, got {ev!r}")
         reg = spec.get("regularity") or {}
         return GalerkinSPDE(
             modes=int(spec.get("modes", 32)),
             channels=int(spec.get("channels", spec.get("modes", 32))),
+            eigen_rule=ev.get("rule", "quadratic"),
+            eigen_scale=float(ev.get("scale", 1.0)),
             drift=_drift_from(spec.get("drift")),
             noise=_noise_from(spec.get("noise")),
             regularity=Regularity(
@@ -733,7 +717,6 @@ def model_from_spec(spec: dict) -> ProcessModel:
                 k_scale=float(reg.get("k_scale", 1.0)),
                 k_power=float(reg.get("k_power", 0.25)),
             ),
-            **kwargs,
         )
     raise ValueError(f"unknown model variant {variant!r}")
 

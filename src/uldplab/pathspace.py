@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -52,6 +53,13 @@ __all__ = [
 ]
 
 FLOAT_FMT = ".17g"
+
+
+def _write_json(path: str, doc) -> None:
+    """Write ``doc`` to ``path`` as JSON indented by 2, ending in a newline: the report file format."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 class ShapeMismatchError(ValueError):

@@ -19,7 +19,6 @@ controls via ``constant_slope_controls``.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from .models import (
     skeletons,
     zero_control,
 )
-from .pathspace import DiscretePath, PathSet, ShapeMismatchError, TimeGrid, sup_metric
+from .pathspace import DiscretePath, PathSet, ShapeMismatchError, TimeGrid, _write_json, sup_metric
 
 __all__ = [
     "RateValue",
@@ -287,19 +286,14 @@ def inf_h_plus_I(
     if s_max < 2.0 * bound:
         raise ValueError(f"s_max = {s_max} is below 2 * bound(h) = {2 * bound}")
     energies, stacks = rate_candidates(model, grid, xs, s_max, count, seed, constant_pool)
-    return [_pool_min(energies, h.batch(paths))[0] for paths in stacks]
+    return [_pool_min(energies, h.batch(paths)) for paths in stacks]
 
 
-def _pool_min(energies, costs) -> tuple[float, int | None]:
-    """Least energy + cost over a candidate pool and the first index that attains it.
-
-    Returns (inf, None) when no candidate has a finite total, so an
-    infinite cost excludes a candidate.
-    """
+def _pool_min(energies, costs) -> float:
+    """Least finite energy + cost over a candidate pool, +inf if none: an inf or NaN cost excludes a candidate."""
     totals = np.add(energies, costs)
-    best = int(np.argmin(totals))
-    value = float(totals[best])
-    return (value, best) if value < math.inf else (math.inf, None)
+    finite = totals[np.isfinite(totals)]
+    return float(finite.min()) if finite.size else math.inf
 
 
 def export_level_set(sample: LevelSetSample, directory: str) -> str:
@@ -319,7 +313,5 @@ def export_level_set(sample: LevelSetSample, directory: str) -> str:
         "paths": names,
     }
     path = os.path.join(directory, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, manifest)
     return path

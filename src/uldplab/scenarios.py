@@ -22,7 +22,7 @@ from importlib import resources
 
 from .estimators import EpsilonSchedule, MinOverCenters
 from .models import model_from_spec
-from .pathspace import PathSet, TimeGrid, UnionOfBalls, constant_path, line_path
+from .pathspace import PathSet, TimeGrid, UnionOfBalls, _write_json, constant_path, line_path
 from .uldp import (
     CheckBudgets,
     CheckReport,
@@ -82,9 +82,7 @@ class ScenarioResult:
         }
 
     def save_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_json())
 
 
 def load_config(name: str) -> dict:

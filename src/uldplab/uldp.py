@@ -43,12 +43,12 @@ from .estimators import (
     EquicontinuousFamily,
     LogProbEstimate,
     TestFunction,
-    _probability_batch,
     _start_key,
     laplace_functional,
+    mc_probability,
 )
 from .models import Control, ProcessModel, constant_control, model_to_spec, skeletons
-from .pathspace import Ball, DistanceAtLeast, EventSpec, PathSet, TimeGrid
+from .pathspace import FLOAT_FMT, Ball, DistanceAtLeast, EventSpec, PathSet, TimeGrid, _write_json
 from .rates import _pool_min, inf_h_plus_I, rate_candidates, sample_level_set
 
 __all__ = [
@@ -170,17 +170,15 @@ class CheckReport:
         )
 
     def save_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_json())
 
     def cells_csv(self) -> str:
         lines = ["definition,eps,x,extra,gap,phat,log_value,rate"]
         for c in self.cells:
-            xs = ";".join(format(v, ".17g") for v in c.x)
+            xs = ";".join(format(v, FLOAT_FMT) for v in c.x)
             row = [
                 self.definition,
-                format(c.eps, ".17g"),
+                format(c.eps, FLOAT_FMT),
                 xs,
                 json.dumps(_jsonable(c.extra), separators=(",", ":")),
                 _fmt_float(c.gap),
@@ -193,7 +191,7 @@ class CheckReport:
 
 
 def _fmt_float(v) -> str:
-    return "" if v is None else format(float(v), ".17g")
+    return "" if v is None else format(float(v), FLOAT_FMT)
 
 
 def _jsonable(obj):
@@ -308,39 +306,38 @@ def _estimate_probabilities(
             tilt = None
         resolved.append((x, event, tilt))
     del scans  # so sampling's peak memory does not hold the scanned skeletons
-    return _probability_batch(model, grid, eps, resolved, budgets.mc_samples, seed)
+    return mc_probability(model, grid, eps, resolved, budgets.mc_samples, seed)
 
 
 # ---------------------------------------------------------------------------
 # rate side of set bounds
 
 
-def _membership_costs(margins: np.ndarray, eta: float, closed: bool) -> np.ndarray:
-    """0 for a candidate in the eta-shrunk open (eta-fattened closed) set, +inf outside it."""
-    inside = margins >= -eta if closed else margins > eta
-    return np.where(inside, 0.0, math.inf)
-
-
 def event_rate_bound(
     model: ProcessModel,
     grid: TimeGrid,
-    x,
-    event: EventSpec,
+    jobs,
+    etas,
     s_max: float,
     count: int,
     seed: int,
     constant_pool: int = 16,
-    eta: float = 0.0,
-    closed: bool = False,
-) -> tuple[float, int | None]:
-    """Upper-bound estimate of inf { I_x(phi) : phi in the (shrunk) event }.
+) -> list[list[float]]:
+    """Upper-bound estimates of inf { I_x(phi) : phi in the event }, one list per eta of one per (x, event, closed) job.
 
-    Membership of a candidate is margin > eta (open sets) or
-    margin >= -eta (closed sets, where eta fattens).  Returns +inf and
-    None when no candidate qualifies.
+    A candidate is in an open event shrunk by eta if its margin is > eta,
+    and in a closed event fattened by eta if its margin is >= -eta; no
+    such candidate gives +inf.  One ``rate_candidates`` walk covers every
+    distinct start, and each job's margins are shared by every eta.
     """
-    energies, (paths,) = rate_candidates(model, grid, (x,), s_max, count, seed, constant_pool)
-    return _pool_min(energies, _membership_costs(event.margins(paths), eta, closed))
+    starts = {_start_key(model, x): x for x, _, _ in jobs}
+    energies, stacks = rate_candidates(model, grid, list(starts.values()), s_max, count, seed, constant_pool)
+    pools = dict(zip(starts, stacks))  # start key -> its candidates' skeletons
+    margins = [(event.margins(pools[_start_key(model, x)]), closed) for x, event, closed in jobs]
+    return [
+        [_pool_min(energies, np.where(m >= -eta if closed else m > eta, 0.0, math.inf)) for m, closed in margins]
+        for eta in etas
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +494,12 @@ def _setwise_gaps(
     upper, with one block of cells per eta.  The rate side of the open
     (closed) event is shrunk (fattened) by eta; the probability side
     stays on the plain set, so each (eps, x) estimate is drawn once and
-    shared by every eta, and each start's rate candidates are scored
-    once per event and filtered per eta.  The seeds depend on neither
-    the entry nor x, so for each (kind, eps) the jobs of every entry run
-    as one batch on one noise stream, and one ``rate_candidates`` call
-    steps the rate candidates from every distinct start of every entry.
-    Nothing is kept past the call.  Only the "lu" definition records eta
-    in its params and cells.
+    shared by every eta.  The seeds depend on neither the entry nor x,
+    so for each (kind, eps) the jobs of every entry run as one batch on
+    one noise stream, and one ``event_rate_bound`` call finds the rate
+    side of every job of both kinds at every eta.  Nothing is kept past
+    the call.  Only the "lu" definition records eta in its params and
+    cells.
     """
     tags_eta = tag == "lu"
     reports: list[list[CheckReport]] = [[] for _ in entries]
@@ -524,26 +520,26 @@ def _setwise_gaps(
             ("upper", 2, True, "inf_rate", min),
         )
     ]
-    starts = {_start_key(model, pt): pt for *_, jobs, _ in sides for pt, _, _ in jobs}
-    energies, stacks = rate_candidates(
-        model, grid, list(starts.values()), s_max, budgets.level_count,
-        subseed(budgets.seed, tag, "rate"), budgets.constant_pool,
+    # one rate search over both sides' jobs, lower first: per eta, one value per job
+    by_eta = event_rate_bound(
+        model, grid, [(pt, event, closed) for _, closed, _, _, jobs, _ in sides for pt, event, _ in jobs],
+        etas, s_max, budgets.level_count, subseed(budgets.seed, tag, "rate"), budgets.constant_pool,
     )
-    pools = dict(zip(starts, stacks))  # start key -> its candidates' skeletons
-
-    for kind, closed, side_key, side_of, jobs, spans in sides:
+    done = 0
+    for kind, _, side_key, side_of, jobs, spans in sides:
+        side_rates = [values[done : done + len(jobs)] for values in by_eta]
+        done += len(jobs)
         if not jobs:
             continue
         estimates = [
             _estimate_probabilities(model, grid, eps, jobs, budgets, subseed(budgets.seed, tag, kind, ei))
             for ei, eps in enumerate(schedule.eps)
         ]
-        margins = [event.margins(pools[_start_key(model, pt)]) for pt, event, _ in jobs]
         for e, span in spans:
             points = entries[e][0].points
             cells = []
-            for eta in etas:
-                rates = [_pool_min(energies, _membership_costs(m, eta, closed))[0] for m in margins[span]]
+            for eta, values in zip(etas, side_rates):
+                rates = values[span]
                 side = side_of(rates)
                 for eps, row in zip(schedule.eps, estimates):
                     for pt, rate, est in zip(points, rates, row[span]):

@@ -6,10 +6,10 @@ import sys
 from pathlib import Path
 
 from uldplab.estimators import EpsilonSchedule
-from uldplab.models import TranslatedBM
-from uldplab.pathspace import TimeGrid
+from uldplab.models import GalerkinSPDE, TranslatedBM, skeletons, zero_control
+from uldplab.pathspace import Ball, TimeGrid, line_path
 from uldplab.scenarios import run
-from uldplab.uldp import CheckBudgets, IndexSetSample, fwuldp_gaps
+from uldplab.uldp import CheckBudgets, IndexSetSample, dzuldp_gaps, fwuldp_gaps
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,11 +32,12 @@ def test_traced_bench_run_ends_in_a_strict_json_result():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
     assert result["correct"] is True, proc.stderr
+    assert "absent wrap targets" not in proc.stdout
 
 
 def test_tracer_finds_every_target_and_sees_the_rate_side_and_laplace_calls():
     # the tracer wraps functions by name from outside src/, so the checkers
-    # must reach the rate side and the Laplace estimates through those names
+    # must reach the rate side, the estimates and the stepping through those names
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve their module by name
@@ -47,15 +48,21 @@ def test_tracer_finds_every_target_and_sees_the_rate_side_and_laplace_calls():
         try:
             run("ulp-counter")
             budgets = CheckBudgets(mc_samples=64, level_count=4, s_levels=2)
-            fwuldp_gaps(
-                TranslatedBM(), TimeGrid(1.0, 16), IndexSetSample("origin", [(0.0,)]),
-                0.25, 0.4, EpsilonSchedule((0.2,)), budgets,
+            grid, origin = TimeGrid(1.0, 16), IndexSetSample("origin", [(0.0,)])
+            fwuldp_gaps(TranslatedBM(), grid, origin, 0.25, 0.4, EpsilonSchedule((0.2,)), budgets)
+            dzuldp_gaps(
+                TranslatedBM(), grid, origin, Ball(line_path(grid, 0.0, 0.5), 0.4), None,
+                EpsilonSchedule((0.2,)), budgets,
             )
+            skeletons(GalerkinSPDE(modes=2, channels=2), grid, [(0.0,)], [zero_control(grid, 2)])
         finally:
             tracer.uninstall()
     finally:
         del sys.modules[spec.name]
     assert tracer.absent == []
     names = {span.name for span in tracer.spans}
-    for name in ("rates.sample_level_set", "rates.inf_h_plus_I", "estimators.laplace_functional"):
+    for name in (
+        "rates.sample_level_set", "rates.inf_h_plus_I", "estimators.laplace_functional",
+        "estimators.mc_probability", "uldp.rate_search", "models.step",
+    ):
         assert name in names, name

@@ -175,6 +175,10 @@ def test_weak_continuity_needs_resolvable_frequencies():
         weak_continuity_check(BM, GRID, 0.0, (32,))
     with pytest.raises(ValueError):
         weak_continuity_check(BM, GRID, 0.0, (0,))
+    with pytest.raises(ValueError, match="frequencies must be integers, got 2.9"):
+        weak_continuity_check(BM, GRID, 0.0, (2.9, 4))
+    # an integral float is that frequency
+    assert weak_continuity_check(BM, GRID, 0.0, (4.0, 8)) == weak_continuity_check(BM, GRID, 0.0, (4, 8))
     with pytest.raises(ValueError, match="need at least one frequency"):
         weak_continuity_check(BM, GRID, 0.0, [])
 

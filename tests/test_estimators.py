@@ -23,7 +23,6 @@ from uldplab.estimators import (
     mc_probability,
     quadrature_probability,
     wilson_interval,
-    _probability_batch,
     _sub_block_rows,
 )
 from uldplab.models import (
@@ -79,7 +78,7 @@ def test_schedule_validation():
         with pytest.raises(ValueError):
             EpsilonSchedule((bad,))
         with pytest.raises(ValueError):
-            mc_probability(BM, SMALL, 0.0, bad, TerminalAtLeast(0.2), 10, seed=1)
+            mc_probability(BM, SMALL, bad, [(0.0, TerminalAtLeast(0.2), None)], 10, seed=1)
     sched = EpsilonSchedule.geometric(0.01, 0.1, 3)
     assert sched.eps[0] == pytest.approx(0.1)
     assert sched.eps[-1] == pytest.approx(0.01)
@@ -89,7 +88,7 @@ def test_schedule_validation():
 
 
 def test_estimate_csv_row_matches_header():
-    est = mc_probability(BM, SMALL, 0.0, 0.25, TerminalAtLeast(0.2), 500, seed=1)
+    est = mc_probability(BM, SMALL, 0.25, [(0.0, TerminalAtLeast(0.2), None)], 500, seed=1)[0]
     row = est.csv_row().split(",")
     assert len(row) == len(LogProbEstimate.CSV_HEADER.split(","))
     assert float(row[2]) == est.p_hat
@@ -100,7 +99,7 @@ def test_estimate_csv_row_matches_header():
 def test_mc_against_band_oracle_on_ball_event():
     event = Ball(line_path(SMALL, 0.0, 0.5), 0.6)
     exact = band_probability(BM, SMALL, 0.0, 0.25, event)
-    est = mc_probability(BM, SMALL, 0.0, 0.25, event, 100_000, seed=77)
+    est = mc_probability(BM, SMALL, 0.25, [(0.0, event, None)], 100_000, seed=77)[0]
     assert abs(est.p_hat - exact) < 0.006
     assert est.ci_low < exact < est.ci_high
 
@@ -135,7 +134,7 @@ def test_gauss_hermite_matches_band_on_terminal_event():
 
 def test_zero_tilt_importance_sampling_equals_plain_mc():
     event = Ball(line_path(SMALL, 0.0, 0.0), 0.9)
-    a = mc_probability(BM, SMALL, 0.0, 0.16, event, 4000, seed=5)
+    a = mc_probability(BM, SMALL, 0.16, [(0.0, event, None)], 4000, seed=5)[0]
     b = is_probability(BM, SMALL, 0.0, 0.16, event, zero_control(SMALL), 4000, seed=5)
     assert b.p_hat == a.p_hat
     assert b.ess == pytest.approx(4000.0)
@@ -154,12 +153,12 @@ def test_tilted_sampling_is_unbiased_for_rare_terminal_event():
 
 
 def test_log_value_lives_on_speed_scale():
-    est = mc_probability(BM, SMALL, 0.0, 0.25, TerminalAtLeast(0.2), 2000, seed=3)
+    est = mc_probability(BM, SMALL, 0.25, [(0.0, TerminalAtLeast(0.2), None)], 2000, seed=3)[0]
     assert est.log_value == 0.25 * math.log(est.p_hat)
 
 
 def test_zero_hit_estimate_carries_sentinel_and_rule_of_three():
-    est = mc_probability(BM, SMALL, 0.0, 0.01, TerminalAtLeast(50.0), 100, seed=2)
+    est = mc_probability(BM, SMALL, 0.01, [(0.0, TerminalAtLeast(50.0), None)], 100, seed=2)[0]
     assert est.zero_hit
     assert est.p_hat == 0.0
     assert est.log_value == -math.inf
@@ -246,8 +245,8 @@ def test_capped_distance_respects_declared_modulus(a, b, width):
 def test_chunking_is_invisible_to_the_estimate():
     # n straddling a block boundary reads the same substreams either way
     event = TerminalAtLeast(0.1)
-    small = mc_probability(BM, SMALL, 0.0, 0.25, event, 8192, seed=9)
-    big = mc_probability(BM, SMALL, 0.0, 0.25, event, 8192 + 500, seed=9)
+    small = mc_probability(BM, SMALL, 0.25, [(0.0, event, None)], 8192, seed=9)[0]
+    big = mc_probability(BM, SMALL, 0.25, [(0.0, event, None)], 8192 + 500, seed=9)[0]
     assert big.n == 8192 + 500
     # the first block's contribution is identical, so the two hit counts
     # differ only by hits among the extra 500 samples
@@ -278,11 +277,11 @@ def test_start_batch_equals_single_start_estimates_bit_for_bit(model):
         for x in (0.0, 0.5, -1.25)
         for tilt in tilts
     ]
-    batch = _probability_batch(model, grid, eps, jobs, n, seed)
+    batch = mc_probability(model, grid, eps, jobs, n, seed)
     assert len(batch) == len(jobs)
     for (x, event, tilt), got in zip(jobs, batch):
         if tilt is None:
-            want = mc_probability(model, grid, x, eps, event, n, seed)
+            want = mc_probability(model, grid, eps, [(x, event, None)], n, seed)[0]
         else:
             want = is_probability(model, grid, x, eps, event, tilt, n, seed)
         assert got == want  # every field: p_hat, CIs, ess, hit_count, log_value, ...
@@ -337,8 +336,8 @@ def _sub_block_cases():
 def test_sub_block_size_is_invisible_to_the_estimates(model, grid, jobs, monkeypatch):
     # the last block and its last 8-row sub-block are both partial
     eps, n, seed = 0.2, CHUNK + 13, 17
-    default = _probability_batch(model, grid, eps, jobs, n, seed)
+    default = mc_probability(model, grid, eps, jobs, n, seed)
     monkeypatch.setattr(estimators, "_SUB_BLOCK_BYTES", 0)
     assert _sub_block_rows(grid, model.dim) == 8
-    assert _probability_batch(model, grid, eps, jobs, n, seed) == default
+    assert mc_probability(model, grid, eps, jobs, n, seed) == default
     assert all(0 < est.hit_count < n for est in default)

@@ -231,6 +231,15 @@ def test_model_spec_round_trip():
         assert model_to_spec(again) == spec
 
 
+@pytest.mark.parametrize(
+    "eigenvalues", [[1.0, 4.0, 9.0], "quadratic", None, {"rule": "linear", "values": [1.0, 2.0, 3.0]}]
+)
+def test_galerkin_spec_takes_only_a_rule_and_scale_object(eigenvalues):
+    spec = {**model_to_spec(GalerkinSPDE(modes=3, channels=3)), "eigenvalues": eigenvalues}
+    with pytest.raises(ValueError, match=r"eigenvalues must be a \{rule, scale\} object"):
+        model_from_spec(spec)
+
+
 def test_load_model_builtin_and_file(tmp_path):
     import json
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uldplab import estimators, pathspace
-from uldplab.estimators import CHUNK, _probability_batch, mc_probability
+from uldplab.estimators import CHUNK, mc_probability
 from uldplab.models import TranslatedBM
 from uldplab.pathspace import (
     Ball,
@@ -333,7 +333,7 @@ def test_probability_batch_screens_each_ball_once_per_start_and_block(monkeypatc
     ]
     jobs = [(x, event, None) for x in starts for event in unions]
     n = CHUNK + 100  # two blocks
-    alone = [mc_probability(model, grid, x, 0.1, event, n, 5) for x, event, _ in jobs]
+    alone = [mc_probability(model, grid, 0.1, [job], n, 5)[0] for job in jobs]
     screened = []
     within = pathspace._within
 
@@ -345,7 +345,7 @@ def test_probability_batch_screens_each_ball_once_per_start_and_block(monkeypatc
     monkeypatch.setattr(pathspace, "_within", counting)
     # screens are shared per (start, sub-block); here each block is one sub-block
     monkeypatch.setattr(estimators, "_SUB_BLOCK_BYTES", CHUNK * (grid.steps + 1) * 8)
-    assert _probability_batch(model, grid, 0.1, jobs, n, 5) == alone
+    assert mc_probability(model, grid, 0.1, jobs, n, 5) == alone
     # 3 distinct balls at 2 starts in 2 blocks, each screened once (24 screens without sharing)
     assert len(screened) == 3 * 2 * 2
     assert len(set(screened)) == len(screened)
@@ -358,7 +358,7 @@ def test_probability_batch_gives_screens_only_to_shared_starts(monkeypatch):
     ball = Ball(line_path(grid, 0.0, 1.0), 0.5)
     union = UnionOfBalls(PathSet([ball.center, line_path(grid, 0.5, 1.0)]), (0.5, 0.25))
     jobs = [((0.0,), ball, None), ((0.5,), ball, None), ((0.5,), union, None)]
-    alone = [mc_probability(model, grid, x, 0.1, event, 300, 5) for x, event, _ in jobs]
+    alone = [mc_probability(model, grid, 0.1, [job], 300, 5)[0] for job in jobs]
     seen = []
     union_hits = pathspace._union_hits
 
@@ -367,7 +367,7 @@ def test_probability_batch_gives_screens_only_to_shared_starts(monkeypatch):
         return union_hits(values, centers, radii, screens)
 
     monkeypatch.setattr(pathspace, "_union_hits", recording)
-    assert _probability_batch(model, grid, 0.1, jobs, 300, 5) == alone
+    assert mc_probability(model, grid, 0.1, jobs, 300, 5) == alone
     assert [start for start, _ in seen] == [0.0, 0.5, 0.5]
     assert seen[0][1] is None
     assert isinstance(seen[1][1], dict) and seen[1][1] is seen[2][1]

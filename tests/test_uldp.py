@@ -14,6 +14,7 @@ from uldplab.pathspace import (
     PathSet,
     TimeGrid,
     UnionOfBalls,
+    constant_path,
     line_path,
 )
 from uldplab.uldp import (
@@ -87,47 +88,60 @@ def test_gap_sum_sentinel_table():
 
 def test_event_rate_bound_finds_the_line_witness():
     event = Ball(line_path(GRID, 0.0, 1.0), 0.1)
-    value, idx = event_rate_bound(BM, GRID, 0.0, event, s_max=2.0, count=24, seed=3)
-    assert value == 0.5
-    assert idx is not None
+    assert event_rate_bound(BM, GRID, [(0.0, event, False)], (0.0,), s_max=2.0, count=24, seed=3) == [[0.5]]
 
 
 def test_event_rate_bound_eta_shrinks_open_sets():
     event = Ball(line_path(GRID, 0.0, 0.0), 0.5)
-    plain, _ = event_rate_bound(BM, GRID, 0.0, event, s_max=2.0, count=8, seed=1)
+    (plain,), (shrunk,) = event_rate_bound(BM, GRID, [(0.0, event, False)], (0.0, 0.6), s_max=2.0, count=8, seed=1)
     assert plain == 0.0
-    shrunk, _ = event_rate_bound(BM, GRID, 0.0, event, s_max=2.0, count=8, seed=1, eta=0.6)
     assert shrunk > 0.0
 
 
 def test_event_rate_bound_eta_fattens_closed_sets():
     event = DistanceAtLeast(PathSet([line_path(GRID, 0.0, 0.0)]), 0.5)
-    far, _ = event_rate_bound(
-        BM, GRID, 0.0, event, s_max=2.0, count=8, seed=1, eta=0.1, closed=True
-    )
+    (far,), (fat,) = event_rate_bound(BM, GRID, [(0.0, event, True)], (0.1, 0.6), s_max=2.0, count=8, seed=1)
     assert far > 0.0
-    fat, _ = event_rate_bound(
-        BM, GRID, 0.0, event, s_max=2.0, count=8, seed=1, eta=0.6, closed=True
-    )
     assert fat == 0.0
 
 
 def test_event_rate_bound_empty_event_is_vacuous():
     # nothing reachable from 0 sits 50 away at level 2
     event = DistanceAtLeast(PathSet([line_path(GRID, 0.0, 0.0)]), 50.0)
-    value, idx = event_rate_bound(BM, GRID, 0.0, event, s_max=2.0, count=16, seed=2, closed=True)
-    assert value == math.inf
-    assert idx is None
+    assert event_rate_bound(BM, GRID, [(0.0, event, True)], (0.0,), s_max=2.0, count=16, seed=2) == [[math.inf]]
 
 
 def test_escape_set_rate_is_exactly_the_pool_line():
     # members must climb to sup-distance 1.5 from the flat path; the
     # cheapest admissible path is the straight line, energy 1.5^2/2
     F = DistanceAtLeast(PathSet([line_path(GRID, 0.0, 0.0)]), 1.5)
-    value, _ = event_rate_bound(
-        BM, GRID, 0.0, F, s_max=2.0, count=24, seed=5, constant_pool=16, closed=True
+    ((value,),) = event_rate_bound(
+        BM, GRID, [(0.0, F, True)], (0.0,), s_max=2.0, count=24, seed=5, constant_pool=16
     )
     assert value == 1.125
+
+
+@pytest.mark.parametrize(
+    "model", [BM, FiniteSDE(dim=2, drift=DriftSpec(name="scaled-sine"))], ids=lambda m: m.name
+)
+def test_event_rate_bound_batch_equals_each_one_job_call_bit_for_bit(model):
+    # open and closed jobs at two starts (one repeated), read at two etas
+    grid = TimeGrid(1.0, 16)
+    near = constant_path(grid, 0.3, model.dim)
+    jobs = [
+        (0.0, Ball(near, 0.6), False),
+        (0.5, Ball(near, 0.6), False),
+        (0.0, DistanceAtLeast(PathSet([near]), 0.7), True),
+        (0.5, UnionOfBalls(PathSet([near, constant_path(grid, -0.4, model.dim)]), (0.2, 0.4)), True),
+    ]
+    etas = (0.05, 0.3)
+    batch = event_rate_bound(model, grid, jobs, etas, s_max=2.0, count=12, seed=7, constant_pool=4)
+    assert len(batch) == len(etas) and all(len(values) == len(jobs) for values in batch)
+    for j, job in enumerate(jobs):
+        for e, eta in enumerate(etas):
+            ((alone,),) = event_rate_bound(model, grid, [job], (eta,), s_max=2.0, count=12, seed=7, constant_pool=4)
+            assert np.float64(batch[e][j]).tobytes() == np.float64(alone).tobytes()
+    assert any(math.isfinite(v) and v > 0 for values in batch for v in values)
 
 
 def test_escape_upper_bound_holds_at_desk_scale():
@@ -155,11 +169,11 @@ def test_dyadic_ball_union_is_unreachable_from_the_closure_point():
     centers = PathSet([line_path(GRID, 2.0**-n, 1.0) for n in range(1, 7)])
     radii = tuple(2.0 ** -(n + 1) for n in range(1, 7))
     G = UnionOfBalls(centers, radii)
-    from_zero, idx = event_rate_bound(BM, GRID, 0.0, G, s_max=2.0, count=24, seed=4)
-    assert from_zero == math.inf
-    assert idx is None
     # while an interior start reaches its own ball along the slope-one line
-    from_member, _ = event_rate_bound(BM, GRID, 2.0**-3, G, s_max=2.0, count=24, seed=4)
+    ((from_zero, from_member),) = event_rate_bound(
+        BM, GRID, [(0.0, G, False), (2.0**-3, G, False)], (0.0,), s_max=2.0, count=24, seed=4
+    )
+    assert from_zero == math.inf
     assert from_member == 0.5
 
 
