@@ -23,11 +23,11 @@ tag check here mirrors that split.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import _map
 from .models import (
     Control,
     ProcessModel,
@@ -173,9 +173,10 @@ def control_conv(
     first step at which any eps row of the cell is non-finite.
 
     Each (x, u) cell is a pure function of the seed and the cell index.
-    A pool of ``threads`` workers fills one preallocated (cell, eps,
-    sample) error array in cell order, and every column of the table is
-    reduced from that array, so the result does not depend on ``threads``.
+    Up to ``threads`` workers (``estimators._map``) fill one preallocated
+    (cell, eps, sample) error array in cell order, and every column of the
+    table is reduced from that array, so the result does not depend on
+    ``threads``.
     """
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
@@ -207,8 +208,7 @@ def control_conv(
         for i, state in enumerate(simulate_eps_stack(model, grid, pt, eps_grid, control, increments)):
             np.maximum(err, _point_norms(state - base[i]), out=err)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run_cell, range(len(cells))))  # re-raises the first failing cell's error
+    _map(run_cell, range(len(cells)), threads)  # re-raises the first failing cell's error
     sup_prob = tuple(float(np.max(np.mean(errs[:, e] > delta, axis=1))) for e in range(len(eps_grid)))
     med = [float(np.median(errs[:, e])) for e in range(len(eps_grid))]
     q90 = [float(np.quantile(errs[:, e], 0.9)) for e in range(len(eps_grid))]

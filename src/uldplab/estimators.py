@@ -27,19 +27,28 @@ their events, and the screens of a common ball prefix: balls and ball
 unions that begin with the same balls test each of those balls once per
 sub-block, and each later ball only on the rows no earlier ball caught.
 A block is stepped and screened in row sub-blocks whose path array
-holds at most ``_SUB_BLOCK_BYTES``, so peak sampling memory is one noise
-block, one sub-block of paths, one bool per block sample per job and
-one bit per sample per job (and one weight per sample per distinct
-tilt), plus, at the start being tested, one bool per sub-block sample
-per screened prefix.  Every step and screen acts row by row, so neither
-the sub-block size nor the number of starts changes a bit: the
-translated path at x is x plus a core built once per sub-block, and
-each estimate equals the one its start would get alone.
+holds at most ``_SUB_BLOCK_BYTES``, and the blocks of one estimate run
+on ``_WORKERS`` threads (``_run_blocks``).  Blocks that run side by side
+draw their noise one sub-block at a time; a block that runs alone (inside
+one of the FW checker's threads, for instance) is drawn whole.  Peak
+sampling memory is therefore, per worker, one sub-block of noise (or one
+whole block, when it runs alone), one sub-block of paths and one bool
+per block sample per job, plus, at the start being tested, one bool per
+sub-block sample per screened prefix; and for the whole call one bit per
+sample per job (and one weight per sample per distinct tilt).  Every
+draw, step and screen acts row by row, and each block writes only its
+own slice of the outputs, so neither the sub-block size, the number of
+starts nor the worker count changes a bit: the translated path at x is
+x plus a core built once per sub-block, and each estimate equals the
+one its start would get alone.  Reductions over samples (sums, the
+effective sample size, log-sum-exp) run after every block is done.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,9 +89,15 @@ __all__ = [
 
 CHUNK = 8192
 Z95 = 1.959963984540054
-# the most bytes one sub-block's path array may hold: with two estimate
-# batches in flight, 1 MiB keeps peak memory near that of one unsplit batch
+# the most bytes one sub-block's path array may hold: with two blocks or
+# estimate batches in flight, 1 MiB keeps peak memory near that of one
+# unsplit block
 _SUB_BLOCK_BYTES = 1 << 20
+# threads for independent work (the blocks of an estimate, the FW
+# checker's estimate batches); no output depends on it, so it is neither
+# a budget nor a CLI flag
+_WORKERS = 2
+_thread = threading.local()
 
 
 @dataclass(frozen=True)
@@ -293,14 +308,60 @@ class EquicontinuousFamily:
 # sampling machinery
 
 
-def _iter_blocks(n: int):
-    block = 0
-    done = 0
-    while done < n:
-        size = min(CHUNK, n - done)
-        yield block, done, size
-        block += 1
-        done += size
+def _mark_worker() -> None:
+    _thread.worker = True
+
+
+def _map(fn, items, workers: int | None = None) -> list:
+    """``[fn(item) for item in items]``, run on up to ``workers`` threads (default ``_WORKERS``).
+
+    Results come back in item order, and an error is the one the first
+    failing item raises, as in the serial loop.  The loop runs inline for
+    one worker or one item, and inside a worker of this helper, so nested
+    maps start no further threads.
+    """
+    items = list(items)
+    workers = _WORKERS if workers is None else workers
+    if _inline(len(items), workers):
+        return [fn(item) for item in items]
+    with concurrent.futures.ThreadPoolExecutor(min(workers, len(items)), initializer=_mark_worker) as pool:
+        return list(pool.map(fn, items))
+
+
+def _inline(count: int, workers: int | None = None) -> bool:
+    """Whether ``_map`` runs ``count`` items in the calling thread."""
+    workers = _WORKERS if workers is None else workers
+    return workers < 2 or count < 2 or getattr(_thread, "worker", False)
+
+
+def _run_blocks(grid: TimeGrid, channels: int, n: int, seed: int, rows: int, run_block) -> None:
+    """``run_block(offset, size, sub_blocks)`` for each block of ``CHUNK`` of the n samples, through ``_map``.
+
+    ``sub_blocks`` yields ``(lo, increments)`` for the block's row
+    sub-blocks of ``rows`` rows, lo counted from the block's start.
+    Blocks that run side by side draw their noise one sub-block at a
+    time from the block's generator, so two in flight hold no more
+    noise than one whole block.  A block that runs alone (one block,
+    one worker, or inside a worker) is drawn whole and sliced: one
+    allocation per block keeps glibc from handing the freed sub-block
+    arrays back to the kernel after every sub-block, which cost the FW
+    checker's batches tens of thousands of page faults per scenario.
+    Both give the same bits.  Each call must write only its own block's
+    slice of the outputs.
+    """
+    offsets = range(0, n, CHUNK)
+    streamed = not _inline(len(offsets))
+
+    def one(offset):
+        block, size = offset // CHUNK, min(CHUNK, n - offset)
+        if streamed:
+            sub_blocks = zip(range(0, size, rows), _noise_block(grid, channels, seed, block, size, rows))
+        else:
+            inc = _noise_block(grid, channels, seed, block, size)
+            sub_blocks = ((lo, inc[lo : lo + rows]) for lo in range(0, size, rows))
+        run_block(offset, size, sub_blocks)
+
+    _map(one, offsets)
 
 
 def _sub_block_rows(grid: TimeGrid, dim: int) -> int:
@@ -326,7 +387,8 @@ def _finish_estimate(*, model, x, eps, hits, weights, ess, n, seed) -> LogProbEs
         degenerate = False
     else:
         contrib = weights * hits
-        p_hat = float(math.fsum(memoryview(contrib)) / n)
+        # exact zeros leave a correctly rounded sum unchanged; NaN and inf are nonzero
+        p_hat = float(math.fsum(memoryview(contrib[np.flatnonzero(contrib)])) / n)
         se = float(np.std(contrib, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
         ci_low = max(0.0, p_hat - Z95 * se)
         ci_high = min(1.0, p_hat + Z95 * se)
@@ -378,18 +440,19 @@ def mc_probability(
     job with a tilt is Girsanov-tilted importance sampling.  Each noise
     block is drawn once and read by every job.  Jobs with equal tilts form
     one group that shares the simulated core, the Girsanov weights of the
-    block and their effective sample size.  A group steps the block in row
-    sub-blocks of ``_sub_block_rows`` rows; within a sub-block each
-    distinct start is simulated once, and every job at that start reads its
-    paths before the next start is simulated.  Two or more jobs at one
+    block and their effective sample size.  The blocks run through
+    ``_run_blocks``, which draws their noise, and each is stepped and
+    screened in row sub-blocks of ``_sub_block_rows`` rows; within a
+    sub-block each group in turn simulates each distinct start once, and
+    every job at that start reads its paths before the next start is
+    simulated.  Two or more jobs at one
     start share one dict of screened ball prefixes (``EventSpec.hits``), so
     a ball that leads several of their ball unions is screened once per
     sub-block; the dict holds one bool per sub-block sample per prefix and
     is dropped before the next start.  A lone job at its start gets none,
-    since no other job could read it.  The weights are formed on the whole
-    block, and each job's flags are packed to bits once per block.  A job's
-    estimate equals the one it would get on its own, at any sub-block size,
-    bit for bit.
+    since no other job could read it.  Each job's flags are packed to bits
+    once per block.  A job's estimate equals the one it would get on its
+    own, at any sub-block size and worker count, bit for bit.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -408,21 +471,22 @@ def mc_probability(
     # one bit per sample per job; blocks start at multiples of CHUNK, so of 8
     hits = np.empty((len(jobs), (n + 7) // 8), dtype=np.uint8)
     weights = {key: np.empty(n) for key, (tilt, _) in groups.items() if tilt is not None}
-    for block, offset, size in _iter_blocks(n):
-        inc = _noise_block(grid, model.channels, seed, block, size)
+
+    def run_block(offset, size, sub_blocks):
         flags = np.empty((len(jobs), size), dtype=bool)
-        for key, (tilt, starts) in groups.items():
-            xs = [x for x, _ in starts.values()]
-            for lo in range(0, size, step):
-                rows = slice(lo, lo + step)
-                paths = simulate_starts(model, grid, xs, eps, tilt, inc[rows])
+        for lo, inc in sub_blocks:
+            rows = slice(lo, lo + len(inc))
+            for key, (tilt, starts) in groups.items():
+                paths = simulate_starts(model, grid, [x for x, _ in starts.values()], eps, tilt, inc)
                 for (_, members), batch in zip(starts.values(), paths):
                     screens = {} if len(members) > 1 else None
                     for j in members:
                         flags[j, rows] = jobs[j][1].hits(batch, screens)
-            if tilt is not None:
-                weights[key][offset : offset + size] = np.exp(_girsanov_log_weights(tilt, inc, eps))
+                if tilt is not None:
+                    weights[key][offset + lo : offset + rows.stop] = np.exp(_girsanov_log_weights(tilt, inc, eps))
         hits[:, offset // 8 : (offset + size + 7) // 8] = np.packbits(flags, axis=1)
+
+    _run_blocks(grid, model.channels, n, seed, step, run_block)
     ess = {key: _effective_sample_size(w) for key, w in weights.items()}
     return [
         _finish_estimate(
@@ -461,18 +525,23 @@ def laplace_functional(
     The exponent is max-shifted (log-sum-exp) before exponentiation, so
     constant h returns exactly -h and rare large values cannot
     underflow the whole sum.  Each noise block is drawn once and read by
-    every start, as in ``mc_probability``; each value equals the one
-    its start would get on its own.
+    every start, through ``_run_blocks`` and in row sub-blocks as in
+    ``mc_probability``; each value equals the one its start would get on
+    its own.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
     exponents = np.empty((len(xs), n))
-    for block, offset, size in _iter_blocks(n):
-        inc = _noise_block(grid, model.channels, seed, block, size)
-        for row, paths in zip(exponents, simulate_starts(model, grid, xs, eps, None, inc)):
-            row[offset : offset + size] = -h.batch(paths) / eps
+    step = _sub_block_rows(grid, model.dim)
+
+    def run_block(offset, size, sub_blocks):
+        for lo, inc in sub_blocks:
+            for row, paths in zip(exponents, simulate_starts(model, grid, xs, eps, None, inc)):
+                row[offset + lo : offset + lo + len(inc)] = -h.batch(paths) / eps
+
+    _run_blocks(grid, model.channels, n, seed, step, run_block)
     return [eps * float(logsumexp(row) - math.log(n)) for row in exponents]
 
 

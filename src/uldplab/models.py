@@ -30,7 +30,8 @@ blocks were drawn, and estimators are reproducible under any execution
 schedule.  Estimators cut a batch into blocks of ``estimators.CHUNK =
 8192`` samples, which makes that size part of the stream definition:
 ``_noise_block(grid, channels, seed, k, 1)``, block k of size one, is
-estimator sample k * 8192, not estimator sample k.
+estimator sample k * 8192, not estimator sample k.  A block may be
+drawn in consecutive row pieces (``rows``) without changing a bit.
 """
 
 from __future__ import annotations
@@ -84,11 +85,24 @@ def _rng(seed: int, *spawn: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
-def _noise_block(grid: TimeGrid, channels: int, master_seed: int, block: int, size: int) -> np.ndarray:
-    """Increments for a whole block of samples, shape (size, steps, channels)."""
-    out = _rng(master_seed, block).standard_normal((size, grid.steps, channels))
-    out *= math.sqrt(grid.dt)
-    return out
+def _noise_block(grid: TimeGrid, channels: int, master_seed: int, block: int, size: int, rows: int | None = None):
+    """Increments for a whole block of samples, shape (size, steps, channels).
+
+    With ``rows``, an iterator over the block in consecutive pieces of at
+    most ``rows`` samples instead, each drawn when it is requested from
+    the block's one generator: the pieces concatenate to the whole block
+    bit for bit.
+    """
+    gen = _rng(master_seed, block)
+
+    def draw(count: int) -> np.ndarray:
+        out = gen.standard_normal((count, grid.steps, channels))
+        out *= math.sqrt(grid.dt)
+        return out
+
+    if rows is None:
+        return draw(size)
+    return (draw(min(rows, size - lo)) for lo in range(0, size, rows))
 
 
 @dataclass(frozen=True)
@@ -163,6 +177,22 @@ def sine_control(grid: TimeGrid, n: int, channels: int = 1) -> Control:
 # ---------------------------------------------------------------------------
 # drift / noise catalogs for the state-dependent models
 
+_DRIFTS = ("zero", "scaled-sine", "linear")
+# noise name -> growth of its Hilbert-Schmidt bound (see ``NoiseSpec``)
+_NOISE_GROWTH = {
+    "identity": "bounded",
+    "diagonal-constant": "bounded",
+    "diagonal-bounded": "bounded",
+    "zero": "bounded",
+    "diagonal-linear-growth": "linear",
+}
+
+
+def _require_finite(owner: str, **values) -> None:
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{owner} {key} must be finite, got {value}")
+
 
 @dataclass(frozen=True)
 class DriftSpec:
@@ -172,6 +202,11 @@ class DriftSpec:
     kappa: float = 1.0
     matrix: tuple | None = None
     offset: tuple | None = None
+
+    def __post_init__(self) -> None:
+        if self.name not in _DRIFTS:
+            raise ValueError(f"unknown drift {self.name!r}; known: {', '.join(_DRIFTS)}")
+        _require_finite("drift", kappa=self.kappa)
 
     @property
     def reads_sin(self) -> bool:
@@ -185,14 +220,13 @@ def _drift_apply(spec: DriftSpec, x: np.ndarray, sin_x: np.ndarray | None = None
         return np.zeros_like(x)
     if spec.name == "scaled-sine":
         return spec.kappa * (np.sin(x) if sin_x is None else sin_x)
-    if spec.name == "linear":
-        d = x.shape[1]
-        a = np.asarray(spec.matrix, dtype=float) if spec.matrix is not None else np.eye(d)
-        out = x @ a.T
-        if spec.offset is not None:
-            out = out + np.asarray(spec.offset, dtype=float)
-        return out
-    raise ValueError(f"unknown drift {spec.name!r}")
+    # linear, the last name of the catalog
+    d = x.shape[1]
+    a = np.asarray(spec.matrix, dtype=float) if spec.matrix is not None else np.eye(d)
+    out = x @ a.T
+    if spec.offset is not None:
+        out = out + np.asarray(spec.offset, dtype=float)
+    return out
 
 
 @dataclass(frozen=True)
@@ -209,13 +243,14 @@ class NoiseSpec:
     gain: float = 1.0
     decay: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.name not in _NOISE_GROWTH:
+            raise ValueError(f"unknown noise {self.name!r}; known: {', '.join(_NOISE_GROWTH)}")
+        _require_finite("noise", gain=self.gain, decay=self.decay)
+
     @property
     def growth(self) -> str:
-        if self.name in ("identity", "diagonal-constant", "diagonal-bounded", "zero"):
-            return "bounded"
-        if self.name == "diagonal-linear-growth":
-            return "linear"
-        raise ValueError(f"unknown noise {self.name!r}")
+        return _NOISE_GROWTH[self.name]
 
     @property
     def reads_sin(self) -> bool:
@@ -259,9 +294,8 @@ def _noise_apply(
         return g * w
     if spec.name == "diagonal-bounded":
         return g * (1.0 + 0.5 * (np.sin(x) if sin_x is None else sin_x)) * w
-    if spec.name == "diagonal-linear-growth":
-        return g * (1.0 + np.abs(x)) * w
-    raise ValueError(f"unknown noise {spec.name!r}")
+    # diagonal-linear-growth, the last name of the catalog
+    return g * (1.0 + np.abs(x)) * w
 
 
 def _noise_matrix(spec: NoiseSpec, x: np.ndarray, dim: int, channels: int) -> np.ndarray:
@@ -360,6 +394,7 @@ class FiniteSDE(ProcessModel):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         object.__setattr__(self, "channels", self.dim)
+        _check_catalog_shapes(self)
 
 
 @dataclass(frozen=True)
@@ -382,15 +417,32 @@ class GalerkinSPDE(ProcessModel):
     def __post_init__(self) -> None:
         if self.modes < 1:
             raise ValueError("modes must be >= 1")
+        if self.eigen_rule not in ("quadratic", "linear"):
+            raise ValueError(f"unknown eigenvalue rule {self.eigen_rule!r}; known: quadratic, linear")
+        _require_finite("galerkin-spde", eigen_scale=self.eigen_scale)
         object.__setattr__(self, "dim", self.modes)
+        _check_catalog_shapes(self)
 
     def eigenvalues(self) -> np.ndarray:
         k = np.arange(1, self.modes + 1, dtype=float)
         if self.eigen_rule == "quadratic":
             return self.eigen_scale * k * k
-        if self.eigen_rule == "linear":
-            return self.eigen_scale * k
-        raise ValueError(f"unknown eigenvalue rule {self.eigen_rule!r}")
+        return self.eigen_scale * k
+
+
+def _check_catalog_shapes(model: FiniteSDE | GalerkinSPDE) -> None:
+    """The drift and noise maps of a stepped family fit its dim and channels."""
+    d = model.dim
+    if model.noise.name.startswith("diagonal") and model.channels != d:
+        raise ShapeMismatchError(
+            f"diagonal noise {model.noise.name!r} needs channels == dim, got {model.channels} != {d}"
+        )
+    drift = model.drift
+    if drift.name == "linear":
+        if drift.matrix is not None and np.shape(drift.matrix) != (d, d):
+            raise ShapeMismatchError(f"linear drift matrix must be {d}x{d}, got shape {np.shape(drift.matrix)}")
+        if drift.offset is not None and np.shape(drift.offset) != (d,):
+            raise ShapeMismatchError(f"linear drift offset must have length {d}, got shape {np.shape(drift.offset)}")
 
 
 BUILTIN_MODELS = {

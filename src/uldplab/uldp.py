@@ -23,8 +23,8 @@ Conventions
   and never depend on the index point x, so index sets sharing a model
   family share their noise (common random numbers).
 * The FW checker's estimate batches each have their own sub-seed, so
-  they run side by side on ``_WORKERS`` threads; no output depends on
-  the worker count.
+  they run side by side on ``estimators._WORKERS`` threads (each batch
+  then runs its blocks inline); no output depends on the worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -43,6 +42,7 @@ from .estimators import (
     EquicontinuousFamily,
     LogProbEstimate,
     TestFunction,
+    _map,
     _start_key,
     laplace_functional,
     mc_probability,
@@ -67,11 +67,6 @@ __all__ = [
     "make_families",
     "gap_sum",
 ]
-
-
-# threads that run the FW checker's independent estimate batches; outputs
-# do not depend on it, so it is neither a budget nor a CLI flag
-_WORKERS = 2
 
 
 def subseed(seed: int, *tags) -> int:
@@ -364,7 +359,7 @@ def fwuldp_gaps(
     seeds never depend on x, so each level set is drawn once per call
     and walked from every start.  Every (eps, member) and (eps, level)
     batch has its own seed, so the batches are listed first and then
-    run on ``_WORKERS`` threads; the rows are built from the results in
+    run through ``estimators._map``; the rows are built from the results in
     list order, so the reports do not depend on the worker count.
     """
     if not 0 <= s0 < math.inf or not 0 < delta < math.inf:
@@ -395,8 +390,7 @@ def fwuldp_gaps(
         for si, level_samples in enumerate(upper_samples):
             jobs = [(pt, DistanceAtLeast(level.paths, delta), None) for pt, level in zip(points, level_samples)]
             tasks.append((eps, jobs, budgets, subseed(budgets.seed, "fw", "upper", ei, si)))
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        results = pool.map(lambda task: _estimate_probabilities(model, grid, *task), tasks)
+    results = iter(_map(lambda task: _estimate_probabilities(model, grid, *task), tasks))
 
     for eps in schedule.eps:
         member_rows: list[list[dict]] = [[] for _ in points]

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,15 +25,19 @@ from uldplab.estimators import (
     mc_probability,
     quadrature_probability,
     wilson_interval,
+    _girsanov_log_weights,
     _sub_block_rows,
 )
 from uldplab.models import (
+    Control,
     DriftSpec,
     FiniteSDE,
     GalerkinSPDE,
+    NumericalBlowupError,
     PerturbedBM,
     SwappedBM,
     TranslatedBM,
+    _noise_block,
     constant_control,
     zero_control,
 )
@@ -47,6 +53,7 @@ from uldplab.pathspace import (
     line_path,
     sup_metric,
 )
+from uldplab.uldp import CheckBudgets, IndexSetSample, fwuldp_gaps
 
 
 SMALL = TimeGrid(1.0, 4)
@@ -336,8 +343,81 @@ def _sub_block_cases():
 def test_sub_block_size_is_invisible_to_the_estimates(model, grid, jobs, monkeypatch):
     # the last block and its last 8-row sub-block are both partial
     eps, n, seed = 0.2, CHUNK + 13, 17
+    h = CappedSetDistance(PathSet([constant_path(grid, 0.2, model.dim)]), 1.0, 0.5)
+    xs = [x for x, _, _ in jobs]
     default = mc_probability(model, grid, eps, jobs, n, seed)
+    laplace = laplace_functional(model, grid, xs, eps, h, n, seed)
     monkeypatch.setattr(estimators, "_SUB_BLOCK_BYTES", 0)
     assert _sub_block_rows(grid, model.dim) == 8
     assert mc_probability(model, grid, eps, jobs, n, seed) == default
+    assert laplace_functional(model, grid, xs, eps, h, n, seed) == laplace
     assert all(0 < est.hit_count < n for est in default)
+
+
+@pytest.mark.parametrize(("steps", "channels", "rows"), [(64, 1, 2016), (8, 3, 8), (5, 2, 1000)])
+def test_a_block_drawn_in_pieces_equals_the_whole_block(steps, channels, rows):
+    grid = TimeGrid(1.0, steps)
+    size = CHUNK - 5  # the last piece is partial
+    whole = _noise_block(grid, channels, 23, 4, size)
+    pieces = list(_noise_block(grid, channels, 23, 4, size, rows))
+    assert [len(p) for p in pieces] == [rows] * (size // rows) + [size % rows]
+    assert np.array_equal(np.concatenate(pieces), whole)
+    # the Girsanov log weights, formed one piece at a time
+    tilt = Control(grid, np.random.default_rng(2).normal(size=(steps, channels)))
+    want = _girsanov_log_weights(tilt, whole, 0.2)
+    assert np.array_equal(np.concatenate([_girsanov_log_weights(tilt, p, 0.2) for p in pieces]), want)
+
+
+def test_an_estimate_inside_a_worker_runs_its_blocks_inline(monkeypatch):
+    # the FW checker's batches run on the helper's threads; their blocks start no pool of their own
+    seen = []
+    draw = estimators._noise_block
+
+    def counted(*args, **kwargs):
+        seen.append((args[3], threading.current_thread().name, threading.active_count()))
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_noise_block", counted)
+    grid = TimeGrid(1.0, 8)
+    base = threading.active_count()
+    budgets = CheckBudgets(mc_samples=CHUNK + 8, level_count=2, s_levels=2, seed=3)
+    fwuldp_gaps(BM, grid, IndexSetSample("pair", [(0.0,), (0.5,)]), 0.25, 0.4, EpsilonSchedule((0.2,)), budgets)
+    assert {block for block, _, _ in seen} == {0, 1}
+    assert len({name.rsplit("_", 1)[0] for _, name, _ in seen}) == 1  # one pool
+    assert "MainThread" not in {name for _, name, _ in seen}
+    assert max(count for _, _, count in seen) <= base + estimators._WORKERS
+
+
+def test_a_failing_later_block_raises_what_the_serial_run_raises(monkeypatch):
+    # block 1 blows up at step 6, block 2 at step 3; the serial run stops at block 1
+    poison = {1: 6, 2: 3}
+    draw = estimators._noise_block
+    block_2_failing = threading.Event()
+
+    def poisoned(grid, channels, seed, block, size, rows=None):
+        whole = draw(grid, channels, seed, block, size)
+        if block in poison:
+            whole[0, poison[block] - 1, 0] = np.inf
+        if block == 1 and estimators._WORKERS > 1:
+            # on two workers, block 2 runs once block 0 is done: let it fail first
+            block_2_failing.wait(timeout=10)
+            time.sleep(0.1)
+        if block == 2:
+            block_2_failing.set()
+        return whole if rows is None else (whole[lo : lo + rows] for lo in range(0, size, rows))
+
+    monkeypatch.setattr(estimators, "_noise_block", poisoned)
+    model, grid, n = FiniteSDE(dim=1), TimeGrid(1.0, 8), 3 * CHUNK
+    calls = {
+        "mc": lambda: mc_probability(model, grid, 0.2, [(0.0, TerminalAtLeast(0.1), None)], n, 5),
+        "laplace": lambda: laplace_functional(model, grid, [(0.0,)], 0.2, Constant(1.0), n, 5),
+    }
+    for call in calls.values():
+        raised = []
+        for workers in (1, 2):
+            block_2_failing.clear()
+            monkeypatch.setattr(estimators, "_WORKERS", workers)
+            with pytest.raises(NumericalBlowupError) as exc:
+                call()
+            raised.append((type(exc.value), str(exc.value), exc.value.step))
+        assert raised == [(NumericalBlowupError, "finite SDE state became non-finite at step 6", 6)] * 2

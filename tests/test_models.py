@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -238,6 +239,81 @@ def test_galerkin_spec_takes_only_a_rule_and_scale_object(eigenvalues):
     spec = {**model_to_spec(GalerkinSPDE(modes=3, channels=3)), "eigenvalues": eigenvalues}
     with pytest.raises(ValueError, match=r"eigenvalues must be a \{rule, scale\} object"):
         model_from_spec(spec)
+
+
+LINEAR_2 = {"name": "linear", "matrix": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    ("spec", "build", "error", "message"),
+    [
+        pytest.param(
+            {"variant": "galerkin-spde", "modes": 2, "eigenvalues": {"rule": "cubic"}},
+            lambda: GalerkinSPDE(modes=2, channels=2, eigen_rule="cubic"),
+            ValueError, "unknown eigenvalue rule 'cubic'", id="eigen-rule",
+        ),
+        pytest.param(
+            {"variant": "galerkin-spde", "modes": 2, "eigenvalues": {"scale": math.nan}},
+            lambda: GalerkinSPDE(modes=2, channels=2, eigen_scale=math.nan),
+            ValueError, "galerkin-spde eigen_scale must be finite", id="eigen-scale",
+        ),
+        pytest.param(
+            {"variant": "finite-sde", "dim": 2, "drift": {"name": "cubic"}},
+            lambda: FiniteSDE(dim=2, drift=DriftSpec("cubic")),
+            ValueError, "unknown drift 'cubic'", id="drift-name",
+        ),
+        pytest.param(
+            {"variant": "finite-sde", "dim": 2, "noise": {"name": "pink"}},
+            lambda: FiniteSDE(dim=2, noise=NoiseSpec("pink")),
+            ValueError, "unknown noise 'pink'", id="noise-name",
+        ),
+        pytest.param(
+            {"variant": "finite-sde", "drift": {"name": "scaled-sine", "kappa": math.inf}},
+            lambda: FiniteSDE(drift=DriftSpec("scaled-sine", kappa=math.inf)),
+            ValueError, "drift kappa must be finite", id="kappa",
+        ),
+        pytest.param(
+            {"variant": "finite-sde", "noise": {"name": "diagonal-constant", "gain": math.nan}},
+            lambda: FiniteSDE(noise=NoiseSpec("diagonal-constant", gain=math.nan)),
+            ValueError, "noise gain must be finite", id="gain",
+        ),
+        pytest.param(
+            {"variant": "galerkin-spde", "modes": 2, "noise": {"name": "diagonal-bounded", "decay": -math.inf}},
+            lambda: GalerkinSPDE(modes=2, channels=2, noise=NoiseSpec("diagonal-bounded", decay=-math.inf)),
+            ValueError, "noise decay must be finite", id="decay",
+        ),
+        pytest.param(
+            {"variant": "galerkin-spde", "modes": 3, "channels": 2, "noise": {"name": "diagonal-bounded"}},
+            lambda: GalerkinSPDE(modes=3, channels=2),
+            ShapeMismatchError, "diagonal noise 'diagonal-bounded' needs channels == dim, got 2 != 3",
+            id="diagonal-channels",
+        ),
+        pytest.param(
+            {"variant": "finite-sde", "dim": 3, "drift": LINEAR_2},
+            lambda: FiniteSDE(dim=3, drift=DriftSpec("linear", matrix=((1.0, 0.0), (0.0, 1.0)))),
+            ShapeMismatchError, "linear drift matrix must be 3x3", id="linear-matrix",
+        ),
+        pytest.param(
+            {"variant": "finite-sde", "dim": 2, "drift": {**LINEAR_2, "offset": [0.5, 0.5, 0.5]}},
+            lambda: FiniteSDE(dim=2, drift=DriftSpec("linear", offset=(0.5, 0.5, 0.5))),
+            ShapeMismatchError, "linear drift offset must have length 2", id="linear-offset",
+        ),
+    ],
+)
+def test_bad_model_specs_fail_when_built_and_name_the_field(spec, build, error, message, tmp_path, capsys):
+    import json
+
+    from uldplab.cli import main
+
+    with pytest.raises(error, match=re.escape(message)):
+        build()
+    with pytest.raises(error, match=re.escape(message)):
+        model_from_spec(spec)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    code = main(["simulate", "--model", str(path), "--x", "0", "--eps", "0.1", "--samples", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 def test_load_model_builtin_and_file(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from uldplab import rates, scenarios, uldp
+from uldplab import estimators, rates, scenarios
 from uldplab.estimators import CHUNK, Constant, EpsilonSchedule
 from uldplab.models import DriftSpec, FiniteSDE, NoiseSpec, TranslatedBM
 from uldplab.pathspace import (
@@ -281,8 +281,25 @@ def test_fw_outputs_do_not_depend_on_the_worker_count(monkeypatch, pinned_run, t
         return [path.read_bytes() for path in paths]
 
     default = outputs("default", pinned_run("bm-fwuldp-holds"))
-    monkeypatch.setattr(uldp, "_WORKERS", 1)
+    monkeypatch.setattr(estimators, "_WORKERS", 1)
     assert outputs("one", scenarios.run("bm-fwuldp-holds")) == default
+
+
+def test_set_wise_and_laplace_outputs_do_not_depend_on_the_worker_count(monkeypatch, pinned_run, tmp_path):
+    # each dz-lower-bounded estimate has 13 blocks, each Laplace value below 3
+    fam = make_families("lower", 0.5, 0.4, [line_path(GRID, 0.0, 0.0), line_path(GRID, 1.0, 0.5)])
+    budgets = CheckBudgets(mc_samples=2 * CHUNK + 100, level_count=6, s_levels=2, seed=0, hold_threshold=0.25)
+
+    def outputs(tag, scenario):
+        report = eulp_gap(BM, GRID, IndexSetSample("pair", [(0.0,), (1.0,)]), fam, EpsilonSchedule((0.2,)), budgets)
+        paths = [tmp_path / f"{tag}-eulp.json", tmp_path / f"{tag}-scenario.json"]
+        report.save_json(str(paths[0]))
+        scenario.save_json(str(paths[1]))
+        return [path.read_bytes() for path in paths]
+
+    default = outputs("default", pinned_run("dz-lower-bounded"))
+    monkeypatch.setattr(estimators, "_WORKERS", 1)
+    assert outputs("one", scenarios.run("dz-lower-bounded")) == default
 
 
 def test_fwuldp_draws_each_level_set_once(monkeypatch):
