@@ -26,22 +26,33 @@ Jobs at one start with one tilt share its simulated paths, whatever
 their events, and the screens of a common ball prefix: balls and ball
 unions that begin with the same balls test each of those balls once per
 sub-block, and each later ball only on the rows no earlier ball caught.
+On the translated family the path at x is x plus a core built once per
+sub-block and tilt, so a ball that two or more starts of the call test
+(the set-wise ball sweeps) is decided from two numbers per sample
+instead: the max and min over t > 0 of the core minus the ball's shape
+(its center minus the center's first value), formed once per shape,
+sub-block and tilt and read by every start and radius.  A start more
+than the radius from the center at t = 0 misses that ball on every row
+at no cost; rows within a few roundings of the radius go through the
+exact screen (``pathspace._ball_from_extremes``).
 A block is stepped and screened in row sub-blocks whose path array
 holds at most ``_SUB_BLOCK_BYTES``, and the blocks of one estimate run
 on ``_WORKERS`` threads (``_run_blocks``).  Blocks that run side by side
 draw their noise one sub-block at a time; a block that runs alone (inside
 one of the FW checker's threads, for instance) is drawn whole.  Peak
 sampling memory is therefore, per worker, one sub-block of noise (or one
-whole block, when it runs alone), one sub-block of paths and one bool
-per block sample per job, plus, at the start being tested, one bool per
-sub-block sample per screened prefix; and for the whole call one bit per
-sample per job (and one weight per sample per distinct tilt).  Every
-draw, step and screen acts row by row, and each block writes only its
-own slice of the outputs, so neither the sub-block size, the number of
-starts nor the worker count changes a bit: the translated path at x is
-x plus a core built once per sub-block, and each estimate equals the
-one its start would get alone.  Reductions over samples (sums, the
-effective sample size, log-sum-exp) run after every block is done.
+whole block, when it runs alone), one sub-block of paths (for the
+translated family, its core and one buffer of that size, held for the
+block) and one bool per block sample per job, plus, at the start being
+tested, one bool per sub-block sample per screened prefix or decided
+ball, and two floats per sub-block sample per ball shape; and for the
+whole call one bit per sample per job (and one weight per sample per
+distinct tilt).  Every draw, step and screen acts row by row, and each
+block writes only its own slice of the outputs, so neither the sub-block
+size, the number of starts nor the worker count changes a bit, and each
+estimate equals the one its start would get alone.  Reductions over
+samples (sums, the effective sample size, log-sum-exp) run after every
+block is done.
 """
 
 from __future__ import annotations
@@ -54,7 +65,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .models import Control, ProcessModel, _noise_block, simulate_batch, simulate_starts
+from .models import (
+    Control,
+    ProcessModel,
+    TranslatedBM,
+    _noise_block,
+    _translated_core,
+    simulate_batch,
+    simulate_starts,
+)
 from .pathspace import (
     FLOAT_FMT,
     Ball,
@@ -65,6 +84,8 @@ from .pathspace import (
     ShapeMismatchError,
     TerminalAtLeast,
     TimeGrid,
+    UnionOfBalls,
+    _ball_from_extremes,
     _dist_batch,
     _member_distances,
 )
@@ -420,6 +441,56 @@ def _start_key(model: ProcessModel, x) -> bytes:
     return model._as_state(x).tobytes()
 
 
+def _extremes_plan(model: ProcessModel, grid: TimeGrid, jobs) -> tuple[dict, list]:
+    """Which jobs of a translated-family batch ``mc_probability`` decides from per-sample extremes.
+
+    Returns ``balls`` and ``shapes``: ``balls`` maps such a job's index to
+    one ``(key, shape index, center, radius)`` per ball of its event, key
+    an int per distinct (center, radius); ``shapes[s]`` is a ball shape
+    ``center[1:, 0] - center[0, 0]``.  A ``Ball`` or ``UnionOfBalls`` job is
+    planned when each of its balls is tested from two or more distinct
+    starts of the batch, so its extremes are read at least twice; a ball
+    only its own start tests (the FW checker's per-start level-set
+    members) stays on the screens.  Other families plan nothing.
+    """
+    if not isinstance(model, TranslatedBM):
+        return {}, []
+    tested: dict = {}  # (center bytes, radius) -> start keys
+    found = {}
+    for j, (x, event, _) in enumerate(jobs):
+        if isinstance(event, Ball):
+            centers, radii = event.center.values[None], (event.radius,)
+        elif isinstance(event, UnionOfBalls):
+            centers, radii = event.centers.stack, event.radii
+        else:
+            continue
+        if centers.shape[1:] != (grid.steps + 1, 1):
+            continue  # the screens raise the shape error
+        keys = [(c.tobytes(), r) for c, r in zip(centers, radii)]
+        found[j] = (keys, centers)
+        for key in keys:
+            tested.setdefault(key, set()).add(_start_key(model, x))
+    ids: dict = {}
+    shapes: dict = {}  # shape bytes -> (index, shape)
+    balls = {}
+    for j, (keys, centers) in found.items():
+        if all(len(tested[key]) > 1 for key in keys):
+            balls[j] = []
+            for key, center in zip(keys, centers):
+                shape = center[1:, 0] - center[0, 0]
+                s = shapes.setdefault(shape.tobytes(), (len(shapes), shape))[0]
+                balls[j].append((ids.setdefault(key, len(ids)), s, center, key[1]))
+    return balls, [shape for _, shape in shapes.values()]
+
+
+def _shape_extremes(core: np.ndarray, shape: np.ndarray, buf: np.ndarray) -> tuple:
+    """Per-row max and min of ``core[:, 1:, 0] - shape``, and a bound on ``|core|``; ``buf`` holds the differences."""
+    diff = buf[: core.shape[0] * shape.size].reshape(core.shape[0], shape.size)
+    np.subtract(core[:, 1:, 0], shape, out=diff)
+    hi, lo = diff.max(axis=1), diff.min(axis=1)
+    return hi, lo, max(abs(float(hi.max())), abs(float(lo.min()))) + float(np.abs(shape).max())
+
+
 def _effective_sample_size(weights: np.ndarray) -> float:
     wsum = math.fsum(memoryview(weights))
     wsq = math.fsum(memoryview(weights * weights))
@@ -450,9 +521,20 @@ def mc_probability(
     a ball that leads several of their ball unions is screened once per
     sub-block; the dict holds one bool per sub-block sample per prefix and
     is dropped before the next start.  A lone job at its start gets none,
-    since no other job could read it.  Each job's flags are packed to bits
-    once per block.  A job's estimate equals the one it would get on its
-    own, at any sub-block size and worker count, bit for bit.
+    since no other job could read it.
+
+    On the translated family, a ``Ball`` or ``UnionOfBalls`` job whose
+    balls are each tested from two or more distinct starts of the call
+    (``_extremes_plan``) reads no paths: per sub-block and group, the
+    core is built once and the per-row max and min of ``core - shape``
+    are formed once for each ball shape the group's planned jobs read.
+    Each (start, ball) pair is then decided in O(rows), or at once when
+    the start is outside the ball at t = 0, and the jobs at one start
+    read each ball's flags from one dict.  A start builds its paths only
+    for its other jobs, and a sub-block whose core is not finite screens
+    them all.  Each job's flags are packed to bits once per block.  A
+    job's estimate equals the one it would get on its own, at any
+    sub-block size and worker count, bit for bit.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -467,21 +549,58 @@ def mc_probability(
     for j, (key, (x, _, tilt)) in enumerate(zip(keys, jobs)):
         starts = groups.setdefault(key, (tilt, {}))[1]
         starts.setdefault(_start_key(model, x), (x, []))[1].append(j)
+    balls, shapes = _extremes_plan(model, grid, jobs)
+    # tilt key -> indices of the shapes its planned jobs read
+    group_shapes = {
+        key: sorted({s for _, members in starts.values() for j in members for _, s, _, _ in balls.get(j, ())})
+        for key, (_, starts) in groups.items()
+    }
     step = _sub_block_rows(grid, model.dim)
     # one bit per sample per job; blocks start at multiples of CHUNK, so of 8
     hits = np.empty((len(jobs), (n + 7) // 8), dtype=np.uint8)
     weights = {key: np.empty(n) for key, (tilt, _) in groups.items() if tilt is not None}
 
+    def screen(members, batch, rows, flags):
+        screens = {} if len(members) > 1 else None
+        for j in members:
+            flags[j, rows] = jobs[j][1].hits(batch, screens)
+
+    def run_planned(tilt, starts, shape_ids, inc, rows, flags, buf):
+        core = _translated_core(model, grid, eps, tilt, inc)
+        buf = buf[: core.size]
+        extremes = {s: _shape_extremes(core, shapes[s], buf) for s in shape_ids}
+        # a nan or inf anywhere in the core (whose first column is zero) shows in a bound
+        if not all(math.isfinite(scale) for _, _, scale in extremes.values()):
+            extremes = {}
+        paths = buf.reshape(core.shape)  # written only after the extremes are formed
+        for x, members in starts.values():
+            x_e = model.effective_start(model._as_state(x), eps)[0]
+            planned = [j for j in members if j in balls and extremes]
+            if len(planned) < len(members):
+                screen([j for j in members if j not in planned], np.add(core, x_e, out=paths), rows, flags)
+            decided: dict = {}  # ball key -> its flags at this start, None for no row
+            for j in planned:
+                out = flags[j, rows]
+                out[:] = False
+                for key, s, center, radius in balls[j]:
+                    if key not in decided:
+                        decided[key] = _ball_from_extremes(core, *extremes[s], x_e, center, radius)
+                    if decided[key] is not None:
+                        out |= decided[key]
+
     def run_block(offset, size, sub_blocks):
         flags = np.empty((len(jobs), size), dtype=bool)
+        # one buffer per block for the planned groups: freeing one per sub-block cost page faults
+        buf = np.empty(step * (grid.steps + 1)) if balls else None
         for lo, inc in sub_blocks:
             rows = slice(lo, lo + len(inc))
             for key, (tilt, starts) in groups.items():
-                paths = simulate_starts(model, grid, [x for x, _ in starts.values()], eps, tilt, inc)
-                for (_, members), batch in zip(starts.values(), paths):
-                    screens = {} if len(members) > 1 else None
-                    for j in members:
-                        flags[j, rows] = jobs[j][1].hits(batch, screens)
+                if group_shapes[key]:
+                    run_planned(tilt, starts, group_shapes[key], inc, rows, flags, buf)
+                else:
+                    paths = simulate_starts(model, grid, [x for x, _ in starts.values()], eps, tilt, inc)
+                    for (_, members), batch in zip(starts.values(), paths):
+                        screen(members, batch, rows, flags)
                 if tilt is not None:
                     weights[key][offset + lo : offset + rows.stop] = np.exp(_girsanov_log_weights(tilt, inc, eps))
         hits[:, offset // 8 : (offset + size + 7) // 8] = np.packbits(flags, axis=1)

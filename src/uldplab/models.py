@@ -36,6 +36,7 @@ drawn in consecutive row pieces (``rows``) without changing a bit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -466,18 +467,20 @@ def _phi1(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _translated_core(eps: float, control_values, increments: np.ndarray, dt: float) -> np.ndarray:
-    """The x = 0 path of the translated family, shape (B, steps+1, 1).
+def _translated_core(model: ProcessModel, grid: TimeGrid, eps: float, control, increments: np.ndarray) -> np.ndarray:
+    """The x = 0 path of the translated family, shape (B, steps+1, 1), its first column zero.
 
-    One cumsum along time integrates the whole (C, steps, 1) control stack.
+    The inputs are checked as ``_control_values`` checks them; one cumsum
+    along time integrates the whole (C, steps, 1) control stack.
     """
+    control_values = _control_values(model, grid, (eps,), control, increments)
     b, steps, _ = increments.shape
     core = np.zeros((b, steps + 1, 1))
     np.cumsum(increments, axis=1, out=core[:, 1:, :])
     core *= math.sqrt(eps)
     if control_values is not None:
         integral = np.zeros((len(control_values), steps + 1, 1))
-        np.cumsum(control_values * dt, axis=1, out=integral[:, 1:, :])
+        np.cumsum(control_values * grid.dt, axis=1, out=integral[:, 1:, :])
         core += integral
     return core
 
@@ -593,8 +596,7 @@ def simulate_starts(
     keep it.  Inputs are checked when the first batch is requested.
     """
     if isinstance(model, TranslatedBM):
-        cv = _control_values(model, grid, (eps,), control, increments)
-        core = _translated_core(eps, cv, increments, grid.dt)
+        core = _translated_core(model, grid, eps, control, increments)
         paths = np.empty_like(core)
         for x in xs:
             yield np.add(core, model.effective_start(model._as_state(x), eps)[0], out=paths)
@@ -646,10 +648,10 @@ def simulate_batch(
 
     A stepped family keeps every state of its stepping loop.
     """
-    cv = _control_values(model, grid, (eps,), control, increments)
     if isinstance(model, TranslatedBM):
-        core = _translated_core(eps, cv, increments, grid.dt)
+        core = _translated_core(model, grid, eps, control, increments)
         return np.add(core, model.effective_start(model._as_state(x), eps)[0], out=core)
+    cv = _control_values(model, grid, (eps,), control, increments)
     if not isinstance(model, (FiniteSDE, GalerkinSPDE)):
         raise TypeError(f"unknown model type {type(model).__name__}")
     out = np.empty((increments.shape[0], grid.steps + 1, model.dim))
@@ -715,28 +717,39 @@ def model_to_spec(model: ProcessModel) -> dict:
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
-def _drift_from(obj: dict | None) -> DriftSpec:
-    if not obj:
-        return DriftSpec()
+def _default(cls, name: str):
+    """The constructor default of field ``name`` of the dataclass ``cls``."""
+    f = next(f for f in dataclasses.fields(cls) if f.name == name)
+    return f.default_factory() if f.default is dataclasses.MISSING else f.default
+
+
+def _drift_from(obj: dict | None, default: DriftSpec) -> DriftSpec:
+    """The drift of a spec object; a missing object or field is ``default``'s."""
+    obj = obj or {}
     return DriftSpec(
-        name=obj.get("name", "zero"),
-        kappa=float(obj.get("kappa", 1.0)),
-        matrix=tuple(map(tuple, obj["matrix"])) if obj.get("matrix") else None,
-        offset=tuple(obj["offset"]) if obj.get("offset") else None,
+        name=obj.get("name", default.name),
+        kappa=float(obj.get("kappa", default.kappa)),
+        matrix=tuple(map(tuple, obj["matrix"])) if obj.get("matrix") else default.matrix,
+        offset=tuple(obj["offset"]) if obj.get("offset") else default.offset,
     )
 
 
-def _noise_from(obj: dict | None) -> NoiseSpec:
-    if not obj:
-        return NoiseSpec()
+def _noise_from(obj: dict | None, default: NoiseSpec) -> NoiseSpec:
+    """The noise of a spec object; a missing object or field is ``default``'s."""
+    obj = obj or {}
     return NoiseSpec(
-        name=obj.get("name", "identity"),
-        gain=float(obj.get("gain", 1.0)),
-        decay=float(obj.get("decay", 0.0)),
+        name=obj.get("name", default.name),
+        gain=float(obj.get("gain", default.gain)),
+        decay=float(obj.get("decay", default.decay)),
     )
 
 
 def model_from_spec(spec: dict) -> ProcessModel:
+    """The model of a JSON spec; every field it leaves out takes the family's constructor default.
+
+    The one exception is a ``galerkin-spde`` spec's ``channels``, which
+    defaults to its ``modes``.
+    """
     variant = spec.get("variant")
     if variant == "translated-bm":
         return TranslatedBM()
@@ -744,30 +757,30 @@ def model_from_spec(spec: dict) -> ProcessModel:
         return PerturbedBM()
     if variant == "swapped-bm":
         return SwappedBM(
-            swap_at=float(spec.get("swap_at", 0.0)), swap_to=float(spec.get("swap_to", 0.5))
+            swap_at=float(spec.get("swap_at", _default(SwappedBM, "swap_at"))),
+            swap_to=float(spec.get("swap_to", _default(SwappedBM, "swap_to"))),
         )
     if variant == "finite-sde":
         return FiniteSDE(
-            dim=int(spec.get("dim", 1)),
-            drift=_drift_from(spec.get("drift")),
-            noise=_noise_from(spec.get("noise")),
+            dim=int(spec.get("dim", _default(FiniteSDE, "dim"))),
+            drift=_drift_from(spec.get("drift"), _default(FiniteSDE, "drift")),
+            noise=_noise_from(spec.get("noise"), _default(FiniteSDE, "noise")),
         )
     if variant == "galerkin-spde":
         ev = spec.get("eigenvalues", {})
         if not isinstance(ev, dict) or not set(ev) <= {"rule", "scale"}:
             raise ValueError(f"galerkin-spde eigenvalues must be a {{rule, scale}} object, got {ev!r}")
         reg = spec.get("regularity") or {}
+        modes = int(spec.get("modes", _default(GalerkinSPDE, "modes")))
         return GalerkinSPDE(
-            modes=int(spec.get("modes", 32)),
-            channels=int(spec.get("channels", spec.get("modes", 32))),
-            eigen_rule=ev.get("rule", "quadratic"),
-            eigen_scale=float(ev.get("scale", 1.0)),
-            drift=_drift_from(spec.get("drift")),
-            noise=_noise_from(spec.get("noise")),
+            modes=modes,
+            channels=int(spec.get("channels", modes)),
+            eigen_rule=ev.get("rule", _default(GalerkinSPDE, "eigen_rule")),
+            eigen_scale=float(ev.get("scale", _default(GalerkinSPDE, "eigen_scale"))),
+            drift=_drift_from(spec.get("drift"), _default(GalerkinSPDE, "drift")),
+            noise=_noise_from(spec.get("noise"), _default(GalerkinSPDE, "noise")),
             regularity=Regularity(
-                alpha=float(reg.get("alpha", 0.2)),
-                k_scale=float(reg.get("k_scale", 1.0)),
-                k_power=float(reg.get("k_power", 0.25)),
+                **{f.name: float(reg.get(f.name, f.default)) for f in dataclasses.fields(Regularity)}
             ),
         )
     raise ValueError(f"unknown model variant {variant!r}")

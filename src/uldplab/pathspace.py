@@ -21,8 +21,10 @@ are still open after the first grid point, the full distances are
 formed in one pass instead.  Given a dict of screened ball prefixes,
 balls and unions that start with the same balls (same centers, same
 radii, same order) on the same paths screen those balls once; the flags
-are the same.  ``margins`` keeps the full distances for the rate side,
-the tilt scan, quadrature and the CLI.
+are the same.  For scalar paths x + core, ``_ball_from_extremes``
+answers a ball from the per-row max and min of core minus the ball's
+shape, with the same flags.  ``margins`` keeps the full distances for
+the rate side, the tilt scan, quadrature and the CLI.
 """
 
 from __future__ import annotations
@@ -318,6 +320,39 @@ def _union_hits(values: np.ndarray, centers: np.ndarray, radii, screens: dict | 
         if screens is not None:
             screens[prefix] = out.copy()
     return out
+
+
+# tau of ``_ball_from_extremes`` per unit of magnitude: 32 unit roundoffs,
+# about three times the rounding its two ways of forming a distance can differ by
+_EXTREMES_SLACK = 2.0**-48
+
+
+def _ball_from_extremes(core, hi, lo, scale, x, center, radius) -> np.ndarray | None:
+    """Rows of the scalar paths ``core + x`` inside the open ball, bit for bit as ``_union_hits``; None for no row.
+
+    ``core`` (B, steps+1, 1) has a zero first column, and ``hi`` and
+    ``lo`` are the per-row max and min of ``core[:, 1:, 0] - shape``,
+    shape being ``center[1:, 0] - center[0, 0]``; ``scale`` bounds
+    ``|core|``.  Column 0 is x for every row, so it is decided once, as
+    the exact test forms it.  At the later columns the path's distance
+    is ``hi`` or ``lo`` plus ``x - center[0]`` up to a few roundings of
+    the magnitudes involved, which the margin tau covers; rows within tau
+    of the radius go through the exact screen.
+    """
+    x, c0 = float(x), float(center[0, 0])
+    if not abs(x - c0) < radius:
+        return None
+    tau = _EXTREMES_SLACK * (scale + abs(x) + float(np.abs(center).max()) + radius)
+    d = x - c0
+    inside = (hi < radius - tau - d) & (lo > tau - radius - d)
+    # rows not surely outside: with a non-finite tau, every row
+    unsure = ~inside
+    if math.isfinite(tau):
+        unsure &= (hi <= radius + tau - d) & (lo >= -radius - tau - d)
+    rows = np.flatnonzero(unsure)
+    if rows.size:
+        inside[rows[_within(core[rows] + x, np.arange(rows.size), center, radius, np.less)]] = True
+    return inside
 
 
 def hausdorff(a: PathSet, b: PathSet) -> float:

@@ -20,6 +20,7 @@ from uldplab.models import (
     _noise_block,
     _noise_matrix,
     _phi1,
+    _rng,
     constant_control,
     load_model,
     model_from_spec,
@@ -535,3 +536,35 @@ def test_stepped_walk_evaluates_one_sine_per_step(monkeypatch, model, sines):
     states = list(simulate_eps_stack(model, grid, 0.3, (0.1, 0.01, 0.0), u, inc))
     assert np.array_equal(states[-1][:6], want[:, -1])
     assert len(calls) == sines * grid.steps
+
+
+def test_galerkin_spec_defaults_are_the_constructor_defaults():
+    assert model_from_spec({"variant": "galerkin-spde", "modes": 3}) == GalerkinSPDE(modes=3, channels=3)
+    # a partial drift or noise object keeps the default's other fields
+    partial = {"variant": "galerkin-spde", "modes": 3, "drift": {"kappa": 0.5}, "noise": {"gain": 0.4}}
+    assert model_from_spec(partial) == GalerkinSPDE(
+        modes=3, channels=3, drift=DriftSpec("scaled-sine", kappa=0.5), noise=NoiseSpec("diagonal-bounded", gain=0.4)
+    )
+    assert model_from_spec({"variant": "finite-sde"}) == FiniteSDE()
+
+
+# Stream canaries.  Every pinned digest reads these two streams, so a numpy
+# release that changes either one breaks them all at once; these two tests
+# then name the stream that moved.  The values were recorded with numpy 2.4.6.
+
+
+def test_canary_philox_raw_stream_is_unchanged():
+    # the bit generator behind every noise block; NEP 19 keeps it stable across releases
+    gen = _rng(20261020, 3)
+    assert [hex(int(v)) for v in gen.bit_generator.random_raw(4)] == [
+        "0x96a1a8c8192e08d3", "0x2545db20f2147296", "0x76b4d3e4418ef632", "0x8294b9c33bc1550",
+    ]
+
+
+def test_canary_noise_block_standard_normals_are_unchanged():
+    # Generator.standard_normal on that stream; NEP 19 lets its algorithm change between releases
+    block = _noise_block(TimeGrid(1.0, 4), 2, 20261020, 3, 2)
+    assert [float(v).hex() for v in block.reshape(-1)[:6]] == [
+        "0x1.928efc4c66448p-1", "0x1.1cdc535fd71e7p-3", "0x1.66935082d4f5fp-2",
+        "-0x1.3c4ea6b73cd5bp-3", "-0x1.355482fa55e1dp-1", "-0x1.53a1a40cd94fdp-4",
+    ]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from uldplab import estimators, pathspace
 from uldplab.estimators import CHUNK, mc_probability
-from uldplab.models import TranslatedBM
+from uldplab.models import FiniteSDE, PerturbedBM, SwappedBM, TranslatedBM, constant_control, simulate_batch
 from uldplab.pathspace import (
     Ball,
     DiscretePath,
@@ -324,8 +324,9 @@ def test_shared_prefix_screens_equal_margin_signs_bitwise(seed, dim, steps, orde
 
 
 def test_probability_batch_screens_each_ball_once_per_start_and_block(monkeypatch):
+    # a stepped family screens its balls; the translated family decides shared ones from extremes
     grid = TimeGrid(1.0, 16)
-    model = TranslatedBM()
+    model = FiniteSDE()
     starts = [(0.0,), (0.5,)]
     balls = [(line_path(grid, 0.0, 1.0), 0.5), (line_path(grid, 0.5, 1.0), 0.25), (line_path(grid, 0.0, 0.0), 0.4)]
     unions = [
@@ -354,7 +355,7 @@ def test_probability_batch_screens_each_ball_once_per_start_and_block(monkeypatc
 def test_probability_batch_gives_screens_only_to_shared_starts(monkeypatch):
     # a lone job at its start gets no prefix dict, since no other job could read it
     grid = TimeGrid(1.0, 16)
-    model = TranslatedBM()
+    model = FiniteSDE()
     ball = Ball(line_path(grid, 0.0, 1.0), 0.5)
     union = UnionOfBalls(PathSet([ball.center, line_path(grid, 0.5, 1.0)]), (0.5, 0.25))
     jobs = [((0.0,), ball, None), ((0.5,), ball, None), ((0.5,), union, None)]
@@ -373,3 +374,99 @@ def test_probability_batch_gives_screens_only_to_shared_starts(monkeypatch):
     assert isinstance(seen[1][1], dict) and seen[1][1] is seen[2][1]
     # the one ball the two jobs at 0.5 share is screened once, then the union's second ball
     assert len(seen[1][1]) == 2
+
+
+def test_probability_batch_forms_extremes_once_per_shape_sub_block_and_tilt(monkeypatch):
+    grid = TimeGrid(1.0, 16)
+    model = TranslatedBM()
+    starts = [(0.25,), (0.5,)]
+    # two shapes: slope-1 lines and constants, each ball tested from both starts
+    lines = UnionOfBalls(PathSet([line_path(grid, s, 1.0) for (s,) in starts]), (0.3, 0.2))
+    flats = UnionOfBalls(PathSet([constant_path(grid, s) for (s,) in starts]), (0.4, 0.4))
+    tilt = constant_control(grid, 0.5)
+    jobs = [(x, event, t) for t in (None, tilt) for x in starts for event in (lines, flats)]
+    n = CHUNK + 100  # two blocks
+    # a lone job's balls are tested from one start, so it is screened
+    alone = [mc_probability(model, grid, 0.1, [job], n, 5)[0] for job in jobs]
+    formed = []
+    extremes = estimators._shape_extremes
+
+    def counting(core, shape, buf):
+        # (sub-block size, tilt group, shape)
+        formed.append((len(core), core[0, -1, 0], shape.tobytes()))
+        return extremes(core, shape, buf)
+
+    monkeypatch.setattr(estimators, "_shape_extremes", counting)
+    monkeypatch.setattr(estimators, "_SUB_BLOCK_BYTES", CHUNK // 2 * (grid.steps + 1) * 8)
+    assert mc_probability(model, grid, 0.1, jobs, n, 5) == alone
+    # 3 sub-blocks (2 + 1) x 2 tilt groups x 2 shapes, however many starts and balls read them
+    assert len(formed) == 3 * 2 * 2
+    assert len(set(formed)) == len(formed)
+
+
+def _edge_increments(model, grid, eps, tilt, x, center, radius, spread=12):
+    """Increments of paths from x that follow ``center`` and end a few ulps inside or outside the ball's edge."""
+    x_e = float(model.effective_start(model._as_state(x), eps)[0])
+    c = center.values[:, 0]
+    integral = simulate_batch(TranslatedBM(), grid, 0.0, 0.0, tilt, np.zeros((1, grid.steps, 1)))[0, :, 0]
+    step = 4 * np.spacing(max(abs(x_e), float(np.abs(c).max()), 1.0))
+    rows = []
+    for edge in (radius, -radius):
+        for k in range(-spread, spread + 1):
+            core = c - x_e
+            core[-1] += edge + k * step
+            w = (core - integral) / math.sqrt(eps)
+            w[0] = 0.0
+            rows.append(np.diff(w))
+    return np.array(rows)[:, :, None]
+
+
+DYADIC = [2.0**-k for k in range(1, 7)]
+
+
+@pytest.mark.parametrize("model", [TranslatedBM(), PerturbedBM(), SwappedBM()], ids=lambda m: m.name)
+@pytest.mark.parametrize("tilted", [False, True], ids=["plain", "constant-tilt"])
+@pytest.mark.parametrize("nan_rows", [False, True], ids=["finite", "nan-rows"])
+@pytest.mark.parametrize("setting", ["dyadic", "far"])
+def test_extremes_flags_equal_margin_signs_near_the_edge(monkeypatch, model, tilted, nan_rows, setting):
+    grid = TimeGrid(1.0, 64)
+    eps = 0.1
+    tilt = constant_control(grid, 0.75) if tilted else None
+    if setting == "dyadic":
+        # the dz sweep at m = 6: start 1/64 lies exactly 1/64 from the center of ball 5, of radius 1/64
+        starts = [(s,) for s in DYADIC] + [(0.0,)]
+        union = UnionOfBalls(PathSet([line_path(grid, s, 1.0) for s in DYADIC]), tuple(s / 2 for s in DYADIC))
+        # rows from each start along its own ball, and from 1/64 along ball 5 after t = 0
+        own = list(zip(starts, union.centers, union.radii)) + [(starts[5], union.centers.members[4], union.radii[4])]
+    else:
+        # starts at +-1e6, each ball on the slope-1 line from one start's effective start
+        starts = [(-1e6,), (1e6,)]
+        lines = [line_path(grid, float(model.effective_start(np.array(x), eps)[0]), 1.0) for x in starts]
+        union = UnionOfBalls(PathSet(lines), (0.3, 0.3))
+        own = list(zip(starts, union.centers, union.radii))
+    inc = np.concatenate(
+        [_edge_increments(model, grid, eps, tilt, x, c, r) for x, c, r in own]
+        + [np.random.default_rng(3).standard_normal((200, grid.steps, 1)) * math.sqrt(grid.dt)]
+    )
+    if nan_rows:
+        inc[[5, 60, 250], [0, 31, 63], 0] = np.nan
+    jobs = [(x, union, tilt) for x in starts]
+    assert set(estimators._extremes_plan(model, grid, jobs)[0]) == set(range(len(jobs)))
+    monkeypatch.setattr(estimators, "_noise_block", lambda grid, channels, seed, block, size, rows=None: inc[:size])
+    got = []
+    finish = estimators._finish_estimate
+
+    def recording(**kw):
+        got.append(kw["hits"].copy())
+        return finish(**kw)
+
+    monkeypatch.setattr(estimators, "_finish_estimate", recording)
+    mc_probability(model, grid, eps, jobs, len(inc), 1)
+    near = slice(0, len(inc) - 200)
+    seen_edge = []
+    for (x, _, _), hits in zip(jobs, got):
+        margins = union.margins(simulate_batch(model, grid, x, eps, tilt, inc))
+        assert np.array_equal(hits, margins > 0.0)
+        seen_edge.append(np.abs(margins[near]) < 1e-12 * max(1.0, abs(x[0])))
+    # the crafted rows do reach the edge of the ball they follow
+    assert sum(map(np.count_nonzero, seen_edge)) >= 2 * len(own)
