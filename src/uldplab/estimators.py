@@ -23,31 +23,25 @@ estimates no matter how work is batched or threaded.
 Estimates at different starts that share a seed read the same block,
 drawn once: the block is the outer loop and the start the inner one.
 Jobs at one start with one tilt share its simulated paths, whatever
-their events, and the screens of a common ball prefix: balls and ball
-unions that begin with the same balls test each of those balls once per
-sub-block, and each later ball only on the rows no earlier ball caught.
-On the translated family the path at x is x plus a core built once per
-sub-block and tilt, so a ball that two or more starts of the call test
-(the set-wise ball sweeps) is decided from two numbers per sample
-instead: the max and min over t > 0 of the core minus the ball's shape
+their events.  On the translated family the path at x is x plus a core
+built once per sub-block and tilt, so a ball that two or more starts of
+the call test (the set-wise ball sweeps) is decided from two numbers per
+sample instead: the max and min over t > 0 of the core minus the ball's shape
 (its center minus the center's first value), formed once per shape,
 sub-block and tilt and read by every start and radius.  A start more
 than the radius from the center at t = 0 misses that ball on every row
 at no cost; rows within a few roundings of the radius go through the
 exact screen (``pathspace._ball_from_extremes``).
-A block is stepped and screened in row sub-blocks whose path array
-holds at most ``_SUB_BLOCK_BYTES``, and the blocks of one estimate run
-on ``_WORKERS`` threads (``_run_blocks``).  Blocks that run side by side
-draw their noise one sub-block at a time; a block that runs alone (inside
-one of the FW checker's threads, for instance) is drawn whole.  Peak
-sampling memory is therefore, per worker, one sub-block of noise (or one
-whole block, when it runs alone), one sub-block of paths (for the
-translated family, its core and one buffer of that size, held for the
-block) and one bool per block sample per job, plus, at the start being
-tested, one bool per sub-block sample per screened prefix or decided
-ball, and two floats per sub-block sample per ball shape; and for the
-whole call one bit per sample per job (and one weight per sample per
-distinct tilt).  Every draw, step and screen acts row by row, and each
+The blocks of one estimate run on ``_WORKERS`` threads (``_run_blocks``);
+each block's noise is drawn whole, and the block is stepped and screened
+in row sub-blocks whose path array holds at most ``_SUB_BLOCK_BYTES``.
+Peak sampling memory is therefore, per worker, one whole block of noise,
+one sub-block of paths (for the translated family, its core and one
+buffer of that size, held for the block) and one bool per block sample
+per job, plus, at the start being tested, one bool per sub-block sample
+per decided ball and two floats per sub-block sample per ball shape; and
+for the whole call one bit per sample per job (and one weight per sample
+per distinct tilt).  Every draw, step and screen acts row by row, and each
 block writes only its own slice of the outputs, so neither the sub-block
 size, the number of starts nor the worker count changes a bit, and each
 estimate equals the one its start would get alone.  Reductions over
@@ -110,9 +104,8 @@ __all__ = [
 
 CHUNK = 8192
 Z95 = 1.959963984540054
-# the most bytes one sub-block's path array may hold: with two blocks or
-# estimate batches in flight, 1 MiB keeps peak memory near that of one
-# unsplit block
+# the most bytes one sub-block's path array may hold: each worker holds
+# its block's whole noise, and 1 MiB keeps the paths beside it small
 _SUB_BLOCK_BYTES = 1 << 20
 # threads for independent work (the blocks of an estimate, the FW
 # checker's estimate batches); no output depends on it, so it is neither
@@ -343,46 +336,29 @@ def _map(fn, items, workers: int | None = None) -> list:
     """
     items = list(items)
     workers = _WORKERS if workers is None else workers
-    if _inline(len(items), workers):
+    if workers < 2 or len(items) < 2 or getattr(_thread, "worker", False):
         return [fn(item) for item in items]
     with concurrent.futures.ThreadPoolExecutor(min(workers, len(items)), initializer=_mark_worker) as pool:
         return list(pool.map(fn, items))
 
 
-def _inline(count: int, workers: int | None = None) -> bool:
-    """Whether ``_map`` runs ``count`` items in the calling thread."""
-    workers = _WORKERS if workers is None else workers
-    return workers < 2 or count < 2 or getattr(_thread, "worker", False)
-
-
 def _run_blocks(grid: TimeGrid, channels: int, n: int, seed: int, rows: int, run_block) -> None:
     """``run_block(offset, size, sub_blocks)`` for each block of ``CHUNK`` of the n samples, through ``_map``.
 
-    ``sub_blocks`` yields ``(lo, increments)`` for the block's row
-    sub-blocks of ``rows`` rows, lo counted from the block's start.
-    Blocks that run side by side draw their noise one sub-block at a
-    time from the block's generator, so two in flight hold no more
-    noise than one whole block.  A block that runs alone (one block,
-    one worker, or inside a worker) is drawn whole and sliced: one
-    allocation per block keeps glibc from handing the freed sub-block
-    arrays back to the kernel after every sub-block, which cost the FW
-    checker's batches tens of thousands of page faults per scenario.
-    Both give the same bits.  Each call must write only its own block's
-    slice of the outputs.
+    Each block's noise is drawn whole, and ``sub_blocks`` yields
+    ``(lo, increments)`` for its row slices of ``rows`` rows, lo counted
+    from the block's start.  Drawn one sub-block at a time instead, the
+    noise was freed piece by piece, glibc handed each piece back to the
+    kernel, and every sub-block cost page faults.  Each call must write
+    only its own block's slice of the outputs.
     """
-    offsets = range(0, n, CHUNK)
-    streamed = not _inline(len(offsets))
 
     def one(offset):
-        block, size = offset // CHUNK, min(CHUNK, n - offset)
-        if streamed:
-            sub_blocks = zip(range(0, size, rows), _noise_block(grid, channels, seed, block, size, rows))
-        else:
-            inc = _noise_block(grid, channels, seed, block, size)
-            sub_blocks = ((lo, inc[lo : lo + rows]) for lo in range(0, size, rows))
-        run_block(offset, size, sub_blocks)
+        size = min(CHUNK, n - offset)
+        inc = _noise_block(grid, channels, seed, offset // CHUNK, size)
+        run_block(offset, size, ((lo, inc[lo : lo + rows]) for lo in range(0, size, rows)))
 
-    _map(one, offsets)
+    _map(one, range(0, n, CHUNK))
 
 
 def _sub_block_rows(grid: TimeGrid, dim: int) -> int:
@@ -451,7 +427,7 @@ def _extremes_plan(model: ProcessModel, grid: TimeGrid, jobs) -> tuple[dict, lis
     planned when each of its balls is tested from two or more distinct
     starts of the batch, so its extremes are read at least twice; a ball
     only its own start tests (the FW checker's per-start level-set
-    members) stays on the screens.  Other families plan nothing.
+    members) is screened from its paths.  Other families plan nothing.
     """
     if not isinstance(model, TranslatedBM):
         return {}, []
@@ -465,7 +441,7 @@ def _extremes_plan(model: ProcessModel, grid: TimeGrid, jobs) -> tuple[dict, lis
         else:
             continue
         if centers.shape[1:] != (grid.steps + 1, 1):
-            continue  # the screens raise the shape error
+            continue  # its screen raises the shape error
         keys = [(c.tobytes(), r) for c, r in zip(centers, radii)]
         found[j] = (keys, centers)
         for key in keys:
@@ -512,16 +488,11 @@ def mc_probability(
     block is drawn once and read by every job.  Jobs with equal tilts form
     one group that shares the simulated core, the Girsanov weights of the
     block and their effective sample size.  The blocks run through
-    ``_run_blocks``, which draws their noise, and each is stepped and
-    screened in row sub-blocks of ``_sub_block_rows`` rows; within a
-    sub-block each group in turn simulates each distinct start once, and
-    every job at that start reads its paths before the next start is
-    simulated.  Two or more jobs at one
-    start share one dict of screened ball prefixes (``EventSpec.hits``), so
-    a ball that leads several of their ball unions is screened once per
-    sub-block; the dict holds one bool per sub-block sample per prefix and
-    is dropped before the next start.  A lone job at its start gets none,
-    since no other job could read it.
+    ``_run_blocks``, which draws each block's noise whole, and each is
+    stepped and screened in row sub-blocks of ``_sub_block_rows`` rows;
+    within a sub-block each group in turn simulates each distinct start
+    once, and every job at that start reads its paths before the next
+    start is simulated.
 
     On the translated family, a ``Ball`` or ``UnionOfBalls`` job whose
     balls are each tested from two or more distinct starts of the call
@@ -532,9 +503,9 @@ def mc_probability(
     the start is outside the ball at t = 0, and the jobs at one start
     read each ball's flags from one dict.  A start builds its paths only
     for its other jobs, and a sub-block whose core is not finite screens
-    them all.  Each job's flags are packed to bits once per block.  A
-    job's estimate equals the one it would get on its own, at any
-    sub-block size and worker count, bit for bit.
+    them all from their paths.  Each job's flags are packed to bits once
+    per block.  A job's estimate equals the one it would get on its own,
+    at any sub-block size and worker count, bit for bit.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -561,9 +532,8 @@ def mc_probability(
     weights = {key: np.empty(n) for key, (tilt, _) in groups.items() if tilt is not None}
 
     def screen(members, batch, rows, flags):
-        screens = {} if len(members) > 1 else None
         for j in members:
-            flags[j, rows] = jobs[j][1].hits(batch, screens)
+            flags[j, rows] = jobs[j][1].hits(batch)
 
     def run_planned(tilt, starts, shape_ids, inc, rows, flags, buf):
         core = _translated_core(model, grid, eps, tilt, inc)

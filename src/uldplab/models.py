@@ -30,8 +30,8 @@ blocks were drawn, and estimators are reproducible under any execution
 schedule.  Estimators cut a batch into blocks of ``estimators.CHUNK =
 8192`` samples, which makes that size part of the stream definition:
 ``_noise_block(grid, channels, seed, k, 1)``, block k of size one, is
-estimator sample k * 8192, not estimator sample k.  A block may be
-drawn in consecutive row pieces (``rows``) without changing a bit.
+estimator sample k * 8192, not estimator sample k.  Estimators draw
+each block whole and read it in row slices.
 """
 
 from __future__ import annotations
@@ -86,24 +86,11 @@ def _rng(seed: int, *spawn: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
-def _noise_block(grid: TimeGrid, channels: int, master_seed: int, block: int, size: int, rows: int | None = None):
-    """Increments for a whole block of samples, shape (size, steps, channels).
-
-    With ``rows``, an iterator over the block in consecutive pieces of at
-    most ``rows`` samples instead, each drawn when it is requested from
-    the block's one generator: the pieces concatenate to the whole block
-    bit for bit.
-    """
-    gen = _rng(master_seed, block)
-
-    def draw(count: int) -> np.ndarray:
-        out = gen.standard_normal((count, grid.steps, channels))
-        out *= math.sqrt(grid.dt)
-        return out
-
-    if rows is None:
-        return draw(size)
-    return (draw(min(rows, size - lo)) for lo in range(0, size, rows))
+def _noise_block(grid: TimeGrid, channels: int, master_seed: int, block: int, size: int) -> np.ndarray:
+    """Increments for a whole block of samples, shape (size, steps, channels)."""
+    out = _rng(master_seed, block).standard_normal((size, grid.steps, channels))
+    out *= math.sqrt(grid.dt)
+    return out
 
 
 @dataclass(frozen=True)

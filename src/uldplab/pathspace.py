@@ -18,12 +18,9 @@ point with norm >= radius, a union skips balls for rows already inside
 one, and a row leaves a distance-at-least set once its whole path lies
 within the threshold of some member.  When more than half of the rows
 are still open after the first grid point, the full distances are
-formed in one pass instead.  Given a dict of screened ball prefixes,
-balls and unions that start with the same balls (same centers, same
-radii, same order) on the same paths screen those balls once; the flags
-are the same.  For scalar paths x + core, ``_ball_from_extremes``
-answers a ball from the per-row max and min of core minus the ball's
-shape, with the same flags.  ``margins`` keeps the full distances for
+formed in one pass instead.  For scalar paths x + core,
+``_ball_from_extremes`` answers a ball from the per-row max and min of
+core minus the ball's shape, with the same flags.  ``margins`` keeps the full distances for
 the rate side, the tilt scan, quadrature and the CLI.
 """
 
@@ -161,7 +158,9 @@ class DiscretePath:
         header, body = rows[0], rows[1:]
         if not header or header[0] != "t":
             raise ValueError("first CSV column must be t")
-        dim = len(header) - 1
+        for line, row in enumerate(body, start=2):
+            if len(row) != len(header):
+                raise ShapeMismatchError(f"CSV line {line} has {len(row)} fields but the header has {len(header)}")
         times = np.array([float(r[0]) for r in body])
         values = np.array([[float(c) for c in r[1:]] for r in body])
         if len(times) < 2:
@@ -170,8 +169,6 @@ class DiscretePath:
         grid = TimeGrid(horizon, len(times) - 1)
         if not np.allclose(times, grid.times, rtol=0.0, atol=1e-9 * max(1.0, horizon)):
             raise ValueError("CSV times are not a uniform grid starting at 0")
-        if values.shape[1] != dim:
-            raise ShapeMismatchError("ragged CSV rows")
         return DiscretePath(grid, values)
 
 
@@ -293,32 +290,16 @@ def _within(values: np.ndarray, rows: np.ndarray, center: np.ndarray, bound: flo
     return rows
 
 
-def _union_hits(values: np.ndarray, centers: np.ndarray, radii, screens: dict | None = None) -> np.ndarray:
-    """Rows of ``values`` inside some open ball; each ball screens only rows not yet hit.
+def _any_within(values: np.ndarray, centers: np.ndarray, radii, below) -> np.ndarray:
+    """Flags of the rows of ``values`` within some center: ``below(norm, radius)`` at every grid point.
 
-    ``screens`` maps a ball prefix, the tuple of its
-    ``(center.tobytes(), radius)`` keys, to the hit flags of that prefix
-    on these same ``values``.  The walk resumes after the longest prefix
-    found there and records a copy of the flags after each further ball,
-    so unions that share leading balls screen each of them once.  Without
-    ``screens`` the walk looks up and records nothing.  The flags are
-    those of a walk from the first ball.
+    ``below`` is ``np.less`` for open balls and ``np.less_equal`` for
+    closed ones, as in ``_within``; each center tests only the rows that
+    no earlier center caught.
     """
-    # checked here as well as in _within, which a prefix found in screens skips
-    if centers.shape[1:] != values.shape[1:]:
-        raise ShapeMismatchError(f"paths of shape {values.shape[1:]} vs centers {centers.shape[1:]}")
     out = np.zeros(len(values), dtype=bool)
-    prefix: tuple = ()
     for center, r in zip(centers, radii):
-        if screens is not None:
-            prefix += ((center.tobytes(), r),)
-            done = screens.get(prefix)
-            if done is not None:
-                out[:] = done
-                continue
-        out[_within(values, np.flatnonzero(~out), center, r, np.less)] = True
-        if screens is not None:
-            screens[prefix] = out.copy()
+        out[_within(values, np.flatnonzero(~out), center, r, below)] = True
     return out
 
 
@@ -328,7 +309,7 @@ _EXTREMES_SLACK = 2.0**-48
 
 
 def _ball_from_extremes(core, hi, lo, scale, x, center, radius) -> np.ndarray | None:
-    """Rows of the scalar paths ``core + x`` inside the open ball, bit for bit as ``_union_hits``; None for no row.
+    """Rows of the scalar paths ``core + x`` inside the open ball, bit for bit as ``_any_within``; None for no row.
 
     ``core`` (B, steps+1, 1) has a zero first column, and ``hi`` and
     ``lo`` are the per-row max and min of ``core[:, 1:, 0] - shape``,
@@ -375,15 +356,11 @@ class EventSpec:
     def margins(self, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def hits(self, values: np.ndarray, screens: dict | None = None) -> np.ndarray:
+    def hits(self, values: np.ndarray) -> np.ndarray:
         """Membership of each row, bit for bit ``self.margins(values) > 0.0``.
 
         Balls, ball unions and distance-at-least sets raise
         ``ShapeMismatchError`` for paths off the event's grid or dimension.
-        Balls and ball unions read and extend ``screens``, a dict of the
-        hit flags of ball prefixes on these same ``values`` (see
-        ``_union_hits``); a caller passes one fresh dict to the events it
-        tests on one array.  Other events ignore it.
         """
         return self.margins(values) > 0.0
 
@@ -405,8 +382,8 @@ class Ball(EventSpec):
     def margins(self, values: np.ndarray) -> np.ndarray:
         return self.radius - next(_member_distances(values, self.center.values[None]))
 
-    def hits(self, values: np.ndarray, screens: dict | None = None) -> np.ndarray:
-        return _union_hits(values, self.center.values[None], (self.radius,), screens)
+    def hits(self, values: np.ndarray) -> np.ndarray:
+        return _any_within(values, self.center.values[None], (self.radius,), np.less)
 
 
 @dataclass(frozen=True)
@@ -429,8 +406,8 @@ class UnionOfBalls(EventSpec):
             np.maximum(best, r - d, out=best)
         return best
 
-    def hits(self, values: np.ndarray, screens: dict | None = None) -> np.ndarray:
-        return _union_hits(values, self.centers.stack, self.radii, screens)
+    def hits(self, values: np.ndarray) -> np.ndarray:
+        return _any_within(values, self.centers.stack, self.radii, np.less)
 
 
 @dataclass(frozen=True)
@@ -447,10 +424,8 @@ class DistanceAtLeast(EventSpec):
     def margins(self, values: np.ndarray) -> np.ndarray:
         return _dist_batch(values, self.targets) - self.threshold
 
-    def hits(self, values: np.ndarray, screens: dict | None = None) -> np.ndarray:
-        far = np.ones(len(values), dtype=bool)
-        for target in self.targets.stack:
-            far[_within(values, np.flatnonzero(far), target, self.threshold, np.less_equal)] = False
+    def hits(self, values: np.ndarray) -> np.ndarray:
+        far = ~_any_within(values, self.targets.stack, (self.threshold,) * len(self.targets), np.less_equal)
         # a nan point makes every distance of its row nan, and so a miss,
         # even where an earlier point already showed the row far away
         if far.any():

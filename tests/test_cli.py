@@ -29,6 +29,15 @@ def test_rate_of_the_unit_line_prints_half(tmp_path, capsys):
     assert out.strip() == "0.5"
 
 
+def test_rate_of_a_ragged_csv_exits_two_naming_the_line(tmp_path, capsys):
+    f = tmp_path / "ragged.csv"
+    f.write_text("t,x0\n0,0\n0.5,0.5,9\n1,1\n")
+    code, out, err = run_cli(capsys, "rate", "--model", "translated-bm", "--x", "0", "--path", str(f))
+    assert code == 2
+    assert out == ""
+    assert "CSV line 3 " in err
+
+
 def test_rate_reports_inf_on_start_mismatch(tmp_path, capsys):
     f = tmp_path / "line.csv"
     line_path(TimeGrid(1.0, 64), 1.0, 1.0).save_csv(str(f))

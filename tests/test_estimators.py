@@ -324,7 +324,7 @@ def _sub_block_cases():
                 (0.0, UnionOfBalls(PathSet([near, far]), (0.5, 0.4)), None),
                 (0.0, UnionOfBalls(PathSet([near, line_path(grid, 0.0, 0.6)]), (0.5, 0.3)), None),
             ],
-            id="shared-screens",
+            id="two-jobs-one-start",
         ),
         pytest.param(PerturbedBM(), grid, [(1.0, Ball(constant_path(grid, 1.2), 0.5), None)], id="perturbed"),
         pytest.param(
@@ -355,17 +355,34 @@ def test_sub_block_size_is_invisible_to_the_estimates(model, grid, jobs, monkeyp
 
 
 @pytest.mark.parametrize(("steps", "channels", "rows"), [(64, 1, 2016), (8, 3, 8), (5, 2, 1000)])
-def test_a_block_drawn_in_pieces_equals_the_whole_block(steps, channels, rows):
+def test_girsanov_log_weights_of_row_slices_equal_those_of_the_whole_block(steps, channels, rows):
     grid = TimeGrid(1.0, steps)
-    size = CHUNK - 5  # the last piece is partial
-    whole = _noise_block(grid, channels, 23, 4, size)
-    pieces = list(_noise_block(grid, channels, 23, 4, size, rows))
-    assert [len(p) for p in pieces] == [rows] * (size // rows) + [size % rows]
-    assert np.array_equal(np.concatenate(pieces), whole)
-    # the Girsanov log weights, formed one piece at a time
+    whole = _noise_block(grid, channels, 23, 4, CHUNK - 5)  # the last slice is partial
     tilt = Control(grid, np.random.default_rng(2).normal(size=(steps, channels)))
     want = _girsanov_log_weights(tilt, whole, 0.2)
-    assert np.array_equal(np.concatenate([_girsanov_log_weights(tilt, p, 0.2) for p in pieces]), want)
+    slices = [whole[lo : lo + rows] for lo in range(0, len(whole), rows)]
+    assert np.array_equal(np.concatenate([_girsanov_log_weights(tilt, s, 0.2) for s in slices]), want)
+
+
+def test_each_block_of_a_two_worker_estimate_is_drawn_once_whole(monkeypatch):
+    drawn = []
+    draw = estimators._noise_block
+
+    def recorded(grid, channels, seed, block, size):
+        drawn.append((block, size, threading.current_thread().name))
+        return draw(grid, channels, seed, block, size)
+
+    model, grid, n = TranslatedBM(), TimeGrid(1.0, 64), 2 * CHUNK + 100
+    jobs = [(0.0, Ball(line_path(grid, 0.0, 0.5), 0.6), None), (0.5, TerminalAtLeast(0.7), None)]
+    monkeypatch.setattr(estimators, "_WORKERS", 1)
+    serial = mc_probability(model, grid, 0.2, jobs, n, 9)
+    monkeypatch.setattr(estimators, "_WORKERS", 2)
+    monkeypatch.setattr(estimators, "_noise_block", recorded)
+    # the paths fill many sub-blocks per block, and none draws noise of its own
+    assert _sub_block_rows(grid, model.dim) < CHUNK // 4
+    assert mc_probability(model, grid, 0.2, jobs, n, 9) == serial
+    assert sorted((block, size) for block, size, _ in drawn) == [(0, CHUNK), (1, CHUNK), (2, 100)]
+    assert "MainThread" not in {name for _, _, name in drawn}
 
 
 def test_an_estimate_inside_a_worker_runs_its_blocks_inline(monkeypatch):
@@ -394,7 +411,7 @@ def test_a_failing_later_block_raises_what_the_serial_run_raises(monkeypatch):
     draw = estimators._noise_block
     block_2_failing = threading.Event()
 
-    def poisoned(grid, channels, seed, block, size, rows=None):
+    def poisoned(grid, channels, seed, block, size):
         whole = draw(grid, channels, seed, block, size)
         if block in poison:
             whole[0, poison[block] - 1, 0] = np.inf
@@ -404,7 +421,7 @@ def test_a_failing_later_block_raises_what_the_serial_run_raises(monkeypatch):
             time.sleep(0.1)
         if block == 2:
             block_2_failing.set()
-        return whole if rows is None else (whole[lo : lo + rows] for lo in range(0, size, rows))
+        return whole
 
     monkeypatch.setattr(estimators, "_noise_block", poisoned)
     model, grid, n = FiniteSDE(dim=1), TimeGrid(1.0, 8), 3 * CHUNK

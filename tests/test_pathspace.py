@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uldplab import estimators, pathspace
+from uldplab import estimators
 from uldplab.estimators import CHUNK, mc_probability
 from uldplab.models import FiniteSDE, PerturbedBM, SwappedBM, TranslatedBM, constant_control, simulate_batch
 from uldplab.pathspace import (
@@ -71,6 +71,17 @@ def test_csv_round_trip(tmp_path):
     q = DiscretePath.from_csv(str(f))
     assert q.grid == grid
     assert np.array_equal(p.values, q.values)
+    # ragged rows are refused, naming the first bad line (the header is line 1)
+    two = "t,x0,x1\n0,1,2\n0.5,1,2\n1,1,2\n"
+    assert DiscretePath.from_csv(two).dim == 2
+    for text, line in [
+        ("t,x0,x1\n0,1,2\n0.5,1\n1,1,2,3\n", 3),
+        ("t,x0,x1\n0,1,2\n0.5,1,2\n1,1,2,3\n", 4),
+        ("t,x0\n0,1,2\n0.5,1\n1,1\n", 2),
+        ("t,x0\n0,1\n\n1,1\n", 3),
+    ]:
+        with pytest.raises(ShapeMismatchError, match=f"CSV line {line} "):
+            DiscretePath.from_csv(text)
 
 
 def test_hausdorff_of_translated_sets_is_the_shift():
@@ -284,9 +295,8 @@ def test_event_hits_equal_margin_signs_bitwise(dim, near_frac):
     seed=st.integers(0, 2**32 - 1),
     dim=st.sampled_from([1, 2]),
     steps=st.integers(1, 40),
-    order=st.permutations(range(8)),
 )
-def test_shared_prefix_screens_equal_margin_signs_bitwise(seed, dim, steps, order):
+def test_ball_walks_equal_margin_signs_bitwise(seed, dim, steps):
     rng = np.random.default_rng(seed)
     grid = TimeGrid(1.0, steps)
     centers = [DiscretePath(grid, rng.standard_normal((steps + 1, dim))) for _ in range(3)]
@@ -307,24 +317,19 @@ def test_shared_prefix_screens_equal_margin_signs_bitwise(seed, dim, steps, orde
         union([0, 1, 2]),
         union([0, 1, 2, 3]),
         union([3, 2, 1, 0]),
-        union([2, 1]),  # not a prefix of any other union
+        union([2, 1]),
         Ball(*balls[2]),
-        DistanceAtLeast(PathSet(centers), 1.0),  # takes the dict and ignores it
+        DistanceAtLeast(PathSet(centers), 1.0),
+        DistanceAtLeast(PathSet([centers[1], centers[1], centers[0]]), 0.8),  # a repeated target
     ]
-    screens: dict = {}
-    for i in order:
-        got = events[i].hits(values, screens)
+    for event in events:
+        got = event.hits(values)
         assert got.dtype == bool
-        assert np.array_equal(got, events[i].margins(values) > 0.0)
-    # nothing handed out aliases a stored prefix
-    for event in events:
-        event.hits(values, screens)[:] = True
-    for event in events:
-        assert np.array_equal(event.hits(values, screens), event.margins(values) > 0.0)
+        assert np.array_equal(got, event.margins(values) > 0.0)
 
 
-def test_probability_batch_screens_each_ball_once_per_start_and_block(monkeypatch):
-    # a stepped family screens its balls; the translated family decides shared ones from extremes
+def test_probability_batch_of_ball_unions_equals_each_job_alone():
+    # a stepped family screens its balls from paths; the translated family decides shared ones from extremes
     grid = TimeGrid(1.0, 16)
     model = FiniteSDE()
     starts = [(0.0,), (0.5,)]
@@ -335,45 +340,7 @@ def test_probability_batch_screens_each_ball_once_per_start_and_block(monkeypatc
     jobs = [(x, event, None) for x in starts for event in unions]
     n = CHUNK + 100  # two blocks
     alone = [mc_probability(model, grid, 0.1, [job], n, 5)[0] for job in jobs]
-    screened = []
-    within = pathspace._within
-
-    def counting(values, rows, center, bound, below):
-        # (block size, start, ball): the two blocks differ in size
-        screened.append((len(values), values[0, 0, 0], center.tobytes(), bound))
-        return within(values, rows, center, bound, below)
-
-    monkeypatch.setattr(pathspace, "_within", counting)
-    # screens are shared per (start, sub-block); here each block is one sub-block
-    monkeypatch.setattr(estimators, "_SUB_BLOCK_BYTES", CHUNK * (grid.steps + 1) * 8)
     assert mc_probability(model, grid, 0.1, jobs, n, 5) == alone
-    # 3 distinct balls at 2 starts in 2 blocks, each screened once (24 screens without sharing)
-    assert len(screened) == 3 * 2 * 2
-    assert len(set(screened)) == len(screened)
-
-
-def test_probability_batch_gives_screens_only_to_shared_starts(monkeypatch):
-    # a lone job at its start gets no prefix dict, since no other job could read it
-    grid = TimeGrid(1.0, 16)
-    model = FiniteSDE()
-    ball = Ball(line_path(grid, 0.0, 1.0), 0.5)
-    union = UnionOfBalls(PathSet([ball.center, line_path(grid, 0.5, 1.0)]), (0.5, 0.25))
-    jobs = [((0.0,), ball, None), ((0.5,), ball, None), ((0.5,), union, None)]
-    alone = [mc_probability(model, grid, 0.1, [job], 300, 5)[0] for job in jobs]
-    seen = []
-    union_hits = pathspace._union_hits
-
-    def recording(values, centers, radii, screens=None):
-        seen.append((values[0, 0, 0], screens))
-        return union_hits(values, centers, radii, screens)
-
-    monkeypatch.setattr(pathspace, "_union_hits", recording)
-    assert mc_probability(model, grid, 0.1, jobs, 300, 5) == alone
-    assert [start for start, _ in seen] == [0.0, 0.5, 0.5]
-    assert seen[0][1] is None
-    assert isinstance(seen[1][1], dict) and seen[1][1] is seen[2][1]
-    # the one ball the two jobs at 0.5 share is screened once, then the union's second ball
-    assert len(seen[1][1]) == 2
 
 
 def test_probability_batch_forms_extremes_once_per_shape_sub_block_and_tilt(monkeypatch):
@@ -452,7 +419,7 @@ def test_extremes_flags_equal_margin_signs_near_the_edge(monkeypatch, model, til
         inc[[5, 60, 250], [0, 31, 63], 0] = np.nan
     jobs = [(x, union, tilt) for x in starts]
     assert set(estimators._extremes_plan(model, grid, jobs)[0]) == set(range(len(jobs)))
-    monkeypatch.setattr(estimators, "_noise_block", lambda grid, channels, seed, block, size, rows=None: inc[:size])
+    monkeypatch.setattr(estimators, "_noise_block", lambda grid, channels, seed, block, size: inc[:size])
     got = []
     finish = estimators._finish_estimate
 
