@@ -12,7 +12,9 @@ are one walk, and each (start, control) cell draws one noise block and
 steps every eps of the schedule on it in one batch, one row block per
 eps, through the models' one stepping loop.  Rows are bitwise what a
 per-eps simulation gives, and cells are reduced in index order, so the table
-does not depend on the thread count.
+does not depend on the thread count.  The decay slope is a least-squares
+fit of log median error on log eps (``_slope_fit``), scipy's
+``linregress`` arithmetic repeated in numpy, so tables need numpy alone.
 
 Admissibility of the start sample depends on the diffusion catalog: a
 uniformly bounded noise map supports start sets tagged all-subsets,
@@ -60,7 +62,9 @@ class ConvergenceTable:
     ``sup_prob[i]`` is the worst estimated P(sup-error > delta) over the
     sampled (start, control) cells at ``eps[i]``; the quantiles pool the
     pathwise errors of all cells.  ``slope`` is the log-log fit of the
-    median error against eps.
+    positive median errors against eps, with its standard error
+    ``slope_stderr`` (0 from two points); both are nan when fewer than two
+    medians are positive.
     """
 
     model: dict
@@ -214,12 +218,7 @@ def control_conv(
     q90 = [float(np.quantile(errs[:, e], 0.9)) for e in range(len(eps_grid))]
     positive = [(e, m) for e, m in zip(eps_grid, med) if m > 0]
     if len(positive) >= 2:
-        from scipy import stats  # deferred: importing scipy.stats dominates package import time
-
-        fit = stats.linregress(
-            np.log([p[0] for p in positive]), np.log([p[1] for p in positive])
-        )
-        slope, stderr = float(fit.slope), float(fit.stderr)
+        slope, stderr = _slope_fit(np.log([p[0] for p in positive]), np.log([p[1] for p in positive]))
     else:
         slope, stderr = math.nan, math.nan
     return ConvergenceTable(
@@ -237,6 +236,27 @@ def control_conv(
         slope=slope,
         slope_stderr=stderr,
     )
+
+
+def _slope_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of y on x and its standard error, op for op as in scipy 1.17's ``linregress``.
+
+    The x values must not all be equal; ``control_conv`` passes the logs of
+    distinct eps.
+    """
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = ssxym / np.sqrt(ssxm * ssym)
+        if r > 1.0:  # rounding can push |r| past 1
+            r = 1.0
+        elif r < -1.0:
+            r = -1.0
+    slope = ssxym / ssxm
+    if len(x) == 2:
+        return float(slope), 0.0
+    return float(slope), float(np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2)))
 
 
 def moment_bound_check(

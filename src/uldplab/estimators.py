@@ -46,7 +46,9 @@ block writes only its own slice of the outputs, so neither the sub-block
 size, the number of starts nor the worker count changes a bit, and each
 estimate equals the one its start would get alone.  Reductions over
 samples (sums, the effective sample size, log-sum-exp) run after every
-block is done.
+block is done.  The log-sum-exp is ``_logsumexp``, scipy's algorithm
+repeated op for op in numpy, so estimates need numpy alone and match
+what ``scipy.special.logsumexp`` gives bit for bit.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .models import (
     Control,
@@ -631,7 +632,29 @@ def laplace_functional(
                 row[offset + lo : offset + lo + len(inc)] = -h.batch(paths) / eps
 
     _run_blocks(grid, model.channels, n, seed, step, run_block)
-    return [eps * float(logsumexp(row) - math.log(n)) for row in exponents]
+    return [eps * float(_logsumexp(row) - math.log(n)) for row in exponents]
+
+
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))) of a 1-d float64 row, op for op as in scipy 1.17's ``logsumexp``.
+
+    The shifted form of Blanchard, Higham and Higham (IMA J. Numer. Anal.
+    41 (2021)): the m entries equal to the max are taken out of the sum,
+    which is scaled by 1/m, so log1p keeps its precision.  Where that is not
+    finite (the max is +-inf or NaN) the direct log(sum(exp(a))) stands.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = np.max(a)
+        top = a == a_max
+        m = np.float64(np.count_nonzero(top))
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+    if np.isfinite(out):
+        return out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.log(np.sum(np.exp(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +714,6 @@ def quadrature_probability(
     if grid.steps > 4:
         raise ValueError("quadrature oracle is for grids with at most 4 steps")
     from numpy.polynomial.hermite_e import hermegauss
-    from scipy.stats import norm
 
     z, w = hermegauss(nodes)
     w = w / math.sqrt(2.0 * math.pi)  # weights of the standard normal density
@@ -724,7 +746,8 @@ def quadrature_probability(
         for sections, weight in zip(_last_step_sections(margins, combos[chunk], -span, span), cw[chunk]):
             mass = 0.0
             for a, b in sections:
-                mass += float(norm.cdf(b) - norm.cdf(a))
+                # the standard normal cdf is erfc(-z / sqrt 2) / 2
+                mass += 0.5 * (math.erfc(-b / math.sqrt(2.0)) - math.erfc(-a / math.sqrt(2.0)))
             total += float(weight) * mass
     return total
 

@@ -5,8 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import linregress
 
 from uldplab.convergence import (
+    _slope_fit,
     ball_controls,
     control_conv,
     moment_bound_check,
@@ -55,6 +59,42 @@ def test_additive_error_scales_exactly_like_sqrt_eps():
         assert table.median_err[i] == pytest.approx(ratio * table.median_err[i - 1], rel=1e-9)
     assert all(a >= b for a, b in zip(table.sup_prob, table.sup_prob[1:]))
     assert table.sup_prob[-1] == 0.0
+
+
+def _same_fit_as_linregress(x, y):
+    # the pinned tables' slope and slope_stderr were made with scipy's linregress
+    fit = linregress(x, y)
+    return np.array(_slope_fit(x, y)).tobytes() == np.array([fit.slope, fit.stderr], dtype=float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "eps, errors",
+    [((0.1, 0.01), (0.3, 0.11)), ((0.1, 0.01), (0.2, 0.2)), ((0.1, 0.01, 0.001), (0.2, 0.2, 0.2))],
+    ids=["two-points", "two-equal-errors", "constant-errors"],
+)
+def test_slope_fit_edge_cases_are_linregress(eps, errors):
+    # two points: stderr 0; constant errors: r and stderr nan
+    assert _same_fit_as_linregress(np.log(eps), np.log(errors))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_slope_fit_clamps_r_of_collinear_points_as_linregress(sign):
+    x = np.log(EpsilonSchedule.geometric(1e-3, 1e-1, 5).eps)
+    y = sign * (0.5 * x + 2.0)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    assert abs(ssxym / np.sqrt(ssxm * ssym)) > 1.0  # rounding put |r| past 1, so the clamp acts
+    assert _same_fit_as_linregress(x, y)
+
+
+@given(
+    st.floats(min_value=1e-5, max_value=1e-2),
+    st.floats(min_value=2e-2, max_value=1.0),
+    st.lists(st.floats(min_value=1e-6, max_value=10.0), min_size=2, max_size=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_slope_fit_is_linregress_bit_for_bit(lo, hi, errors):
+    x = np.log(EpsilonSchedule.geometric(lo, hi, len(errors)).eps)
+    assert _same_fit_as_linregress(x, np.log(errors))
 
 
 def test_threading_does_not_change_the_table():

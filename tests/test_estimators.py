@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from uldplab import estimators
@@ -26,6 +27,7 @@ from uldplab.estimators import (
     quadrature_probability,
     wilson_interval,
     _girsanov_log_weights,
+    _logsumexp,
     _sub_block_rows,
 )
 from uldplab.models import (
@@ -184,6 +186,41 @@ def test_laplace_rejects_a_nonpositive_sample_count(n):
         laplace_functional(BM, SMALL, (0.0,), 0.2, Constant(1.0), n, seed=4)
     with pytest.raises(ValueError, match="n must be >= 1"):
         laplace_functional(BM, SMALL, [0.0, 0.5], 0.2, Constant(1.0), n, seed=4)
+
+
+# entries where the shifted form and the direct fallback part ways: the
+# non-finite values, and the edges of exp's range once a row is shifted by +-700
+_LSE_ENTRIES = st.one_of(
+    st.floats(min_value=-60.0, max_value=60.0),
+    st.sampled_from([-math.inf, math.inf, math.nan, 0.0, -0.0, 9.5, -46.0]),
+)
+
+
+@st.composite
+def _lse_rows(draw):
+    """Rows of 1 to 40 entries, many of them repeats of a few values (ties at the max)."""
+    pool = draw(st.lists(_LSE_ENTRIES, min_size=1, max_size=4))
+    row = draw(st.lists(st.one_of(_LSE_ENTRIES, st.sampled_from(pool)), min_size=1, max_size=40))
+    shift = draw(st.sampled_from([0.0, 700.0, -700.0, 709.0, -745.0]))
+    return np.array(row) + shift
+
+
+@given(_lse_rows())
+@settings(max_examples=400, deadline=None)
+def test_logsumexp_is_scipys_bit_for_bit(row):
+    # laplace_functional's reduction; the pinned Laplace digests were made with scipy's
+    got, want = _logsumexp(row), logsumexp(row)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[3.5], [-math.inf], [math.inf], [math.nan], [-math.inf] * 3, [2.0, 2.0, 2.0], [710.0, 710.0, -1.0],
+     [math.inf, -math.inf], [math.inf, math.nan], [-745.0, -746.0, -800.0]],
+)
+def test_logsumexp_edge_rows_match_scipy(row):
+    row = np.array(row)
+    assert np.float64(_logsumexp(row)).tobytes() == np.float64(logsumexp(row)).tobytes()
 
 
 @dataclasses.dataclass(frozen=True)
