@@ -24,38 +24,42 @@ Estimates at different starts that share a seed read the same block,
 drawn once: the block is the outer loop and the start the inner one.
 Jobs at one start with one tilt share its simulated paths, whatever
 their events.  On the translated family the path at x is x plus a core
-built once per sub-block and tilt, so a ball that two or more starts of
-the call test (the set-wise ball sweeps) is decided from two numbers per
-sample instead: the max and min over t > 0 of the core minus the ball's shape
-(its center minus the center's first value), formed once per shape,
-sub-block and tilt and read by every start and radius.  A start more
-than the radius from the center at t = 0 misses that ball on every row
-at no cost; rows within a few roundings of the radius go through the
-exact screen (``pathspace._ball_from_extremes``).
-The blocks of one estimate run on ``_WORKERS`` threads (``_run_blocks``);
-each block's noise is drawn whole, and the block is stepped and screened
-in row sub-blocks whose path array holds at most ``_SUB_BLOCK_BYTES``.
+built once per sub-block and tilt, so a ball is decided from two numbers
+per sample instead: the max and min over t > 0 of the core minus the
+ball's shape (its center minus the center's first value), formed once
+per shape, sub-block and tilt and read by every start and radius.  A
+start more than the radius from the center at t = 0 misses that ball on
+every row at no cost; rows within a few roundings of the radius go
+through the exact screen (``pathspace._ball_from_extremes``).
+
+Each estimate is a plan (``_Plan``): its noise blocks and how to finish
+it.  A checker lists the plans of all its estimates, and
+``_run_estimates`` runs every block of every plan through one ``_map`` on
+``_WORKERS`` threads, then finishes the plans in list order.  Each
+block's noise is drawn whole, and the block is stepped and screened in
+row sub-blocks whose path array holds at most ``_SUB_BLOCK_BYTES``.
 Peak sampling memory is therefore, per worker, one whole block of noise,
 one sub-block of paths (for the translated family, its core and one
 buffer of that size, held for the block) and one bool per block sample
 per job, plus, at the start being tested, one bool per sub-block sample
 per decided ball and two floats per sub-block sample per ball shape; and
-for the whole call one bit per sample per job (and one weight per sample
-per distinct tilt).  Every draw, step and screen acts row by row, and each
-block writes only its own slice of the outputs, so neither the sub-block
-size, the number of starts nor the worker count changes a bit, and each
-estimate equals the one its start would get alone.  Reductions over
-samples (sums, the effective sample size, log-sum-exp) run after every
-block is done.  The log-sum-exp is ``_logsumexp``, scipy's algorithm
-repeated op for op in numpy, so estimates need numpy alone and match
-what ``scipy.special.logsumexp`` gives bit for bit.
+for every plan of the call one bit per sample per job (and one weight
+per sample per distinct tilt).  Every draw, step and screen acts row by
+row, and each block writes only its own slice of its plan's outputs, so
+neither the sub-block size, the number of starts, the worker count nor
+the order in which blocks run changes a bit, and each estimate equals
+the one its start would get alone.  Reductions over samples (sums, the
+effective sample size, log-sum-exp) run after every block is done.  The
+log-sum-exp is ``_logsumexp``, scipy's algorithm repeated op for op in
+numpy, so estimates need numpy alone and match what
+``scipy.special.logsumexp`` gives bit for bit.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import math
-import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,11 +112,10 @@ Z95 = 1.959963984540054
 # the most bytes one sub-block's path array may hold: each worker holds
 # its block's whole noise, and 1 MiB keeps the paths beside it small
 _SUB_BLOCK_BYTES = 1 << 20
-# threads for independent work (the blocks of an estimate, the FW
-# checker's estimate batches); no output depends on it, so it is neither
-# a budget nor a CLI flag
+# threads for independent work (the noise blocks of a checker's
+# estimates); no output depends on it, so it is neither a budget nor a
+# CLI flag
 _WORKERS = 2
-_thread = threading.local()
 
 
 @dataclass(frozen=True)
@@ -323,43 +326,57 @@ class EquicontinuousFamily:
 # sampling machinery
 
 
-def _mark_worker() -> None:
-    _thread.worker = True
-
-
 def _map(fn, items, workers: int | None = None) -> list:
     """``[fn(item) for item in items]``, run on up to ``workers`` threads (default ``_WORKERS``).
 
     Results come back in item order, and an error is the one the first
     failing item raises, as in the serial loop.  The loop runs inline for
-    one worker or one item, and inside a worker of this helper, so nested
-    maps start no further threads.
+    one worker or one item.
     """
     items = list(items)
     workers = _WORKERS if workers is None else workers
-    if workers < 2 or len(items) < 2 or getattr(_thread, "worker", False):
+    if workers < 2 or len(items) < 2:
         return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(min(workers, len(items)), initializer=_mark_worker) as pool:
+    with concurrent.futures.ThreadPoolExecutor(min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
-def _run_blocks(grid: TimeGrid, channels: int, n: int, seed: int, rows: int, run_block) -> None:
-    """``run_block(offset, size, sub_blocks)`` for each block of ``CHUNK`` of the n samples, through ``_map``.
+@dataclass(frozen=True)
+class _Plan:
+    """An estimate of n samples from seed: ``run_block`` per block of ``CHUNK``, then ``finish()``.
 
-    Each block's noise is drawn whole, and ``sub_blocks`` yields
-    ``(lo, increments)`` for its row slices of ``rows`` rows, lo counted
-    from the block's start.  Drawn one sub-block at a time instead, the
-    noise was freed piece by piece, glibc handed each piece back to the
-    kernel, and every sub-block cost page faults.  Each call must write
-    only its own block's slice of the outputs.
+    ``run_block(offset, size, sub_blocks)`` writes only its block's slice
+    of the outputs; ``sub_blocks`` yields ``(lo, increments)`` for the row
+    slices of ``rows`` rows of the block's noise, lo counted from offset.
     """
 
-    def one(offset):
-        size = min(CHUNK, n - offset)
-        inc = _noise_block(grid, channels, seed, offset // CHUNK, size)
-        run_block(offset, size, ((lo, inc[lo : lo + rows]) for lo in range(0, size, rows)))
+    grid: TimeGrid
+    channels: int
+    n: int
+    seed: int
+    rows: int
+    run_block: Callable
+    finish: Callable
 
-    _map(one, range(0, n, CHUNK))
+
+def _run_estimates(plans) -> list:
+    """``[plan.finish() for plan in plans]`` once one ``_map`` has run every block of every plan.
+
+    An error is the one the first failing block, plan by plan, raises.
+    Each block's noise is drawn whole: drawn one sub-block at a time, it
+    was freed piece by piece, glibc handed each piece back to the kernel,
+    and every sub-block cost page faults.
+    """
+    plans = list(plans)
+
+    def one(block):
+        plan, offset = block
+        size = min(CHUNK, plan.n - offset)
+        inc = _noise_block(plan.grid, plan.channels, plan.seed, offset // CHUNK, size)
+        plan.run_block(offset, size, ((lo, inc[lo : lo + plan.rows]) for lo in range(0, size, plan.rows)))
+
+    _map(one, [(plan, offset) for plan in plans for offset in range(0, plan.n, CHUNK)])
+    return [plan.finish() for plan in plans]
 
 
 def _sub_block_rows(grid: TimeGrid, dim: int) -> int:
@@ -424,17 +441,16 @@ def _extremes_plan(model: ProcessModel, grid: TimeGrid, jobs) -> tuple[dict, lis
     Returns ``balls`` and ``shapes``: ``balls`` maps such a job's index to
     one ``(key, shape index, center, radius)`` per ball of its event, key
     an int per distinct (center, radius); ``shapes[s]`` is a ball shape
-    ``center[1:, 0] - center[0, 0]``.  A ``Ball`` or ``UnionOfBalls`` job is
-    planned when each of its balls is tested from two or more distinct
-    starts of the batch, so its extremes are read at least twice; a ball
-    only its own start tests (the FW checker's per-start level-set
-    members) is screened from its paths.  Other families plan nothing.
+    ``center[1:, 0] - center[0, 0]``.  Every ``Ball`` and ``UnionOfBalls``
+    job whose centers fit the grid is planned; other families plan
+    nothing.
     """
     if not isinstance(model, TranslatedBM):
         return {}, []
-    tested: dict = {}  # (center bytes, radius) -> start keys
-    found = {}
-    for j, (x, event, _) in enumerate(jobs):
+    ids: dict = {}
+    shapes: dict = {}  # shape bytes -> (index, shape)
+    balls = {}
+    for j, (_, event, _) in enumerate(jobs):
         if isinstance(event, Ball):
             centers, radii = event.center.values[None], (event.radius,)
         elif isinstance(event, UnionOfBalls):
@@ -443,20 +459,11 @@ def _extremes_plan(model: ProcessModel, grid: TimeGrid, jobs) -> tuple[dict, lis
             continue
         if centers.shape[1:] != (grid.steps + 1, 1):
             continue  # its screen raises the shape error
-        keys = [(c.tobytes(), r) for c, r in zip(centers, radii)]
-        found[j] = (keys, centers)
-        for key in keys:
-            tested.setdefault(key, set()).add(_start_key(model, x))
-    ids: dict = {}
-    shapes: dict = {}  # shape bytes -> (index, shape)
-    balls = {}
-    for j, (keys, centers) in found.items():
-        if all(len(tested[key]) > 1 for key in keys):
-            balls[j] = []
-            for key, center in zip(keys, centers):
-                shape = center[1:, 0] - center[0, 0]
-                s = shapes.setdefault(shape.tobytes(), (len(shapes), shape))[0]
-                balls[j].append((ids.setdefault(key, len(ids)), s, center, key[1]))
+        balls[j] = []
+        for center, radius in zip(centers, radii):
+            shape = center[1:, 0] - center[0, 0]
+            s = shapes.setdefault(shape.tobytes(), (len(shapes), shape))[0]
+            balls[j].append((ids.setdefault((center.tobytes(), radius), len(ids)), s, center, radius))
     return balls, [shape for _, shape in shapes.values()]
 
 
@@ -474,39 +481,30 @@ def _effective_sample_size(weights: np.ndarray) -> float:
     return wsum * wsum / wsq if wsq > 0 else 0.0
 
 
-def mc_probability(
-    model: ProcessModel,
-    grid: TimeGrid,
-    eps: float,
-    jobs,
-    n: int,
-    seed: int,
-) -> list[LogProbEstimate]:
+def mc_probability(model: ProcessModel, grid: TimeGrid, eps: float, jobs, n: int, seed: int) -> list[LogProbEstimate]:
     """Estimates of P(X^eps_x in event), one per (x, event, tilt) job, all at eps, n and seed.
 
     A job whose tilt is None is plain Monte Carlo with a Wilson interval; a
-    job with a tilt is Girsanov-tilted importance sampling.  Each noise
-    block is drawn once and read by every job.  Jobs with equal tilts form
-    one group that shares the simulated core, the Girsanov weights of the
-    block and their effective sample size.  The blocks run through
-    ``_run_blocks``, which draws each block's noise whole, and each is
-    stepped and screened in row sub-blocks of ``_sub_block_rows`` rows;
-    within a sub-block each group in turn simulates each distinct start
-    once, and every job at that start reads its paths before the next
-    start is simulated.
+    job with a tilt is Girsanov-tilted importance sampling.  This runs
+    ``_probability_plan`` alone; a job's estimate equals the one it would
+    get on its own, at any sub-block size and worker count, bit for bit.
+    """
+    return _run_estimates([_probability_plan(model, grid, eps, jobs, n, seed)])[0]
 
-    On the translated family, a ``Ball`` or ``UnionOfBalls`` job whose
-    balls are each tested from two or more distinct starts of the call
-    (``_extremes_plan``) reads no paths: per sub-block and group, the
-    core is built once and the per-row max and min of ``core - shape``
-    are formed once for each ball shape the group's planned jobs read.
-    Each (start, ball) pair is then decided in O(rows), or at once when
-    the start is outside the ball at t = 0, and the jobs at one start
-    read each ball's flags from one dict.  A start builds its paths only
-    for its other jobs, and a sub-block whose core is not finite screens
-    them all from their paths.  Each job's flags are packed to bits once
-    per block.  A job's estimate equals the one it would get on its own,
-    at any sub-block size and worker count, bit for bit.
+
+def _probability_plan(model: ProcessModel, grid: TimeGrid, eps: float, jobs, n: int, seed: int) -> _Plan:
+    """The plan of ``mc_probability(model, grid, eps, jobs, n, seed)``.
+
+    Each noise block is read by every job.  Jobs with equal tilts form
+    one group that shares the simulated core, the Girsanov weights and
+    their effective sample size.  Per row sub-block of ``_sub_block_rows``
+    rows, each group simulates each distinct start once, and every job
+    at that start reads its paths before the next start is simulated.
+    On the translated family a ``Ball`` or ``UnionOfBalls`` job
+    (``_extremes_plan``) reads no paths: each (start, ball) pair is
+    decided from the group's per-row extremes of ``core - shape``, read
+    from one dict by the jobs at that start, unless the sub-block's core
+    is not finite.  Each job's flags are packed to bits once per block.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -576,15 +574,17 @@ def mc_probability(
                     weights[key][offset + lo : offset + rows.stop] = np.exp(_girsanov_log_weights(tilt, inc, eps))
         hits[:, offset // 8 : (offset + size + 7) // 8] = np.packbits(flags, axis=1)
 
-    _run_blocks(grid, model.channels, n, seed, step, run_block)
-    ess = {key: _effective_sample_size(w) for key, w in weights.items()}
-    return [
-        _finish_estimate(
-            model=model, x=x, eps=eps, hits=np.unpackbits(packed, count=n).view(bool),
-            weights=weights.get(key), ess=ess.get(key), n=n, seed=seed,
-        )
-        for (x, _, _), key, packed in zip(jobs, keys, hits)
-    ]
+    def finish():
+        ess = {key: _effective_sample_size(w) for key, w in weights.items()}
+        return [
+            _finish_estimate(
+                model=model, x=x, eps=eps, hits=np.unpackbits(packed, count=n).view(bool),
+                weights=weights.get(key), ess=ess.get(key), n=n, seed=seed,
+            )
+            for (x, _, _), key, packed in zip(jobs, keys, hits)
+        ]
+
+    return _Plan(grid, model.channels, n, seed, step, run_block, finish)
 
 
 def is_probability(
@@ -602,23 +602,22 @@ def is_probability(
 
 
 def laplace_functional(
-    model: ProcessModel,
-    grid: TimeGrid,
-    xs,
-    eps: float,
-    h: TestFunction,
-    n: int,
-    seed: int,
+    model: ProcessModel, grid: TimeGrid, xs, eps: float, h: TestFunction, n: int, seed: int
 ) -> list[float]:
     """Estimates of eps * log E exp(-h(X^eps_x) / eps), one per start x in ``xs``.
 
     The exponent is max-shifted (log-sum-exp) before exponentiation, so
     constant h returns exactly -h and rare large values cannot
-    underflow the whole sum.  Each noise block is drawn once and read by
-    every start, through ``_run_blocks`` and in row sub-blocks as in
-    ``mc_probability``; each value equals the one its start would get on
-    its own.
+    underflow the whole sum.  This runs ``_laplace_plan`` alone: each
+    noise block is read by every start, in row sub-blocks as in
+    ``mc_probability``, and each value equals the one its start would get
+    on its own.
     """
+    return _run_estimates([_laplace_plan(model, grid, xs, eps, h, n, seed)])[0]
+
+
+def _laplace_plan(model: ProcessModel, grid: TimeGrid, xs, eps: float, h: TestFunction, n: int, seed: int) -> _Plan:
+    """The plan of ``laplace_functional(model, grid, xs, eps, h, n, seed)``."""
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     if n < 1:
@@ -631,8 +630,10 @@ def laplace_functional(
             for row, paths in zip(exponents, simulate_starts(model, grid, xs, eps, None, inc)):
                 row[offset + lo : offset + lo + len(inc)] = -h.batch(paths) / eps
 
-    _run_blocks(grid, model.channels, n, seed, step, run_block)
-    return [eps * float(_logsumexp(row) - math.log(n)) for row in exponents]
+    def finish():
+        return [eps * float(_logsumexp(row) - math.log(n)) for row in exponents]
+
+    return _Plan(grid, model.channels, n, seed, step, run_block, finish)
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:

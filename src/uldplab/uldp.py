@@ -22,9 +22,11 @@ Conventions
 * All sub-seeds are derived from the budget seed with stable hashing
   and never depend on the index point x, so index sets sharing a model
   family share their noise (common random numbers).
-* The FW checker's estimate batches each have their own sub-seed, so
-  they run side by side on ``estimators._WORKERS`` threads (each batch
-  then runs its blocks inline); no output depends on the worker count.
+* Every checker lists the plans of all its estimates first and runs the
+  noise blocks of all of them side by side through one
+  ``estimators._run_estimates`` call on ``estimators._WORKERS`` threads;
+  each estimate has its own sub-seed, so no output depends on the worker
+  count or on the order in which blocks run.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ from .estimators import (
     EquicontinuousFamily,
     LogProbEstimate,
     TestFunction,
-    _map,
+    _laplace_plan,
+    _Plan,
+    _probability_plan,
+    _run_estimates,
     _start_key,
-    laplace_functional,
-    mc_probability,
 )
 from .models import Control, ProcessModel, constant_control, model_to_spec, skeletons
 from .pathspace import FLOAT_FMT, Ball, DistanceAtLeast, EventSpec, PathSet, TimeGrid, _write_json
@@ -276,10 +279,11 @@ def _estimate_probabilities(
     jobs,
     budgets: CheckBudgets,
     seed: int,
-) -> list[LogProbEstimate]:
-    """One estimate per (x, event, member tilt) job, all from the noise of one seed.
+) -> _Plan:
+    """The plan of one estimate per (x, event, member tilt) job, all from the noise of one seed.
 
-    Each job's tilt follows the budget policy; an absent or all-zero
+    Its result is a list of ``LogProbEstimate``, one per job.  Each job's
+    tilt follows the budget policy; an absent or all-zero
     tilt means plain Monte Carlo.  The auto-constant scan's controls are
     built once per call, stepped from the distinct starts in one walk and
     scored against each job's event.
@@ -301,7 +305,7 @@ def _estimate_probabilities(
             tilt = None
         resolved.append((x, event, tilt))
     del scans  # so sampling's peak memory does not hold the scanned skeletons
-    return mc_probability(model, grid, eps, resolved, budgets.mc_samples, seed)
+    return _probability_plan(model, grid, eps, resolved, budgets.mc_samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +363,9 @@ def fwuldp_gaps(
     seeds never depend on x, so each level set is drawn once per call
     and walked from every start.  Every (eps, member) and (eps, level)
     batch has its own seed, so the batches are listed first and then
-    run through ``estimators._map``; the rows are built from the results in
-    list order, so the reports do not depend on the worker count.
+    run through one ``estimators._run_estimates`` call; the rows are built
+    from the results in list order, so the reports do not depend on the
+    worker count.
     """
     if not 0 <= s0 < math.inf or not 0 < delta < math.inf:
         raise ValueError("need s0 >= 0 and delta > 0, both finite")
@@ -390,16 +395,18 @@ def fwuldp_gaps(
         for si, level_samples in enumerate(upper_samples):
             jobs = [(pt, DistanceAtLeast(level.paths, delta), None) for pt, level in zip(points, level_samples)]
             tasks.append((eps, jobs, budgets, subseed(budgets.seed, "fw", "upper", ei, si)))
-    results = iter(_map(lambda task: _estimate_probabilities(model, grid, *task), tasks))
+    results = _run_estimates(_estimate_probabilities(model, grid, *task) for task in tasks)
+    per_eps = len(members) + len(s_grid)
 
-    for eps in schedule.eps:
+    for ei, eps in enumerate(schedule.eps):
+        batches = results[ei * per_eps : (ei + 1) * per_eps]
         member_rows: list[list[dict]] = [[] for _ in points]
-        for k in members:
-            for rows, sample, est in zip(member_rows, samples, next(results)):
+        for k, batch in zip(members, batches):
+            for rows, sample, est in zip(member_rows, samples, batch):
                 rows.append({"member": k, "rate": sample.energies[k], **_estimate_csv_inputs(est)})
         s_rows: list[list[dict]] = [[] for _ in points]
-        for s in s_grid:
-            for rows, est in zip(s_rows, next(results)):
+        for s, batch in zip(s_grid, batches[len(members) :]):
+            for rows, est in zip(s_rows, batch):
                 rows.append({"s": s, **_estimate_csv_inputs(est)})
 
         for pt, rows, levels in zip(points, member_rows, s_rows):
@@ -490,10 +497,11 @@ def _setwise_gaps(
     stays on the plain set, so each (eps, x) estimate is drawn once and
     shared by every eta.  The seeds depend on neither the entry nor x,
     so for each (kind, eps) the jobs of every entry run as one batch on
-    one noise stream, and one ``event_rate_bound`` call finds the rate
-    side of every job of both kinds at every eta.  Nothing is kept past
-    the call.  Only the "lu" definition records eta in its params and
-    cells.
+    one noise stream, the blocks of every batch run in one
+    ``estimators._run_estimates`` call, and one ``event_rate_bound`` call
+    finds the rate side of every job of both kinds at every eta.  Nothing
+    is kept past the call.  Only the "lu" definition records eta in its
+    params and cells.
     """
     tags_eta = tag == "lu"
     reports: list[list[CheckReport]] = [[] for _ in entries]
@@ -507,28 +515,31 @@ def _setwise_gaps(
         }
         for _ in entries
     ]
+    # the sides with jobs, lower first
     sides = [
-        (kind, closed, side_key, side_of, *_setwise_plan(entries, slot))
-        for kind, slot, closed, side_key, side_of in (
-            ("lower", 1, False, "sup_rate", max),
-            ("upper", 2, True, "inf_rate", min),
+        side
+        for side in (
+            ("lower", False, "sup_rate", max, *_setwise_plan(entries, 1)),
+            ("upper", True, "inf_rate", min, *_setwise_plan(entries, 2)),
         )
+        if side[4]
     ]
-    # one rate search over both sides' jobs, lower first: per eta, one value per job
+    # one rate search over both sides' jobs: per eta, one value per job
     by_eta = event_rate_bound(
         model, grid, [(pt, event, closed) for _, closed, _, _, jobs, _ in sides for pt, event, _ in jobs],
         etas, s_max, budgets.level_count, subseed(budgets.seed, tag, "rate"), budgets.constant_pool,
     )
+    # one estimate batch per (side, eps), all run in one call
+    estimated = _run_estimates(
+        _estimate_probabilities(model, grid, eps, jobs, budgets, subseed(budgets.seed, tag, kind, ei))
+        for kind, _, _, _, jobs, _ in sides
+        for ei, eps in enumerate(schedule.eps)
+    )
     done = 0
-    for kind, _, side_key, side_of, jobs, spans in sides:
+    for si, (kind, _, side_key, side_of, jobs, spans) in enumerate(sides):
         side_rates = [values[done : done + len(jobs)] for values in by_eta]
         done += len(jobs)
-        if not jobs:
-            continue
-        estimates = [
-            _estimate_probabilities(model, grid, eps, jobs, budgets, subseed(budgets.seed, tag, kind, ei))
-            for ei, eps in enumerate(schedule.eps)
-        ]
+        estimates = estimated[si * len(schedule.eps) : (si + 1) * len(schedule.eps)]
         for e, span in spans:
             points = entries[e][0].points
             cells = []
@@ -537,19 +548,9 @@ def _setwise_gaps(
                 side = side_of(rates)
                 for eps, row in zip(schedule.eps, estimates):
                     for pt, rate, est in zip(points, rates, row[span]):
-                        cells.append(
-                            CheckCell(
-                                eps=eps,
-                                x=pt,
-                                extra={"eta": eta} if tags_eta else {},
-                                gap=gap_sum(est.log_value, side),
-                                inputs={
-                                    "rate": rate,
-                                    side_key: side,
-                                    **_estimate_csv_inputs(est),
-                                },
-                            )
-                        )
+                        inputs = {"rate": rate, side_key: side, **_estimate_csv_inputs(est)}
+                        extra = {"eta": eta} if tags_eta else {}
+                        cells.append(CheckCell(eps, pt, extra, gap_sum(est.log_value, side), inputs))
             reports[e].append(
                 _assemble(
                     f"{_SETWISE_NAMES[tag]}-{kind}", model, entries[e][0], params[e], cells, schedule, budgets, kind
@@ -615,9 +616,10 @@ def _laplace_gaps(
 
     ``described`` joins the params after ``s_max``.  Each member's rate
     side is one search over the index set and each (eps, member) Laplace
-    estimate one batch over it; no seed depends on x.  Only "eulp" tags
-    seeds and cells with the member index, and only "ulp" records the
-    sample size n in its cells.
+    estimate one batch over it; no seed depends on x, and the blocks of
+    every batch run in one ``estimators._run_estimates`` call.  Only
+    "eulp" tags seeds and cells with the member index, and only "ulp"
+    records the sample size n in its cells.
     """
     per_member = tag == "eulp"
     marks = [(hi,) if per_member else () for hi in range(len(members))]  # each member's seed tail
@@ -631,26 +633,21 @@ def _laplace_gaps(
         )
         for h, mark in zip(members, marks)
     ]
+    estimated = _run_estimates(
+        _laplace_plan(
+            model, grid, points, eps, h, budgets.mc_samples, subseed(budgets.seed, tag, "laplace", ei, *mark)
+        )
+        for ei, eps in enumerate(schedule.eps)
+        for h, mark in zip(members, marks)
+    )
     cells = []
     for ei, eps in enumerate(schedule.eps):
-        laps = [
-            laplace_functional(
-                model, grid, points, eps, h, budgets.mc_samples, subseed(budgets.seed, tag, "laplace", ei, *mark)
-            )
-            for h, mark in zip(members, marks)
-        ]
+        laps = estimated[ei * len(members) : (ei + 1) * len(members)]
         for pi, pt in enumerate(points):
             for hi, (by_start, infs) in enumerate(zip(laps, inf_vals)):
                 lap, inf_val = by_start[pi], infs[pi]
-                cells.append(
-                    CheckCell(
-                        eps=eps,
-                        x=pt,
-                        extra={"h": hi} if per_member else {},
-                        gap=lap + inf_val,
-                        inputs={"laplace": lap, "inf_h_plus_I": inf_val, **n_input},
-                    )
-                )
+                inputs = {"laplace": lap, "inf_h_plus_I": inf_val, **n_input}
+                cells.append(CheckCell(eps, pt, {"h": hi} if per_member else {}, lap + inf_val, inputs))
     return _assemble(tag, model, index_set, params, cells, schedule, budgets, "laplace")
 
 

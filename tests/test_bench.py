@@ -5,7 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from uldplab.estimators import EpsilonSchedule
+from uldplab import estimators
+from uldplab.estimators import Constant, EpsilonSchedule
 from uldplab.models import GalerkinSPDE, TranslatedBM, skeletons, zero_control
 from uldplab.pathspace import Ball, TimeGrid, line_path
 from uldplab.scenarios import run
@@ -37,7 +38,8 @@ def test_traced_bench_run_ends_in_a_strict_json_result():
 
 def test_tracer_finds_every_target_and_sees_the_rate_side_and_laplace_calls():
     # the tracer wraps functions by name from outside src/, so the checkers
-    # must reach the rate side, the estimates and the stepping through those names
+    # must reach the rate side, the noise draws and the stepping through those
+    # names; they plan their estimates, which a direct call runs alone
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve their module by name
@@ -55,14 +57,17 @@ def test_tracer_finds_every_target_and_sees_the_rate_side_and_laplace_calls():
                 EpsilonSchedule((0.2,)), budgets,
             )
             skeletons(GalerkinSPDE(modes=2, channels=2), grid, [(0.0,)], [zero_control(grid, 2)])
+            checked = len(tracer.spans)
+            job = (0.0, Ball(line_path(grid, 0.0, 0.5), 0.4), None)
+            estimators.mc_probability(TranslatedBM(), grid, 0.2, [job], 64, 1)
+            estimators.laplace_functional(TranslatedBM(), grid, [(0.0,)], 0.2, Constant(0.5), 64, 1)
         finally:
             tracer.uninstall()
     finally:
         del sys.modules[spec.name]
     assert tracer.absent == []
-    names = {span.name for span in tracer.spans}
-    for name in (
-        "rates.sample_level_set", "rates.inf_h_plus_I", "estimators.laplace_functional",
-        "estimators.mc_probability", "uldp.rate_search", "models.step",
-    ):
+    names = {span.name for span in tracer.spans[:checked]}
+    for name in ("rates.sample_level_set", "rates.inf_h_plus_I", "models.noise", "uldp.rate_search", "models.step"):
         assert name in names, name
+    direct = {span.name for span in tracer.spans[checked:]}
+    assert {"estimators.mc_probability", "estimators.laplace_functional"} <= direct

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import threading
@@ -27,7 +28,10 @@ from uldplab.estimators import (
     quadrature_probability,
     wilson_interval,
     _girsanov_log_weights,
+    _laplace_plan,
     _logsumexp,
+    _probability_plan,
+    _run_estimates,
     _sub_block_rows,
 )
 from uldplab.models import (
@@ -55,7 +59,7 @@ from uldplab.pathspace import (
     line_path,
     sup_metric,
 )
-from uldplab.uldp import CheckBudgets, IndexSetSample, fwuldp_gaps
+from uldplab.uldp import CheckBudgets, IndexSetSample, fwuldp_gaps, luldp_gaps, ulp_gap
 
 
 SMALL = TimeGrid(1.0, 4)
@@ -422,54 +426,79 @@ def test_each_block_of_a_two_worker_estimate_is_drawn_once_whole(monkeypatch):
     assert "MainThread" not in {name for _, _, name in drawn}
 
 
-def test_an_estimate_inside_a_worker_runs_its_blocks_inline(monkeypatch):
-    # the FW checker's batches run on the helper's threads; their blocks start no pool of their own
+@pytest.mark.parametrize("checker", ["fw", "lu", "ulp"])
+def test_a_checker_call_runs_every_block_in_one_pool(monkeypatch, checker):
+    # every estimate of the call is two blocks; all of them run on one pool of _WORKERS threads
     seen = []
+    pools = []
     draw = estimators._noise_block
+    executor = concurrent.futures.ThreadPoolExecutor
 
     def counted(*args, **kwargs):
-        seen.append((args[3], threading.current_thread().name, threading.active_count()))
+        seen.append((args[2], args[3], threading.current_thread().name, threading.active_count()))
         return draw(*args, **kwargs)
 
+    def opened(*args, **kwargs):
+        pools.append(args)
+        return executor(*args, **kwargs)
+
     monkeypatch.setattr(estimators, "_noise_block", counted)
-    grid = TimeGrid(1.0, 8)
-    base = threading.active_count()
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", opened)
+    grid, schedule = TimeGrid(1.0, 8), EpsilonSchedule((0.2, 0.1))
+    starts = IndexSetSample("pair", [(0.0,), (0.5,)])
     budgets = CheckBudgets(mc_samples=CHUNK + 8, level_count=2, s_levels=2, seed=3)
-    fwuldp_gaps(BM, grid, IndexSetSample("pair", [(0.0,), (0.5,)]), 0.25, 0.4, EpsilonSchedule((0.2,)), budgets)
-    assert {block for block, _, _ in seen} == {0, 1}
-    assert len({name.rsplit("_", 1)[0] for _, name, _ in seen}) == 1  # one pool
-    assert "MainThread" not in {name for _, name, _ in seen}
-    assert max(count for _, _, count in seen) <= base + estimators._WORKERS
+    base = threading.active_count()
+    if checker == "fw":
+        fwuldp_gaps(BM, grid, starts, 0.25, 0.4, schedule, budgets)
+    elif checker == "lu":
+        ball = Ball(line_path(grid, 0.0, 0.5), 0.6)
+        luldp_gaps(BM, grid, starts, ball, ball, (0.2, 0.1), schedule, budgets)
+    else:
+        ulp_gap(BM, grid, starts, Constant(0.5), schedule, budgets)
+    assert pools == [(estimators._WORKERS,)]
+    assert sorted({block for _, block, _, _ in seen}) == [0, 1]
+    assert len({seed for seed, _, _, _ in seen}) > 1  # blocks of several estimates
+    assert "MainThread" not in {name for _, _, name, _ in seen}
+    assert max(count for _, _, _, count in seen) <= base + estimators._WORKERS
 
 
 def test_a_failing_later_block_raises_what_the_serial_run_raises(monkeypatch):
-    # block 1 blows up at step 6, block 2 at step 3; the serial run stops at block 1
-    poison = {1: 6, 2: 3}
+    # block 1 of seed 5 blows up at step 6, then block 2 of seed 5 or block 0 of seed 7 at
+    # step 3; the serial run stops at block 1 of seed 5
+    poison = {(5, 1): 6, (5, 2): 3, (7, 0): 3}
     draw = estimators._noise_block
-    block_2_failing = threading.Event()
+    later_failing = threading.Event()
 
     def poisoned(grid, channels, seed, block, size):
         whole = draw(grid, channels, seed, block, size)
-        if block in poison:
-            whole[0, poison[block] - 1, 0] = np.inf
-        if block == 1 and estimators._WORKERS > 1:
-            # on two workers, block 2 runs once block 0 is done: let it fail first
-            block_2_failing.wait(timeout=10)
+        if (seed, block) in poison:
+            whole[0, poison[seed, block] - 1, 0] = np.inf
+        if (seed, block) == (5, 1) and estimators._WORKERS > 1:
+            # on two workers, the third block runs once block 0 is done: let it fail first
+            later_failing.wait(timeout=10)
             time.sleep(0.1)
-        if block == 2:
-            block_2_failing.set()
+        if (seed, block) in ((5, 2), (7, 0)):
+            later_failing.set()
         return whole
 
     monkeypatch.setattr(estimators, "_noise_block", poisoned)
     model, grid, n = FiniteSDE(dim=1), TimeGrid(1.0, 8), 3 * CHUNK
+    job = (0.0, TerminalAtLeast(0.1), None)
     calls = {
-        "mc": lambda: mc_probability(model, grid, 0.2, [(0.0, TerminalAtLeast(0.1), None)], n, 5),
+        "mc": lambda: mc_probability(model, grid, 0.2, [job], n, 5),
         "laplace": lambda: laplace_functional(model, grid, [(0.0,)], 0.2, Constant(1.0), n, 5),
+        # two blocks of one plan, then one block of the next
+        "plans": lambda: _run_estimates(
+            [
+                _probability_plan(model, grid, 0.2, [job], 2 * CHUNK, 5),
+                _laplace_plan(model, grid, [(0.0,)], 0.2, Constant(1.0), CHUNK, 7),
+            ]
+        ),
     }
     for call in calls.values():
         raised = []
         for workers in (1, 2):
-            block_2_failing.clear()
+            later_failing.clear()
             monkeypatch.setattr(estimators, "_WORKERS", workers)
             with pytest.raises(NumericalBlowupError) as exc:
                 call()

@@ -353,7 +353,6 @@ def test_probability_batch_forms_extremes_once_per_shape_sub_block_and_tilt(monk
     tilt = constant_control(grid, 0.5)
     jobs = [(x, event, t) for t in (None, tilt) for x in starts for event in (lines, flats)]
     n = CHUNK + 100  # two blocks
-    # a lone job's balls are tested from one start, so it is screened
     alone = [mc_probability(model, grid, 0.1, [job], n, 5)[0] for job in jobs]
     formed = []
     extremes = estimators._shape_extremes
@@ -394,7 +393,7 @@ DYADIC = [2.0**-k for k in range(1, 7)]
 @pytest.mark.parametrize("model", [TranslatedBM(), PerturbedBM(), SwappedBM()], ids=lambda m: m.name)
 @pytest.mark.parametrize("tilted", [False, True], ids=["plain", "constant-tilt"])
 @pytest.mark.parametrize("nan_rows", [False, True], ids=["finite", "nan-rows"])
-@pytest.mark.parametrize("setting", ["dyadic", "far"])
+@pytest.mark.parametrize("setting", ["dyadic", "far", "one-start"])
 def test_extremes_flags_equal_margin_signs_near_the_edge(monkeypatch, model, tilted, nan_rows, setting):
     grid = TimeGrid(1.0, 64)
     eps = 0.1
@@ -402,22 +401,27 @@ def test_extremes_flags_equal_margin_signs_near_the_edge(monkeypatch, model, til
     if setting == "dyadic":
         # the dz sweep at m = 6: start 1/64 lies exactly 1/64 from the center of ball 5, of radius 1/64
         starts = [(s,) for s in DYADIC] + [(0.0,)]
-        union = UnionOfBalls(PathSet([line_path(grid, s, 1.0) for s in DYADIC]), tuple(s / 2 for s in DYADIC))
+        event = UnionOfBalls(PathSet([line_path(grid, s, 1.0) for s in DYADIC]), tuple(s / 2 for s in DYADIC))
         # rows from each start along its own ball, and from 1/64 along ball 5 after t = 0
-        own = list(zip(starts, union.centers, union.radii)) + [(starts[5], union.centers.members[4], union.radii[4])]
-    else:
+        own = list(zip(starts, event.centers, event.radii)) + [(starts[5], event.centers.members[4], event.radii[4])]
+    elif setting == "far":
         # starts at +-1e6, each ball on the slope-1 line from one start's effective start
         starts = [(-1e6,), (1e6,)]
         lines = [line_path(grid, float(model.effective_start(np.array(x), eps)[0]), 1.0) for x in starts]
-        union = UnionOfBalls(PathSet(lines), (0.3, 0.3))
-        own = list(zip(starts, union.centers, union.radii))
+        event = UnionOfBalls(PathSet(lines), (0.3, 0.3))
+        own = list(zip(starts, event.centers, event.radii))
+    else:
+        # a lone ball tested from its own far start, as the FW checker's level-set members are
+        starts = [(1e6,)]
+        event = Ball(line_path(grid, float(model.effective_start(np.array(starts[0]), eps)[0]), 1.0), 0.3)
+        own = [(starts[0], event.center, event.radius)]
     inc = np.concatenate(
         [_edge_increments(model, grid, eps, tilt, x, c, r) for x, c, r in own]
         + [np.random.default_rng(3).standard_normal((200, grid.steps, 1)) * math.sqrt(grid.dt)]
     )
     if nan_rows:
-        inc[[5, 60, 250], [0, 31, 63], 0] = np.nan
-    jobs = [(x, union, tilt) for x in starts]
+        inc[[5, 60, min(250, len(inc) - 1)], [0, 31, 63], 0] = np.nan
+    jobs = [(x, event, tilt) for x in starts]
     assert set(estimators._extremes_plan(model, grid, jobs)[0]) == set(range(len(jobs)))
     monkeypatch.setattr(estimators, "_noise_block", lambda grid, channels, seed, block, size: inc[:size])
     got = []
@@ -432,7 +436,7 @@ def test_extremes_flags_equal_margin_signs_near_the_edge(monkeypatch, model, til
     near = slice(0, len(inc) - 200)
     seen_edge = []
     for (x, _, _), hits in zip(jobs, got):
-        margins = union.margins(simulate_batch(model, grid, x, eps, tilt, inc))
+        margins = event.margins(simulate_batch(model, grid, x, eps, tilt, inc))
         assert np.array_equal(hits, margins > 0.0)
         seen_edge.append(np.abs(margins[near]) < 1e-12 * max(1.0, abs(x[0])))
     # the crafted rows do reach the edge of the ball they follow

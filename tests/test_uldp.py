@@ -286,20 +286,23 @@ def test_fw_outputs_do_not_depend_on_the_worker_count(monkeypatch, pinned_run, t
 
 
 def test_set_wise_and_laplace_outputs_do_not_depend_on_the_worker_count(monkeypatch, pinned_run, tmp_path):
-    # each dz-lower-bounded estimate has 13 blocks, each Laplace value below 3
+    # each dz-lower-bounded estimate has 13 blocks and each Laplace value below 3; the
+    # 6 one-block LU estimates and the 3 one-block ULP estimates run side by side
     fam = make_families("lower", 0.5, 0.4, [line_path(GRID, 0.0, 0.0), line_path(GRID, 1.0, 0.5)])
     budgets = CheckBudgets(mc_samples=2 * CHUNK + 100, level_count=6, s_levels=2, seed=0, hold_threshold=0.25)
+    names = ("dz-lower-bounded", "y-luldp-holds", "ulp-counter")
 
-    def outputs(tag, scenario):
+    def outputs(tag, run):
         report = eulp_gap(BM, GRID, IndexSetSample("pair", [(0.0,), (1.0,)]), fam, EpsilonSchedule((0.2,)), budgets)
-        paths = [tmp_path / f"{tag}-eulp.json", tmp_path / f"{tag}-scenario.json"]
+        paths = [tmp_path / f"{tag}-eulp.json"] + [tmp_path / f"{tag}-{name}.json" for name in names]
         report.save_json(str(paths[0]))
-        scenario.save_json(str(paths[1]))
+        for name, path in zip(names, paths[1:]):
+            run(name).save_json(str(path))
         return [path.read_bytes() for path in paths]
 
-    default = outputs("default", pinned_run("dz-lower-bounded"))
+    default = outputs("default", pinned_run)
     monkeypatch.setattr(estimators, "_WORKERS", 1)
-    assert outputs("one", scenarios.run("dz-lower-bounded")) == default
+    assert outputs("one", scenarios.run) == default
 
 
 def test_fwuldp_draws_each_level_set_once(monkeypatch):
