@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .convergence import control_conv
-from .estimators import EpsilonSchedule, LogProbEstimate, mc_probability
+from .estimators import EpsilonSchedule, LogProbEstimate, _probability_plan, _run_estimates
 from .models import NumericalBlowupError, _noise_block, load_model, simulate_batch, skeleton
 from .pathspace import (
     FLOAT_FMT,
@@ -184,10 +184,11 @@ def _cmd_estimate(args) -> int:
     schedule = _parse_schedule(args)
     center = skeleton(model, grid, np.array(x))
     job = (np.array(x), DistanceAtLeast(PathSet([center]), args.delta), None)
-    rows = [
-        mc_probability(model, grid, eps, [job], args.samples, subseed(args.seed, "cli-estimate", i))[0]
+    plans = [
+        _probability_plan(model, grid, eps, [job], args.samples, subseed(args.seed, "cli-estimate", i))
         for i, eps in enumerate(schedule.eps)
     ]
+    rows = [estimates[0] for estimates in _run_estimates(plans)]
     if args.format == "csv":
         text = LogProbEstimate.CSV_HEADER + "\n" + "\n".join(r.csv_row() for r in rows) + "\n"
     else:

@@ -30,7 +30,10 @@ ball's shape (its center minus the center's first value), formed once
 per shape, sub-block and tilt and read by every start and radius.  A
 start more than the radius from the center at t = 0 misses that ball on
 every row at no cost; rows within a few roundings of the radius go
-through the exact screen (``pathspace._ball_from_extremes``).
+through the exact screen (``pathspace._ball_from_extremes``).  A ``Ball``
+is a union of one ball and takes the same route.  The exact oracle
+``band_probability`` reads an event's one tube from ``EventSpec.bands``
+and propagates the Brownian density through it: translated family only.
 
 Each estimate is a plan (``_Plan``): its noise blocks and how to finish
 it.  A checker lists the plans of all its estimates, and
@@ -75,13 +78,10 @@ from .models import (
 )
 from .pathspace import (
     FLOAT_FMT,
-    Ball,
     DiscretePath,
     EventSpec,
-    Intersection,
     PathSet,
     ShapeMismatchError,
-    TerminalAtLeast,
     TimeGrid,
     UnionOfBalls,
     _ball_from_extremes,
@@ -441,9 +441,9 @@ def _extremes_plan(model: ProcessModel, grid: TimeGrid, jobs) -> tuple[dict, lis
     Returns ``balls`` and ``shapes``: ``balls`` maps such a job's index to
     one ``(key, shape index, center, radius)`` per ball of its event, key
     an int per distinct (center, radius); ``shapes[s]`` is a ball shape
-    ``center[1:, 0] - center[0, 0]``.  Every ``Ball`` and ``UnionOfBalls``
-    job whose centers fit the grid is planned; other families plan
-    nothing.
+    ``center[1:, 0] - center[0, 0]``.  Every ball union (a ``Ball`` is the
+    union of one) whose centers fit the grid is planned; other families
+    plan nothing.
     """
     if not isinstance(model, TranslatedBM):
         return {}, []
@@ -451,16 +451,10 @@ def _extremes_plan(model: ProcessModel, grid: TimeGrid, jobs) -> tuple[dict, lis
     shapes: dict = {}  # shape bytes -> (index, shape)
     balls = {}
     for j, (_, event, _) in enumerate(jobs):
-        if isinstance(event, Ball):
-            centers, radii = event.center.values[None], (event.radius,)
-        elif isinstance(event, UnionOfBalls):
-            centers, radii = event.centers.stack, event.radii
-        else:
-            continue
-        if centers.shape[1:] != (grid.steps + 1, 1):
-            continue  # its screen raises the shape error
+        if not isinstance(event, UnionOfBalls) or event.centers.stack.shape[1:] != (grid.steps + 1, 1):
+            continue  # a union off the grid raises the shape error in its screen
         balls[j] = []
-        for center, radius in zip(centers, radii):
+        for center, radius in zip(event.centers.stack, event.radii):
             shape = center[1:, 0] - center[0, 0]
             s = shapes.setdefault(shape.tobytes(), (len(shapes), shape))[0]
             balls[j].append((ids.setdefault((center.tobytes(), radius), len(ids)), s, center, radius))
@@ -500,11 +494,10 @@ def _probability_plan(model: ProcessModel, grid: TimeGrid, eps: float, jobs, n: 
     their effective sample size.  Per row sub-block of ``_sub_block_rows``
     rows, each group simulates each distinct start once, and every job
     at that start reads its paths before the next start is simulated.
-    On the translated family a ``Ball`` or ``UnionOfBalls`` job
-    (``_extremes_plan``) reads no paths: each (start, ball) pair is
-    decided from the group's per-row extremes of ``core - shape``, read
-    from one dict by the jobs at that start, unless the sub-block's core
-    is not finite.  Each job's flags are packed to bits once per block.
+    On the translated family a ball-union job (``_extremes_plan``) reads
+    no paths: each (start, ball) pair is decided from the group's per-row
+    extremes of ``core - shape``, read from one dict by the jobs at that
+    start, unless the sub-block's core is not finite.  Each job's flags are packed to bits once per block.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -757,43 +750,6 @@ def quadrature_probability(
 # exact band-propagation oracle
 
 
-def _interval_bands(event: EventSpec, grid: TimeGrid) -> list[tuple[float, float]]:
-    """Per-grid-point intervals whose conjunction equals the event.
-
-    Covers events that factor across time into scalar interval
-    constraints: balls around a path, terminal halfspaces and
-    intersections of those.  Raises TypeError for anything else.
-    """
-    inf = math.inf
-    bands = [(-inf, inf) for _ in range(grid.steps + 1)]
-
-    def merge(i: int, lo: float, hi: float) -> None:
-        a, b = bands[i]
-        bands[i] = (max(a, lo), min(b, hi))
-
-    def walk(ev: EventSpec) -> None:
-        if isinstance(ev, Ball):
-            if ev.center.grid != grid:
-                raise ShapeMismatchError("ball center grid differs")
-            if ev.center.dim != 1:
-                raise TypeError("band oracle is scalar only")
-            for i in range(grid.steps + 1):
-                c = float(ev.center.values[i, 0])
-                merge(i, c - ev.radius, c + ev.radius)
-        elif isinstance(ev, TerminalAtLeast):
-            if ev.coordinate != 0:
-                raise TypeError("band oracle is scalar only")
-            merge(grid.steps, ev.level, inf)
-        elif isinstance(ev, Intersection):
-            for part in ev.parts:
-                walk(part)
-        else:
-            raise TypeError(f"no band structure for {type(ev).__name__}")
-
-    walk(event)
-    return bands
-
-
 def band_probability(
     model: ProcessModel,
     grid: TimeGrid,
@@ -802,22 +758,26 @@ def band_probability(
     event: EventSpec,
     nodes: int = 200,
 ) -> float:
-    """Exact P(X^eps_x in event) for band-factorable events (scalar BM family).
+    """Exact P(X^eps_x in event) for a one-tube event (``event.bands(grid)``) on the translated family.
 
     Propagates the Gaussian transition density through the per-time
     intervals of the event on Gauss-Legendre panels; smooth integrands
     make this converge to well below Monte Carlo resolution, so it
     serves as the reference the sampling estimators are audited against.
     Unlike the sampled estimators this treats interval endpoints as
-    immaterial (the law is atomless).
+    immaterial (the law is atomless).  The kernel is the Brownian one, so
+    another family, or an event that is not one tube, raises TypeError.
     """
     from numpy.polynomial.legendre import leggauss
 
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
-    if model.channels != 1 or model.dim != 1:
-        raise ShapeMismatchError("band oracle covers scalar single-channel models")
-    bands = _interval_bands(event, grid)
+    if not isinstance(model, TranslatedBM):
+        raise TypeError(f"band oracle covers the translated family, not {model.name}")
+    tube = event.bands(grid)
+    if tube is None or len(tube[0]) != 1:
+        raise TypeError(f"band oracle needs an event of one tube, not {type(event).__name__}")
+    bands = list(zip(tube[0][0].tolist(), tube[1][0].tolist()))
     start = float(model.effective_start(model._as_state(x), eps)[0])
     lo0, hi0 = bands[0]
     if not lo0 < start < hi0:

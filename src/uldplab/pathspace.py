@@ -10,18 +10,24 @@ to the boundary.  Shrunk and fattened versions of a set are obtained by
 thresholding the margin, which is how the locally uniform definitions
 consume events.
 
+``Ball`` is the one-ball ``UnionOfBalls`` and shares its code.
+``EventSpec.bands(grid)`` is the geometry of an event that factors across
+time: for scalar paths, k balls are k tubes (an open interval
+``center -+ radius`` per grid point), a terminal threshold is one tube
+bounded at T only, and one-tube events intersect pointwise; others give None.
+
 ``EventSpec.hits(values)`` answers only the sign: for every input it is
 bit for bit ``margins(values) > 0.0``, and it is what the probability
-estimators read.  Balls, ball unions and distance-at-least sets answer
-it without forming the margin: a row leaves a ball at its first grid
+estimators read.  Ball unions and distance-at-least sets answer it
+without forming the margin: a row leaves a ball at its first grid
 point with norm >= radius, a union skips balls for rows already inside
 one, and a row leaves a distance-at-least set once its whole path lies
 within the threshold of some member.  When more than half of the rows
 are still open after the first grid point, the full distances are
 formed in one pass instead.  For scalar paths x + core,
 ``_ball_from_extremes`` answers a ball from the per-row max and min of
-core minus the ball's shape, with the same flags.  ``margins`` keeps the full distances for
-the rate side, the tilt scan, quadrature and the CLI.
+core minus the ball's shape, with the same flags.  ``margins`` keeps the
+full distances for the rate side, the tilt scan, quadrature and the CLI.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +82,8 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -367,23 +376,13 @@ class EventSpec:
     def margin(self, path: DiscretePath) -> float:
         return float(self.margins(path.values[None])[0])
 
+    def bands(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray] | None:
+        """The event as k tubes ``(lo, hi)``, both of shape (k, steps + 1); None if it does not factor.
 
-@dataclass(frozen=True)
-class Ball(EventSpec):
-    """Open sup-metric ball around a center path."""
-
-    center: DiscretePath
-    radius: float
-
-    def __post_init__(self) -> None:
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-
-    def margins(self, values: np.ndarray) -> np.ndarray:
-        return self.radius - next(_member_distances(values, self.center.values[None]))
-
-    def hits(self, values: np.ndarray) -> np.ndarray:
-        return _any_within(values, self.center.values[None], (self.radius,), np.less)
+        A scalar path is in tube j when ``lo[j, i] < path[i] < hi[j, i]`` at
+        every grid point i; an unbounded side is -inf or inf.
+        """
+        return None
 
 
 @dataclass(frozen=True)
@@ -408,6 +407,29 @@ class UnionOfBalls(EventSpec):
 
     def hits(self, values: np.ndarray) -> np.ndarray:
         return _any_within(values, self.centers.stack, self.radii, np.less)
+
+    def bands(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray] | None:
+        """One tube ``center -+ radius`` per ball; None for paths in more than one dimension."""
+        _check_same_grid(self.centers.grid, grid)
+        if self.centers.dim != 1:
+            return None
+        c, r = self.centers.stack[..., 0], np.asarray(self.radii, dtype=float)[:, None]
+        return c - r, c + r
+
+
+class Ball(UnionOfBalls):
+    """Open sup-metric ball around a center path: the union of one ball."""
+
+    def __init__(self, center: DiscretePath, radius: float):
+        super().__init__(PathSet([center]), (radius,))
+
+    @property
+    def center(self) -> DiscretePath:
+        return self.centers.members[0]
+
+    @property
+    def radius(self) -> float:
+        return self.radii[0]
 
 
 @dataclass(frozen=True)
@@ -443,6 +465,14 @@ class TerminalAtLeast(EventSpec):
     def margins(self, values: np.ndarray) -> np.ndarray:
         return values[:, -1, self.coordinate] - self.level
 
+    def bands(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray] | None:
+        """One tube, bounded only below and only at T; None off coordinate 0."""
+        if self.coordinate != 0:
+            return None
+        lo = np.full((1, grid.steps + 1), -np.inf)
+        lo[0, -1] = self.level
+        return lo, np.full_like(lo, np.inf)
+
 
 @dataclass(frozen=True)
 class Intersection(EventSpec):
@@ -457,3 +487,10 @@ class Intersection(EventSpec):
         for part in self.parts[1:]:
             out = np.minimum(out, part.margins(values))
         return out
+
+    def bands(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray] | None:
+        """The pointwise overlap of the parts' tubes when every part is one tube; None otherwise."""
+        tubes = [part.bands(grid) for part in self.parts]
+        if any(tube is None or len(tube[0]) != 1 for tube in tubes):
+            return None
+        return np.maximum.reduce([lo for lo, _ in tubes]), np.minimum.reduce([hi for _, hi in tubes])

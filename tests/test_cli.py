@@ -126,6 +126,21 @@ def test_estimate_csv_and_json_agree(tmp_path, capsys):
     assert float(lines[1].split(",")[2]) == rows[0]["p_hat"]
 
 
+def test_estimate_runs_every_eps_in_one_executor_call(capsys, monkeypatch):
+    from uldplab import cli
+
+    calls = []
+    real = cli._run_estimates
+    monkeypatch.setattr(cli, "_run_estimates", lambda plans: calls.append(len(plans)) or real(plans))
+    code, out, _ = run_cli(
+        capsys, "estimate", "--model", "translated-bm", "--x", "0", "--eps", "0.1", "--eps", "0.05",
+        "--eps", "0.02", "--delta", "0.5", "--samples", "500", "--format", "csv",
+    )
+    assert code == 0
+    assert calls == [3]
+    assert len(out.splitlines()) == 4
+
+
 def test_estimate_requires_delta(capsys):
     code, _, err = run_cli(
         capsys,

@@ -50,6 +50,7 @@ from uldplab.models import (
 from uldplab.pathspace import (
     Ball,
     DiscretePath,
+    DistanceAtLeast,
     Intersection,
     PathSet,
     TerminalAtLeast,
@@ -137,6 +138,108 @@ def test_band_oracle_node_refinement_is_stable():
     a = band_probability(BM, SMALL, 0.0, 0.25, event, nodes=120)
     b = band_probability(BM, SMALL, 0.0, 0.25, event, nodes=240)
     assert a == pytest.approx(b, rel=1e-9)
+
+
+# band_probability's values, recorded bit for bit before events gave their own bands
+BAND_PINS = {
+    (4, 'translated-bm', 'ball', 0.25): '0x1.250b94239e0cep-1',
+    (4, 'translated-bm', 'ball', 0.09): '0x1.76f78c5ea3d30p-1',
+    (4, 'translated-bm', 'terminal', 0.25): '0x1.44ed0bb7cb1c6p-3',
+    (4, 'translated-bm', 'terminal', 0.09): '0x1.877fa2026f08dp-5',
+    (4, 'translated-bm', 'ball-terminal', 0.25): '0x1.e4344edbb0bfap-3',
+    (4, 'translated-bm', 'ball-terminal', 0.09): '0x1.439dc8e774d47p-3',
+    (4, 'translated-bm', 'two-balls-terminal', 0.25): '0x1.90aef31bf2ad3p-3',
+    (4, 'translated-bm', 'two-balls-terminal', 0.09): '0x1.ceaf863423551p-3',
+    (4, 'perturbed-bm', 'ball', 0.25): '0x1.3519b787f74bcp-1',
+    (4, 'perturbed-bm', 'ball', 0.09): '0x1.8140f3f5e6e27p-1',
+    (4, 'perturbed-bm', 'terminal', 0.25): '0x1.78f483d6e557ep-3',
+    (4, 'perturbed-bm', 'terminal', 0.09): '0x1.bae3e9543409cp-5',
+    (4, 'perturbed-bm', 'ball-terminal', 0.25): '0x1.0a9c1fa4987e1p-2',
+    (4, 'perturbed-bm', 'ball-terminal', 0.09): '0x1.61e742caa3872p-3',
+    (4, 'perturbed-bm', 'two-balls-terminal', 0.25): '0x1.a7be5d2c10756p-3',
+    (4, 'perturbed-bm', 'two-balls-terminal', 0.09): '0x1.ee20a9657ebb3p-3',
+    (4, 'swapped-bm', 'ball', 0.25): '0x1.53a15bbe6f93ep-1',
+    (4, 'swapped-bm', 'ball', 0.09): '0x1.db532d5cc7fbbp-1',
+    (4, 'swapped-bm', 'terminal', 0.25): '0x1.60d91f7ac9003p-2',
+    (4, 'swapped-bm', 'terminal', 0.09): '0x1.028d675cfe081p-2',
+    (4, 'swapped-bm', 'ball-terminal', 0.25): '0x1.6279f82cad533p-2',
+    (4, 'swapped-bm', 'ball-terminal', 0.09): '0x1.e93e01273882bp-2',
+    (4, 'swapped-bm', 'two-balls-terminal', 0.25): '0x1.b89f6c7aa2a84p-3',
+    (4, 'swapped-bm', 'two-balls-terminal', 0.09): '0x1.af9772ee8f812p-2',
+    (12, 'translated-bm', 'ball', 0.25): '0x1.0be275c27822bp-1',
+    (12, 'translated-bm', 'ball', 0.09): '0x1.6b9c9c4143658p-1',
+    (12, 'translated-bm', 'terminal', 0.25): '0x1.44ed0bb7cb2c8p-3',
+    (12, 'translated-bm', 'terminal', 0.09): '0x1.877fa2026f1bep-5',
+    (12, 'translated-bm', 'ball-terminal', 0.25): '0x1.caf4e25732a53p-3',
+    (12, 'translated-bm', 'ball-terminal', 0.09): '0x1.430c67f53ecb0p-3',
+    (12, 'translated-bm', 'two-balls-terminal', 0.25): '0x1.5980fa710a573p-3',
+    (12, 'translated-bm', 'two-balls-terminal', 0.09): '0x1.c39d8a574c332p-3',
+    (12, 'perturbed-bm', 'ball', 0.25): '0x1.1ba375be4c0d4p-1',
+    (12, 'perturbed-bm', 'ball', 0.09): '0x1.768a45c471b05p-1',
+    (12, 'perturbed-bm', 'terminal', 0.25): '0x1.78f483d6e56abp-3',
+    (12, 'perturbed-bm', 'terminal', 0.09): '0x1.bae3e954341f7p-5',
+    (12, 'perturbed-bm', 'ball-terminal', 0.25): '0x1.f6bb479ff946fp-3',
+    (12, 'perturbed-bm', 'ball-terminal', 0.09): '0x1.61312f44fb3d5p-3',
+    (12, 'perturbed-bm', 'two-balls-terminal', 0.25): '0x1.6b73fafbe85a1p-3',
+    (12, 'perturbed-bm', 'two-balls-terminal', 0.09): '0x1.e168704bb3dfcp-3',
+    (12, 'swapped-bm', 'ball', 0.25): '0x1.31418b4020dabp-1',
+    (12, 'swapped-bm', 'ball', 0.09): '0x1.d427674f2ad57p-1',
+    (12, 'swapped-bm', 'terminal', 0.25): '0x1.60d91f7ac911fp-2',
+    (12, 'swapped-bm', 'terminal', 0.09): '0x1.028d675cfe14ep-2',
+    (12, 'swapped-bm', 'ball-terminal', 0.25): '0x1.3a38ba6b0d943p-2',
+    (12, 'swapped-bm', 'ball-terminal', 0.09): '0x1.dfe076155b99ep-2',
+    (12, 'swapped-bm', 'two-balls-terminal', 0.25): '0x1.5cac0c8857f84p-3',
+    (12, 'swapped-bm', 'two-balls-terminal', 0.09): '0x1.8be44e7a9e8dbp-2',
+}
+BAND_STARTS = {"translated-bm": (TranslatedBM(), 0.2), "perturbed-bm": (PerturbedBM(), 0.2), "swapped-bm": (SwappedBM(), 0.0)}
+
+
+def _band_events(grid):
+    return {
+        "ball": Ball(line_path(grid, 0.2, 0.4), 0.6),
+        "terminal": TerminalAtLeast(0.7),
+        "ball-terminal": Intersection((Ball(line_path(grid, 0.2, 0.4), 0.6), TerminalAtLeast(0.5))),
+        "two-balls-terminal": Intersection(
+            (Ball(constant_path(grid, 0.3), 0.5), Ball(line_path(grid, 0.0, 0.8), 0.7), TerminalAtLeast(0.4))
+        ),
+    }
+
+
+@pytest.mark.parametrize("steps", [4, 12])
+@pytest.mark.parametrize("family", sorted(BAND_STARTS))
+def test_band_oracle_values_are_pinned_bit_for_bit(steps, family):
+    grid = TimeGrid(1.0, steps)
+    model, x = BAND_STARTS[family]
+    got = {
+        (steps, family, name, eps): band_probability(model, grid, x, eps, event).hex()
+        for name, event in _band_events(grid).items()
+        for eps in (0.25, 0.09)
+    }
+    assert got == {key: value for key, value in BAND_PINS.items() if key[:2] == (steps, family)}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        pytest.param(FiniteSDE(dim=1, drift=DriftSpec("linear", matrix=((-1.5,),), offset=(0.3,))), id="linear-sde"),
+        pytest.param(GalerkinSPDE(modes=1, channels=1), id="galerkin-1"),
+    ],
+)
+def test_band_oracle_refuses_a_stepped_family(model):
+    # both are scalar with one channel, yet their laws are not the Brownian
+    # one: at x = 0.4 and eps = 0.05, Monte Carlo gives about 0.715 and 0.627
+    # for this ball, where the Brownian kernel gives 0.720
+    grid = TimeGrid(1.0, 16)
+    with pytest.raises(TypeError, match=model.name):
+        band_probability(model, grid, 0.4, 0.05, Ball(constant_path(grid, 0.4), 0.3))
+
+
+def test_band_oracle_refuses_an_event_that_is_not_one_tube():
+    two = UnionOfBalls(PathSet([constant_path(SMALL, 0.0), constant_path(SMALL, 0.5)]), (0.4, 0.4))
+    with pytest.raises(TypeError, match="UnionOfBalls"):
+        band_probability(BM, SMALL, 0.0, 0.25, two)
+    with pytest.raises(TypeError, match="DistanceAtLeast"):
+        band_probability(BM, SMALL, 0.0, 0.25, DistanceAtLeast(PathSet([constant_path(SMALL, 0.0)]), 0.4))
 
 
 def test_gauss_hermite_matches_band_on_terminal_event():

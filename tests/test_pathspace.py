@@ -41,6 +41,16 @@ def test_grid_validation():
         TimeGrid(1.0, 0)
 
 
+def test_grid_refuses_a_step_count_that_is_not_an_integer():
+    # 2.5 steps of dt = 0.4 would give the times 0, 0.4, 0.8, 1.2: past the horizon
+    for steps in (2.5, 4.0, "4", None):
+        with pytest.raises(ValueError, match="steps"):
+            TimeGrid(1.0, steps)
+    grid = TimeGrid(1.0, np.int64(4))
+    assert grid == TimeGrid(1.0, 4)
+    assert grid.times[-1] == 1.0
+
+
 def test_line_path_values():
     grid = TimeGrid(1.0, 4)
     p = line_path(grid, 2.0, -1.0)
@@ -441,3 +451,78 @@ def test_extremes_flags_equal_margin_signs_near_the_edge(monkeypatch, model, til
         seen_edge.append(np.abs(margins[near]) < 1e-12 * max(1.0, abs(x[0])))
     # the crafted rows do reach the edge of the ball they follow
     assert sum(map(np.count_nonzero, seen_edge)) >= 2 * len(own)
+
+
+def test_ball_is_the_union_of_one_ball():
+    grid = TimeGrid(1.0, 8)
+    center = line_path(grid, 0.0, 0.5)
+    ball = Ball(center, 0.6)
+    assert isinstance(ball, UnionOfBalls)
+    assert ball.centers.members == [center] and ball.radii == (0.6,)
+    assert ball.center is center and ball.radius == 0.6
+    with pytest.raises(AttributeError):
+        ball.radius = 1.0
+    with pytest.raises(ValueError):
+        Ball(center, 0.0)
+    # one membership code: the ball inherits the union's margins and hits
+    assert Ball.margins is UnionOfBalls.margins and Ball.hits is UnionOfBalls.hits
+
+
+def test_bands_are_the_tubes_of_balls_terminals_and_their_intersections():
+    grid = TimeGrid(1.0, 4)
+    line, flat = line_path(grid, 0.0, 0.5), constant_path(grid, 0.3)
+    c = line.values[:, 0]
+    lo, hi = Ball(line, 0.6).bands(grid)
+    assert lo.shape == hi.shape == (1, 5)
+    assert lo[0].tolist() == (c - 0.6).tolist() and hi[0].tolist() == (c + 0.6).tolist()
+    lo, hi = UnionOfBalls(PathSet([line, flat]), (0.6, 0.2)).bands(grid)
+    assert lo.tolist() == [(c - 0.6).tolist(), [0.3 - 0.2] * 5]
+    assert hi.tolist() == [(c + 0.6).tolist(), [0.3 + 0.2] * 5]
+    lo, hi = TerminalAtLeast(0.7).bands(grid)
+    assert lo.tolist() == [[-math.inf] * 4 + [0.7]] and hi.tolist() == [[math.inf] * 5]
+    lo, hi = Intersection((Ball(line, 0.6), TerminalAtLeast(2.0), Ball(flat, 0.5))).bands(grid)
+    assert lo.tolist() == [[max(a - 0.6, 0.3 - 0.5) for a in c[:4]] + [2.0]]
+    assert hi.tolist() == [[min(a + 0.6, 0.3 + 0.5) for a in c]]
+    # events that are not tubes of a scalar path
+    two = UnionOfBalls(PathSet([line, flat]), (0.6, 0.2))
+    for event in (
+        Ball(constant_path(grid, 0.0, 2), 1.0),
+        DistanceAtLeast(PathSet([line]), 0.4),
+        TerminalAtLeast(0.7, coordinate=1),
+        Intersection((Ball(line, 0.6), DistanceAtLeast(PathSet([line]), 0.4))),
+        Intersection((TerminalAtLeast(0.7), two)),
+    ):
+        assert event.bands(grid) is None
+    # a center on another grid is refused, as by the ball's screen
+    other = TimeGrid(1.0, 8)
+    for event in (Ball(line, 0.6), Intersection((TerminalAtLeast(0.7), Ball(line, 0.6)))):
+        with pytest.raises(ShapeMismatchError):
+            event.bands(other)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_inside_some_tube_everywhere_equals_hits_away_from_the_edges(seed):
+    # c -+ r rounds, so a row on or within a rounding of a tube's edge can
+    # disagree with |v - c| < r; rows are kept only if every point is at
+    # least 8 ulps of |c| + r from every edge, and many are placed 16-64 such
+    # ulps inside or outside one
+    rng = np.random.default_rng(seed)
+    steps, k, count = int(rng.integers(1, 40)), int(rng.integers(1, 5)), 2000
+    grid = TimeGrid(1.0, steps)
+    centers = rng.standard_normal((k, steps + 1)).cumsum(axis=1)
+    radii = tuple(rng.uniform(0.2, 1.5, size=k))
+    event = UnionOfBalls(PathSet([DiscretePath(grid, c) for c in centers]), radii)
+    lo, hi = event.bands(grid)
+    ulp = np.spacing(np.abs(centers) + np.array(radii)[:, None])
+    pick = rng.integers(k, size=count)
+    values = centers[pick] + rng.uniform(0.0, 1.6, size=(count, 1)) * rng.uniform(-1.0, 1.0, (count, steps + 1))
+    for _ in range(2 * count):
+        row, t, j = rng.integers(count), rng.integers(steps + 1), rng.integers(k)
+        edge = (lo, hi)[rng.integers(2)][j, t]
+        values[row, t] = edge + rng.choice((-1.0, 1.0)) * rng.uniform(16.0, 64.0) * ulp[j, t]
+    gap = 8 * ulp[:, None]
+    keep = ((np.abs(values[None] - lo[:, None]) > gap) & (np.abs(values[None] - hi[:, None]) > gap)).all(axis=(0, 2))
+    inside = ((values[None] > lo[:, None]) & (values[None] < hi[:, None])).all(axis=2).any(axis=0)
+    hits = event.hits(values[..., None])
+    assert np.array_equal(inside[keep], hits[keep])
+    assert keep.sum() > count // 2 and 0 < hits[keep].sum() < keep.sum()
