@@ -29,8 +29,8 @@ per sample instead: the max and min over t > 0 of the core minus the
 ball's shape (its center minus the center's first value), formed once
 per shape, sub-block and tilt and read by every start and radius.  A
 start more than the radius from the center at t = 0 misses that ball on
-every row at no cost; rows within a few roundings of the radius go
-through the exact screen (``pathspace._ball_from_extremes``).  A ``Ball``
+every row at no cost; rows within a few roundings of the radius take
+their whole distance (``pathspace._ball_from_extremes``).  A ``Ball``
 is a union of one ball and takes the same route.  The exact oracle
 ``band_probability`` reads an event's one tube from ``EventSpec.bands``
 and propagates the Brownian density through it: translated family only.
@@ -223,6 +223,10 @@ class TestFunction:
 class Constant(TestFunction):
     value: float
 
+    def __post_init__(self) -> None:
+        if math.isnan(self.value):
+            raise ValueError("value must not be nan")
+
     def bound(self) -> float:
         return abs(self.value)
 
@@ -247,8 +251,10 @@ class CappedSetDistance(TestFunction):
     inverted: bool = False
 
     def __post_init__(self) -> None:
-        if self.scale < 0 or self.width <= 0:
-            raise ValueError("need scale >= 0 and width > 0")
+        if not 0 <= self.scale < math.inf:
+            raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
+        if not 0 < self.width < math.inf:
+            raise ValueError(f"width must be finite and > 0, got {self.width}")
 
     def bound(self) -> float:
         return self.scale
@@ -278,8 +284,10 @@ class MinOverCenters(TestFunction):
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.centers):
             raise ShapeMismatchError("one weight per center required")
-        if self.cap < 0 or any(w <= 0 for w in self.weights):
-            raise ValueError("cap >= 0 and positive weights required")
+        if not 0 <= self.cap < math.inf:
+            raise ValueError(f"cap must be finite and >= 0, got {self.cap}")
+        if not all(0 < w < math.inf for w in self.weights):
+            raise ValueError(f"weights must be finite and > 0, got {self.weights}")
 
     def bound(self) -> float:
         return self.cap
@@ -311,6 +319,10 @@ class EquicontinuousFamily:
     def __post_init__(self) -> None:
         if not self.members:
             raise ValueError("empty family")
+        # a nan constant would pass every member: each comparison with it is False
+        for name, value in (("bound", self.bound), ("lipschitz", self.lipschitz)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"declared {name} must be finite and >= 0, got {value}")
         for k, m in enumerate(self.members):
             if m.bound() > self.bound * (1 + 1e-12):
                 raise ValueError(
@@ -452,7 +464,7 @@ def _extremes_plan(model: ProcessModel, grid: TimeGrid, jobs) -> tuple[dict, lis
     balls = {}
     for j, (_, event, _) in enumerate(jobs):
         if not isinstance(event, UnionOfBalls) or event.centers.stack.shape[1:] != (grid.steps + 1, 1):
-            continue  # a union off the grid raises the shape error in its screen
+            continue  # a union off the grid raises the shape error in its hits
         balls[j] = []
         for center, radius in zip(event.centers.stack, event.radii):
             shape = center[1:, 0] - center[0, 0]

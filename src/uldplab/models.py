@@ -39,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,6 +181,12 @@ def _require_finite(owner: str, **values) -> None:
     for key, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{owner} {key} must be finite, got {value}")
+
+
+def _require_count(owner: str, **values) -> None:
+    for key, value in values.items():
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{owner} {key} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -379,8 +386,7 @@ class FiniteSDE(ProcessModel):
     name: str = field(default="finite-sde", init=False)
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        _require_count("finite-sde", dim=self.dim)
         object.__setattr__(self, "channels", self.dim)
         _check_catalog_shapes(self)
 
@@ -403,8 +409,7 @@ class GalerkinSPDE(ProcessModel):
     name: str = field(default="galerkin-spde", init=False)
 
     def __post_init__(self) -> None:
-        if self.modes < 1:
-            raise ValueError("modes must be >= 1")
+        _require_count("galerkin-spde", modes=self.modes, channels=self.channels)
         if self.eigen_rule not in ("quadratic", "linear"):
             raise ValueError(f"unknown eigenvalue rule {self.eigen_rule!r}; known: quadratic, linear")
         _require_finite("galerkin-spde", eigen_scale=self.eigen_scale)
@@ -749,7 +754,7 @@ def model_from_spec(spec: dict) -> ProcessModel:
         )
     if variant == "finite-sde":
         return FiniteSDE(
-            dim=int(spec.get("dim", _default(FiniteSDE, "dim"))),
+            dim=spec.get("dim", _default(FiniteSDE, "dim")),
             drift=_drift_from(spec.get("drift"), _default(FiniteSDE, "drift")),
             noise=_noise_from(spec.get("noise"), _default(FiniteSDE, "noise")),
         )
@@ -758,10 +763,10 @@ def model_from_spec(spec: dict) -> ProcessModel:
         if not isinstance(ev, dict) or not set(ev) <= {"rule", "scale"}:
             raise ValueError(f"galerkin-spde eigenvalues must be a {{rule, scale}} object, got {ev!r}")
         reg = spec.get("regularity") or {}
-        modes = int(spec.get("modes", _default(GalerkinSPDE, "modes")))
+        modes = spec.get("modes", _default(GalerkinSPDE, "modes"))
         return GalerkinSPDE(
             modes=modes,
-            channels=int(spec.get("channels", modes)),
+            channels=spec.get("channels", modes),
             eigen_rule=ev.get("rule", _default(GalerkinSPDE, "eigen_rule")),
             eigen_scale=float(ev.get("scale", _default(GalerkinSPDE, "eigen_scale"))),
             drift=_drift_from(spec.get("drift"), _default(GalerkinSPDE, "drift")),

@@ -18,16 +18,17 @@ bounded at T only, and one-tube events intersect pointwise; others give None.
 
 ``EventSpec.hits(values)`` answers only the sign: for every input it is
 bit for bit ``margins(values) > 0.0``, and it is what the probability
-estimators read.  Ball unions and distance-at-least sets answer it
-without forming the margin: a row leaves a ball at its first grid
-point with norm >= radius, a union skips balls for rows already inside
-one, and a row leaves a distance-at-least set once its whole path lies
-within the threshold of some member.  When more than half of the rows
-are still open after the first grid point, the full distances are
-formed in one pass instead.  For scalar paths x + core,
-``_ball_from_extremes`` answers a ball from the per-row max and min of
-core minus the ball's shape, with the same flags.  ``margins`` keeps the
-full distances for the rate side, the tilt scan, quadrature and the CLI.
+estimators read.  Every sup distance is taken by one walk,
+``_member_distances``, which also refuses paths off the members' grid or
+dimension.  Ball unions and distance-at-least sets answer ``hits``
+without forming every margin: a union tests each ball only on the rows
+no earlier ball caught, a row whose norm at t = 0 fails a ball's test
+leaves after one column, and a row leaves a distance-at-least set once
+its whole path lies within the threshold of some member.  For scalar
+paths x + core, ``_ball_from_extremes`` answers a ball from the per-row
+max and min of core minus the ball's shape, with the same flags.
+``margins`` keeps the full distances for the rate side, the tilt scan,
+quadrature and the CLI.
 """
 
 from __future__ import annotations
@@ -233,28 +234,21 @@ def _norms_along_dim(diff: np.ndarray) -> np.ndarray:
 def sup_metric(a: DiscretePath, b: DiscretePath) -> float:
     """sup over grid points of |a(t_i) - b(t_i)|_2."""
     _check_same_grid(a.grid, b.grid)
-    if a.dim != b.dim:
-        raise ShapeMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    return float(_norms_along_dim(a.values - b.values))
+    return float(next(_member_distances(a.values[None], b.values[None]))[0])
 
 
 def _member_distances(values: np.ndarray, stack: np.ndarray):
-    """Yield the sup distance of every row of ``values`` to each member of ``stack``.
+    """An iterator of the sup distances of every row of ``values`` to each member of ``stack``.
 
-    values: (B, steps+1, dim), stack: (count, steps+1, dim); each yield
+    values: (B, steps+1, dim), stack: (count, steps+1, dim); each item
     has shape (B,) and equals ``_norms_along_dim(values - member)``.
-    Scalar paths reuse one (B, steps+1) buffer for all members.
+    Paths off the members' grid or dimension raise ``ShapeMismatchError``
+    at the call, before any distance is formed: every distance reader
+    goes through here, so none of them cuts or broadcasts a batch.
     """
-    if values.shape[-1] != 1 or stack.shape[-1] != 1:
-        for member in stack:
-            yield _norms_along_dim(values - member)
-        return
-    flat = values[..., 0]
-    buf = np.empty(flat.shape)
-    for member in stack:
-        np.subtract(flat, member[:, 0], out=buf)
-        np.abs(buf, out=buf)
-        yield buf.max(axis=-1)
+    if values.shape[1:] != stack.shape[1:]:
+        raise ShapeMismatchError(f"paths of shape {values.shape[1:]} vs members of shape {stack.shape[1:]}")
+    return (_norms_along_dim(values - member) for member in stack)
 
 
 def _dist_batch(values: np.ndarray, target: PathSet) -> np.ndarray:
@@ -266,49 +260,21 @@ def _dist_batch(values: np.ndarray, target: PathSet) -> np.ndarray:
     return best
 
 
-# Grid columns read before each narrowing of the open rows: chunks of 1, 8,
-# 24 and then the rest of the path.  A thin first chunk settles most rows
-# that start away from a center; later ones amortize the gather.
-_SCREEN_STOPS = (1, 9, 33)
-
-
-def _within(values: np.ndarray, rows: np.ndarray, center: np.ndarray, bound: float, below) -> np.ndarray:
-    """The entries of ``rows`` with ``below(norm, bound)`` at every grid point.
-
-    norm is the per-point distance of a row of ``values`` (B, steps+1,
-    dim) to ``center`` (steps+1, dim), formed exactly as in
-    ``_norms_along_dim``, and ``below`` is ``np.less`` or
-    ``np.less_equal``.  Columns of the open rows are gathered in the
-    chunks of ``_SCREEN_STOPS`` and a row leaves at the first chunk with
-    a failing point.  If more than half of all B rows are still open
-    after a chunk, the sup distance of every row is formed in one pass
-    instead, which costs no more than ``margins``.
-    """
-    if center.shape != values.shape[1:]:
-        raise ShapeMismatchError(f"paths of shape {values.shape[1:]} vs center {center.shape}")
-    cols = values.shape[1]
-    start = 0
-    for stop in (*(s for s in _SCREEN_STOPS if s < cols), cols):
-        if not rows.size:
-            break
-        if start and 2 * rows.size > len(values):
-            return rows[below(next(_member_distances(values, center[None]))[rows], bound)]
-        part = slice(start, stop)
-        rows = rows[below(_point_norms(values[rows, part] - center[part]), bound).all(axis=-1)]
-        start = stop
-    return rows
-
-
 def _any_within(values: np.ndarray, centers: np.ndarray, radii, below) -> np.ndarray:
     """Flags of the rows of ``values`` within some center: ``below(norm, radius)`` at every grid point.
 
     ``below`` is ``np.less`` for open balls and ``np.less_equal`` for
-    closed ones, as in ``_within``; each center tests only the rows that
-    no earlier center caught.
+    closed ones.  Each center tests only the rows that no earlier center
+    caught; of those, a row whose norm at t = 0 fails ``below`` leaves
+    after one column, and the rest take their whole distance from
+    ``_member_distances``.
     """
+    _member_distances(values, centers)  # the grid check, before any column is read
     out = np.zeros(len(values), dtype=bool)
     for center, r in zip(centers, radii):
-        out[_within(values, np.flatnonzero(~out), center, r, below)] = True
+        rows = np.flatnonzero(~out)
+        rows = rows[below(_point_norms(values[rows, 0] - center[0]), r)]
+        out[rows[below(next(_member_distances(values[rows], center[None])), r)]] = True
     return out
 
 
@@ -327,7 +293,7 @@ def _ball_from_extremes(core, hi, lo, scale, x, center, radius) -> np.ndarray | 
     the exact test forms it.  At the later columns the path's distance
     is ``hi`` or ``lo`` plus ``x - center[0]`` up to a few roundings of
     the magnitudes involved, which the margin tau covers; rows within tau
-    of the radius go through the exact screen.
+    of the radius take their whole distance from ``_member_distances``.
     """
     x, c0 = float(x), float(center[0, 0])
     if not abs(x - c0) < radius:
@@ -341,15 +307,13 @@ def _ball_from_extremes(core, hi, lo, scale, x, center, radius) -> np.ndarray | 
         unsure &= (hi <= radius + tau - d) & (lo >= -radius - tau - d)
     rows = np.flatnonzero(unsure)
     if rows.size:
-        inside[rows[_within(core[rows] + x, np.arange(rows.size), center, radius, np.less)]] = True
+        inside[rows[next(_member_distances(core[rows] + x, center[None])) < radius]] = True
     return inside
 
 
 def hausdorff(a: PathSet, b: PathSet) -> float:
     """Hausdorff distance, the max of the two one-sided sup-inf distances."""
     _check_same_grid(a.grid, b.grid)
-    if a.dim != b.dim:
-        raise ShapeMismatchError("dimension mismatch between path sets")
     one = float(np.max(_dist_batch(a.stack, b)))
     two = float(np.max(_dist_batch(b.stack, a)))
     return max(one, two)
@@ -369,7 +333,8 @@ class EventSpec:
         """Membership of each row, bit for bit ``self.margins(values) > 0.0``.
 
         Balls, ball unions and distance-at-least sets raise
-        ``ShapeMismatchError`` for paths off the event's grid or dimension.
+        ``ShapeMismatchError`` for paths off the event's grid or dimension,
+        as their ``margins`` do.
         """
         return self.margins(values) > 0.0
 
@@ -461,6 +426,10 @@ class TerminalAtLeast(EventSpec):
 
     level: float
     coordinate: int = 0
+
+    def __post_init__(self) -> None:
+        if math.isnan(self.level):
+            raise ValueError("level must not be nan")
 
     def margins(self, values: np.ndarray) -> np.ndarray:
         return values[:, -1, self.coordinate] - self.level

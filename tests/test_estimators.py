@@ -377,6 +377,32 @@ def test_min_over_centers_with_geometric_weights_blows_lipschitz():
         EquicontinuousFamily((), bound=1.0, lipschitz=1.0)
 
 
+def _geometric_family(bound, lipschitz):
+    centers = PathSet([line_path(SMALL, float(n), 1.0) for n in range(4)])
+    return EquicontinuousFamily((MinOverCenters(centers, (1.0, 2.0, 4.0, 8.0), 1.0),), bound, lipschitz)
+
+
+@pytest.mark.parametrize(
+    ("build", "name"),
+    [
+        # with nan constants the family above, which is not equicontinuous, would pass
+        (lambda: _geometric_family(math.nan, math.nan), "bound"),
+        (lambda: _geometric_family(1.0, math.nan), "lipschitz"),
+        (lambda: _geometric_family(math.inf, 8.0), "bound"),
+        (lambda: _geometric_family(1.0, -1.0), "lipschitz"),
+        (lambda: CappedSetDistance(PathSet([line_path(SMALL, 0.0, 1.0)]), math.nan, 1.0), "scale"),
+        (lambda: CappedSetDistance(PathSet([line_path(SMALL, 0.0, 1.0)]), 1.0, math.nan), "width"),
+        (lambda: MinOverCenters(PathSet([line_path(SMALL, 0.0, 1.0)]), (math.inf,), 1.0), "weights"),
+        (lambda: MinOverCenters(PathSet([line_path(SMALL, 0.0, 1.0)]), (math.nan,), 1.0), "weights"),
+        (lambda: MinOverCenters(PathSet([line_path(SMALL, 0.0, 1.0)]), (1.0,), math.nan), "cap"),
+        (lambda: Constant(math.nan), "value"),
+    ],
+)
+def test_test_function_constants_must_be_numbers(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
 @given(
     st.floats(min_value=-1.0, max_value=1.0),
     st.floats(min_value=-1.0, max_value=1.0),

@@ -299,6 +299,32 @@ LINEAR_2 = {"name": "linear", "matrix": [[1.0, 0.0], [0.0, 1.0]]}
             lambda: FiniteSDE(dim=2, drift=DriftSpec("linear", offset=(0.5, 0.5, 0.5))),
             ShapeMismatchError, "linear drift offset must have length 2", id="linear-offset",
         ),
+        # sizes are integers >= 1, passed through from the spec and never truncated
+        pytest.param(
+            {"variant": "finite-sde", "dim": 1.5},
+            lambda: FiniteSDE(dim=1.5),
+            ValueError, "finite-sde dim must be an integer >= 1, got 1.5", id="dim-fraction",
+        ),
+        pytest.param(
+            {"variant": "galerkin-spde", "modes": 2.9},
+            lambda: GalerkinSPDE(modes=2.9, channels=2),
+            ValueError, "galerkin-spde modes must be an integer >= 1, got 2.9", id="modes-fraction",
+        ),
+        pytest.param(
+            {"variant": "galerkin-spde", "modes": 2.5, "channels": 2},
+            lambda: GalerkinSPDE(modes=2.5, channels=2),
+            ValueError, "galerkin-spde modes must be an integer >= 1, got 2.5", id="modes-half",
+        ),
+        pytest.param(
+            {"variant": "galerkin-spde", "modes": 2, "channels": 0, "noise": {"name": "identity"}},
+            lambda: GalerkinSPDE(modes=2, channels=0, noise=NoiseSpec("identity")),
+            ValueError, "galerkin-spde channels must be an integer >= 1, got 0", id="channels-zero",
+        ),
+        pytest.param(
+            {"variant": "galerkin-spde", "modes": 2, "channels": -1, "noise": {"name": "identity"}},
+            lambda: GalerkinSPDE(modes=2, channels=-1, noise=NoiseSpec("identity")),
+            ValueError, "galerkin-spde channels must be an integer >= 1, got -1", id="channels-negative",
+        ),
     ],
 )
 def test_bad_model_specs_fail_when_built_and_name_the_field(spec, build, error, message, tmp_path, capsys):

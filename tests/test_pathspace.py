@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uldplab import estimators
-from uldplab.estimators import CHUNK, mc_probability
+from uldplab.estimators import CHUNK, CappedSetDistance, MinOverCenters, mc_probability
 from uldplab.models import FiniteSDE, PerturbedBM, SwappedBM, TranslatedBM, constant_control, simulate_batch
 from uldplab.pathspace import (
     Ball,
@@ -243,9 +243,8 @@ def test_member_margins_equal_the_reference_formula_bitwise(dim):
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("near_frac", [0.97, 0.03])
 def test_event_hits_equal_margin_signs_bitwise(dim, near_frac):
-    # 41 grid points span every screening chunk; near_frac 0.97 keeps most
-    # rows open after the first chunk (one full pass), 0.03 settles most
-    # of them at t = 0 (gathered chunks to the end)
+    # near_frac 0.97 keeps most rows open after t = 0 (they take their
+    # whole distance), 0.03 settles most of them at the first column
     rng = np.random.default_rng(11)
     grid = TimeGrid(1.0, 40)
     # members on the 1/64 lattice, so member + 1.5 e1 - member is exactly 1.5
@@ -288,16 +287,23 @@ def test_event_hits_equal_margin_signs_bitwise(dim, near_frac):
     assert events[4].hits(special).tolist() == [True, False, False, True, False]
     near = np.array([events[0].hits(values).sum(), events[4].hits(values).sum()])
     assert (0 < near).all() and (near < len(values)).all()
-    # a nan radius or threshold would make every margin nan
+    # a nan radius, threshold or level would make every margin nan
     with pytest.raises(ValueError):
         UnionOfBalls(members, (1.0, math.nan, 1.0, 1.0))
     with pytest.raises(ValueError):
         DistanceAtLeast(members, math.nan)
-    # paths off the event's grid are refused, not cut or broadcast
-    for bad in (values[:, :-1], values[:, :33], np.concatenate([values, values[:, :1]], axis=1)):
-        for event in events[:7]:
+    with pytest.raises(ValueError, match="level"):
+        TerminalAtLeast(math.nan)
+    # paths off the event's grid are refused, not cut or broadcast, by every
+    # distance reader alike; one grid column would broadcast across the grid
+    readers = [event.hits for event in events[:7]] + [event.margins for event in events[:7]] + [
+        CappedSetDistance(members, 1.0, 0.5).batch,
+        MinOverCenters(members, (1.0, 2.0, 4.0, 8.0), 1.0).batch,
+    ]
+    for bad in (values[:, :-1], values[:, :33], values[:, :1], np.concatenate([values, values[:, :1]], axis=1)):
+        for read in readers:
             with pytest.raises(ShapeMismatchError):
-                event.hits(bad)
+                read(bad)
 
 
 @settings(max_examples=40, deadline=None)
@@ -493,7 +499,7 @@ def test_bands_are_the_tubes_of_balls_terminals_and_their_intersections():
         Intersection((TerminalAtLeast(0.7), two)),
     ):
         assert event.bands(grid) is None
-    # a center on another grid is refused, as by the ball's screen
+    # a center on another grid is refused, as by the ball's hits
     other = TimeGrid(1.0, 8)
     for event in (Ball(line, 0.6), Intersection((TerminalAtLeast(0.7), Ball(line, 0.6)))):
         with pytest.raises(ShapeMismatchError):
