@@ -40,10 +40,11 @@ it.  A checker lists the plans of all its estimates, and
 ``_run_estimates`` runs every block of every plan through one ``_map`` on
 ``_WORKERS`` threads, then finishes the plans in list order.  Each
 block's noise is drawn whole, and the block is stepped and screened in
-row sub-blocks whose path array holds at most ``_SUB_BLOCK_BYTES``.
-Peak sampling memory is therefore, per worker, one whole block of noise,
-one sub-block of paths (for the translated family, its core and one
-buffer of that size, held for the block) and one bool per block sample
+row sub-blocks whose path array holds at most ``_SUB_BLOCK_BYTES`` per
+start.  Peak sampling memory is therefore, per worker, one whole block
+of noise, one sub-block of paths per start of the walk (a stepped family
+walks all the starts of a group at once; the translated family holds its
+core and one buffer of that size for the block) and one bool per block sample
 per job, plus, at the start being tested, one bool per sub-block sample
 per decided ball and two floats per sub-block sample per ball shape; and
 for every plan of the call one bit per sample per job (and one weight
@@ -504,8 +505,9 @@ def _probability_plan(model: ProcessModel, grid: TimeGrid, eps: float, jobs, n: 
     Each noise block is read by every job.  Jobs with equal tilts form
     one group that shares the simulated core, the Girsanov weights and
     their effective sample size.  Per row sub-block of ``_sub_block_rows``
-    rows, each group simulates each distinct start once, and every job
-    at that start reads its paths before the next start is simulated.
+    rows, each group simulates each distinct start once (a stepped family
+    all of them in one walk), and every job at a start reads its paths
+    before the next start's paths are read.
     On the translated family a ball-union job (``_extremes_plan``) reads
     no paths: each (start, ball) pair is decided from the group's per-row
     extremes of ``core - shape``, read from one dict by the jobs at that

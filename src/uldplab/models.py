@@ -6,7 +6,8 @@ function with one value per increment), and a noise intensity eps.  The
 controlled state at eps = 0 is the skeleton; its energy (half the
 squared L2 norm of u) is what the rate functions measure.  A simulation
 takes one control for all rows or a list with one control per row, so
-a stack of controls (``skeletons``) is stepped in one walk.
+a stack of controls (``skeletons``) is stepped in one walk, and one start
+or a stack of starts, which the stepped families also step in one walk.
 
 Families
 --------
@@ -341,6 +342,14 @@ class ProcessModel:
             raise ValueError("start must be finite")
         return v
 
+    def _as_starts(self, x) -> np.ndarray:
+        """A (S, dim) stack of starts: a 2-D ``x`` is S starts, one per row, anything else one start."""
+        if np.ndim(x) != 2:
+            return self._as_state(x)[None]
+        if len(x) == 0:
+            raise ValueError("a start stack must be nonempty")
+        return np.stack([self._as_state(v) for v in x])
+
 
 @dataclass(frozen=True)
 class TranslatedBM(ProcessModel):
@@ -477,28 +486,47 @@ def _translated_core(model: ProcessModel, grid: TimeGrid, eps: float, control, i
     return core
 
 
+# Stepped states narrower than this take their per-coordinate constants
+# (gains, decay, factor) as (rows, dim) arrays: numpy broadcasts a (dim,)
+# operand over rows dim elements at a time, which at (992, 4) made ``g * x``
+# three times slower than the same product with a tiled g, bit for bit the
+# same.  At 16 modes the tiled constants were slower.
+_ROW_SHAPED_DIM = 8
+
+
 def _stepped_states(
-    model: FiniteSDE | GalerkinSPDE, x, eps, control_values, increments: np.ndarray, dt: float
+    model: FiniteSDE | GalerkinSPDE, starts: np.ndarray, eps, control_values, increments: np.ndarray, dt: float
 ):
     """The one stepping loop: yield the state at grid points 0..steps.
 
-    The state has shape (E * B, dim) for the E noise levels in ``eps``:
-    rows e * B .. e * B + B - 1 are the B samples at eps[e], all driven by
-    the same increments.  Each step forms the driving term
+    ``starts`` is a (S, dim) stack of checked starts.  The state has shape
+    (S * E * B, dim) for the E noise levels in ``eps``, rows ordered
+    (start, eps, sample): rows (s * E + e) * B .. (s * E + e) * B + B - 1
+    are the B samples from starts[s] at eps[e], and every start and eps
+    reads the same increments.  Each step forms the driving term
     w = sqrt(eps) dW_i + u_i dt, u_i from the row's control in the stack
     of ``_control_values``, and applies the family's one-step map to
     (state, w).  When the drift or the noise reads sin(state) (their
     ``reads_sin``), the step forms np.sin(state) once and hands it to
     both catalogs, whose arithmetic is otherwise that of a call without
-    it, bit for bit.  Every operation acts row by row, except the matrix
+    it, bit for bit.  Below ``_ROW_SHAPED_DIM`` the per-coordinate
+    constants are formed once per walk as (rows, dim) arrays, which
+    changes no bit.  Every operation acts row by row, except the matrix
     product of the ``linear`` drift, so a row's bits do not depend on
-    which other eps share the batch.  A yielded state is never reused.
+    which other starts and eps share the batch.  NumericalBlowupError
+    names the first step at which any row is non-finite.  A yielded
+    state is never reused.
     """
-    start = model._as_state(x)
     b, steps, k = increments.shape
     if k != model.channels:
         raise ShapeMismatchError(f"noise has {k} channels, model wants {model.channels}")
-    gains = model.noise.gains(model.dim)
+    seps = np.tile(np.sqrt(np.asarray(eps, dtype=float)), len(starts))[:, None, None]
+    rows = len(seps) * b
+
+    def per_row(constant):
+        return np.tile(constant, (rows, 1)) if model.dim < _ROW_SHAPED_DIM else constant
+
+    gains = per_row(model.noise.gains(model.dim))
     reads_sin = model.drift.reads_sin or model.noise.reads_sin
     if isinstance(model, FiniteSDE):
         label = "finite SDE"
@@ -514,8 +542,8 @@ def _stepped_states(
     else:
         label = "spectral SPDE"
         a = model.eigenvalues()
-        decay = np.exp(-a * dt)
-        factor = _phi1(-a * dt)
+        decay = per_row(np.exp(-a * dt))
+        factor = per_row(_phi1(-a * dt))
 
         def step(state, w):
             sin_x = np.sin(state) if reads_sin else None
@@ -524,17 +552,17 @@ def _stepped_states(
                 + _noise_apply(model.noise, state, w, gains, sin_x)
             )
             del sin_x  # freed before the two products below, the step's memory peak
-            return decay * state + factor * forcing
+            return np.add(decay * state, np.multiply(factor, forcing, out=forcing), out=forcing)
 
-    seps = np.sqrt(np.asarray(eps, dtype=float))[:, None, None]
-    state = np.tile(start, (len(seps) * b, 1))
+    drive = None if control_values is None else control_values * dt
+    state = np.repeat(starts, rows // len(starts), axis=0)
     yield state
     for i in range(steps):
-        w = (seps * increments[:, i, :]).reshape(-1, k)
-        if control_values is not None:
-            w += control_values[:, i] * dt
+        w = seps * increments[:, i, :]
+        if drive is not None:
+            w += drive[:, i]
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the step
-            state = step(state, w)
+            state = step(state, w.reshape(rows, k))
         if not np.all(np.isfinite(state)):
             raise NumericalBlowupError(f"{label} state became non-finite", i + 1)
         yield state
@@ -582,10 +610,16 @@ def simulate_starts(
     one per row.  The translated family builds its x = 0 core once and
     yields ``core + start`` per start; adding the scalar start last keeps
     the core identical across x, which is what the translation-identity
-    checks rely on.  The stepped families walk each start with
-    ``simulate_batch``.  A yielded batch is valid until the next one is
-    requested (the translated family reuses one buffer), so copy it to
-    keep it.  Inputs are checked when the first batch is requested.
+    checks rely on.  The stepped families walk all starts at once, one
+    ``simulate_batch`` of the (S, dim) start stack, and yield its row
+    blocks; each equals the start's own ``simulate_batch`` bit for bit,
+    except that the ``linear`` drift's matrix product goes through BLAS,
+    which may round a stacked batch differently.  A stepped family raises
+    NumericalBlowupError at the first step where a row of any start is
+    non-finite, before the first batch.  A yielded batch is valid until
+    the next one is requested (the translated family reuses one buffer),
+    so copy it to keep it.  Inputs are checked when the first batch is
+    requested.
     """
     if isinstance(model, TranslatedBM):
         core = _translated_core(model, grid, eps, control, increments)
@@ -593,8 +627,11 @@ def simulate_starts(
         for x in xs:
             yield np.add(core, model.effective_start(model._as_state(x), eps)[0], out=paths)
     else:
-        for x in xs:
-            yield simulate_batch(model, grid, x, eps, control, increments)
+        starts = [model._as_state(x) for x in xs]
+        if starts:
+            b = len(increments)
+            paths = simulate_batch(model, grid, np.stack(starts), eps, control, increments)
+            yield from (paths[s * b : s * b + b] for s in range(len(starts)))
 
 
 def simulate_eps_stack(
@@ -623,7 +660,7 @@ def simulate_eps_stack(
         paths = np.concatenate([simulate_batch(model, grid, x, e, control, increments) for e in eps])
         yield from (paths[:, i, :] for i in range(grid.steps + 1))
     elif isinstance(model, (FiniteSDE, GalerkinSPDE)):
-        yield from _stepped_states(model, x, eps, cv, increments, grid.dt)
+        yield from _stepped_states(model, model._as_state(x)[None], eps, cv, increments, grid.dt)
     else:
         raise TypeError(f"unknown model type {type(model).__name__}")
 
@@ -636,9 +673,12 @@ def simulate_batch(
     control: Control | None,
     increments: np.ndarray,
 ) -> np.ndarray:
-    """Batched controlled paths from ``x``, shape (B, steps+1, dim); increments and control as in ``simulate_starts``.
+    """Batched controlled paths, shape (S * B, steps+1, dim); increments and control as in ``simulate_starts``.
 
-    A stepped family keeps every state of its stepping loop.
+    ``x`` is one start (S = 1) or, for a stepped family, a 2-D (S, dim)
+    stack of starts whose rows s * B .. s * B + B - 1 are the paths from
+    start s.  A stepped family steps every start in one walk and keeps
+    every state of it.
     """
     if isinstance(model, TranslatedBM):
         core = _translated_core(model, grid, eps, control, increments)
@@ -646,8 +686,9 @@ def simulate_batch(
     cv = _control_values(model, grid, (eps,), control, increments)
     if not isinstance(model, (FiniteSDE, GalerkinSPDE)):
         raise TypeError(f"unknown model type {type(model).__name__}")
-    out = np.empty((increments.shape[0], grid.steps + 1, model.dim))
-    for i, state in enumerate(_stepped_states(model, x, (eps,), cv, increments, grid.dt)):
+    starts = model._as_starts(x)
+    out = np.empty((len(starts) * increments.shape[0], grid.steps + 1, model.dim))
+    for i, state in enumerate(_stepped_states(model, starts, (eps,), cv, increments, grid.dt)):
         out[:, i, :] = state
     return out
 

@@ -220,9 +220,24 @@ class PathSet:
 
 
 def _point_norms(diff: np.ndarray) -> np.ndarray:
-    # diff: (..., steps+1, dim) -> euclidean norm in R^d at each grid point
-    if diff.shape[-1] == 1:
+    """The euclidean norm in R^d of each point of ``diff`` (..., dim): shape (...).
+
+    One column is its absolute value.  Below 8 columns the squares are
+    added column by column, left to right: that is the order of numpy's
+    sum over fewer than 8 elements (its pairwise sum unrolls from 8 on),
+    so the bits are those of ``np.sqrt(np.sum(diff * diff, axis=-1))``,
+    which wider points take, while a reduction over a short last axis is
+    several times slower than the column adds.
+    """
+    d = diff.shape[-1]
+    if d == 1:
         return np.abs(diff[..., 0])
+    if d < 8:
+        acc = diff[..., 0] * diff[..., 0]
+        for j in range(1, d):
+            col = diff[..., j]
+            acc += col * col
+        return np.sqrt(acc, out=acc)
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
@@ -422,7 +437,7 @@ class DistanceAtLeast(EventSpec):
 
 @dataclass(frozen=True)
 class TerminalAtLeast(EventSpec):
-    """Closed halfspace {phi : phi(T)[coordinate] >= level}."""
+    """Closed halfspace {phi : phi(T)[coordinate] >= level}; ``coordinate`` is an integer >= 0."""
 
     level: float
     coordinate: int = 0
@@ -430,8 +445,13 @@ class TerminalAtLeast(EventSpec):
     def __post_init__(self) -> None:
         if math.isnan(self.level):
             raise ValueError("level must not be nan")
+        if not isinstance(self.coordinate, numbers.Integral) or self.coordinate < 0:
+            raise ValueError(f"coordinate must be an integer >= 0, got {self.coordinate!r}")
 
     def margins(self, values: np.ndarray) -> np.ndarray:
+        """Paths with no coordinate ``coordinate`` raise ``ShapeMismatchError``."""
+        if self.coordinate >= values.shape[-1]:
+            raise ShapeMismatchError(f"coordinate {self.coordinate} of paths with dimension {values.shape[-1]}")
         return values[:, -1, self.coordinate] - self.level
 
     def bands(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray] | None:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from uldplab.estimators import CHUNK
 from uldplab.models import (
     DriftSpec,
+    NumericalBlowupError,
     FiniteSDE,
     GalerkinSPDE,
     NoiseSpec,
@@ -378,20 +379,6 @@ def test_noise_gains_respect_bounded_tag(decay_tenths):
     assert np.all(np.diff(gains) <= 1e-12)
 
 
-@pytest.mark.parametrize(
-    "model", [TranslatedBM(), PerturbedBM(), SwappedBM(), FiniteSDE(dim=2)], ids=lambda m: m.name
-)
-def test_simulate_starts_yields_the_one_start_batches(model):
-    grid = TimeGrid(1.0, 16)
-    inc = _noise_block(grid, model.channels, 3, 0, 50)
-    u = constant_control(grid, 0.4, model.channels)
-    starts = (0.0, 0.5, -7.0)
-    got = [p.copy() for p in simulate_starts(model, grid, starts, 0.3, u, inc)]
-    want = [simulate_batch(model, grid, x, 0.3, u, inc) for x in starts]
-    assert len(got) == len(want)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-
 STACK_EPS = (0.3, 0.0, 1e-3, 0.05)
 SINE_SDE = FiniteSDE(
     dim=2, drift=DriftSpec("scaled-sine", kappa=1.5), noise=NoiseSpec("diagonal-bounded", gain=0.7, decay=0.5)
@@ -405,6 +392,74 @@ LINEAR_SDE = FiniteSDE(
 
 def _rounding(a, b):
     return np.allclose(a, b, rtol=1e-12, atol=0)
+
+
+STARTS_MODELS = [
+    (TranslatedBM(), np.array_equal),
+    (PerturbedBM(), np.array_equal),
+    (SwappedBM(), np.array_equal),
+    (FiniteSDE(dim=2), np.array_equal),
+    (SINE_SDE, np.array_equal),
+    (GalerkinSPDE(modes=4, channels=4), np.array_equal),
+    # 16 modes keep their per-coordinate constants one row wide
+    (GalerkinSPDE(modes=16, channels=16, noise=NoiseSpec("diagonal-bounded", gain=0.5, decay=0.5)), np.array_equal),
+    # identity noise pads or truncates the channels
+    (GalerkinSPDE(modes=4, channels=2, noise=NoiseSpec("identity")), np.array_equal),
+    (GalerkinSPDE(modes=3, channels=5, noise=NoiseSpec("identity")), np.array_equal),
+    # the linear drift's matrix product goes through BLAS, as in the eps-stack caveat
+    (LINEAR_SDE, _rounding),
+]
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.0])
+@pytest.mark.parametrize("control", ["one", "per-row"])
+@pytest.mark.parametrize(
+    "model, same", STARTS_MODELS, ids=lambda v: f"{v.name}-{v.dim}x{v.channels}" if hasattr(v, "name") else None
+)
+def test_simulate_starts_yields_the_one_start_batches(model, same, control, eps):
+    # a stepped family walks every start in one stack; each start's rows
+    # must be its own walk, eps = 0 and a per-row control list included
+    grid = TimeGrid(1.0, 16)
+    n = 50
+    inc = _noise_block(grid, model.channels, 3, 0, n)
+    if control == "one":
+        u = constant_control(grid, 0.4, model.channels)
+    else:
+        u = _level_set_controls(grid, model.channels, 1.5, n, seed=5)
+    starts = (0.0, 0.5, -7.0)
+    got = [p.copy() for p in simulate_starts(model, grid, starts, eps, u, inc)]
+    want = [simulate_batch(model, grid, x, eps, u, inc) for x in starts]
+    assert len(got) == len(want)
+    assert all(g.shape == (n, grid.steps + 1, model.dim) for g in got)
+    assert all(same(g, w) for g, w in zip(got, want))
+    if not isinstance(model, TranslatedBM):
+        # the (S, dim) start stack in one call, rows ordered (start, sample)
+        stack = np.stack([model._as_state(x) for x in starts])
+        assert same(simulate_batch(model, grid, stack, eps, u, inc), np.concatenate(want))
+    assert list(simulate_starts(model, grid, (), eps, u, inc)) == []
+
+
+def test_a_stacked_walk_names_the_first_step_any_start_blows_up():
+    # zero noise and a drift that multiplies the state by about 1e100 a
+    # step: a start of 10^k overflows at the first step past 10^308
+    grid = TimeGrid(1.0, 8)
+    model = FiniteSDE(dim=1, drift=DriftSpec("linear", matrix=((1e100 / grid.dt,),)), noise=NoiseSpec("zero"))
+    inc = np.zeros((3, grid.steps, 1))
+    starts = (1e-100, 1.0, 1e150)
+    alone = []
+    for x in starts:
+        with pytest.raises(NumericalBlowupError) as exc:
+            simulate_batch(model, grid, x, 0.1, None, inc)
+        alone.append(exc.value.step)
+    assert alone == [5, 4, 2]
+    # the stacked walk raises before its first batch, at the earliest step of any start
+    for order in (starts, starts[::-1]):
+        with pytest.raises(NumericalBlowupError, match="at step 2$") as exc:
+            next(simulate_starts(model, grid, order, 0.1, None, inc))
+        assert exc.value.step == min(alone)
+    with pytest.raises(NumericalBlowupError) as exc:
+        next(simulate_starts(model, grid, starts[:2], 0.1, None, inc))
+    assert exc.value.step == 4
 
 
 def _stack_against_per_eps(model, x, control, n, same):

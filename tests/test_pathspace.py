@@ -20,6 +20,7 @@ from uldplab.pathspace import (
     UnionOfBalls,
     _dist_batch,
     _norms_along_dim,
+    _point_norms,
     constant_path,
     hausdorff,
     line_path,
@@ -152,6 +153,70 @@ def test_terminal_events():
     up = line_path(grid, 0.0, 2.0)
     assert TerminalAtLeast(1.5).margin(up) > 0.0
     assert not TerminalAtLeast(2.5).margin(up) > 0.0
+
+
+@pytest.mark.parametrize("coordinate", [-1, 1.0, 0.5, "0", None])
+def test_terminal_coordinate_must_be_an_integer_at_least_zero(coordinate):
+    with pytest.raises(ValueError, match="coordinate"):
+        TerminalAtLeast(0.5, coordinate=coordinate)
+
+
+def test_terminal_coordinate_beyond_the_paths_raises_shape_mismatch():
+    grid = TimeGrid(1.0, 4)
+    scalar = np.zeros((2, grid.steps + 1, 1))
+    for coordinate in (1, 5):
+        event = TerminalAtLeast(0.5, coordinate=coordinate)
+        with pytest.raises(ShapeMismatchError, match=f"coordinate {coordinate}"):
+            event.margins(scalar)
+        with pytest.raises(ShapeMismatchError):
+            event.hits(scalar)
+        assert event.bands(grid) is None
+    # in range it reads its own coordinate at T; bands stay those of coordinate 0 only
+    values = np.arange(2 * (grid.steps + 1) * 3, dtype=float).reshape(2, grid.steps + 1, 3)
+    assert np.array_equal(TerminalAtLeast(0.5, coordinate=2).margins(values), values[:, -1, 2] - 0.5)
+    assert TerminalAtLeast(0.5, coordinate=np.int64(0)).bands(grid) is not None
+
+
+def _extreme_points(d):
+    """Rows of d coordinates from 1e-300 to 1e300, with nan, inf and -0.0 rows mixed in."""
+    rng = np.random.default_rng(d)
+    points = rng.standard_normal((600, d)) * 10.0 ** rng.integers(-300, 301, (600, d))
+    points[::7, 0] = np.nan
+    points[::11, -1] = np.inf
+    points[::13, d // 2] = -np.inf
+    points[::17] = -0.0
+    points[::19, 0] = -0.0
+    points[::23] = 1e300  # every square overflows
+    points[::29] = 1e-300  # every square underflows
+    return points
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_point_norm_column_adds_are_the_sum_bitwise(d):
+    points = _extreme_points(d)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        want = np.sqrt(np.sum(points * points, axis=-1))
+        got = _point_norms(points)
+        stacked = _point_norms(points.reshape(30, 20, d))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(stacked.view(np.int64), want.reshape(30, 20).view(np.int64))
+    assert np.isnan(got).any() and np.isinf(got).any() and (got == 0.0).any()
+
+
+@pytest.mark.parametrize("d, sums", [(1, 0), (2, 0), (7, 0), (8, 1), (16, 1)])
+def test_point_norms_keep_the_sum_from_eight_columns_and_the_absolute_value_at_one(monkeypatch, d, sums):
+    points = np.random.default_rng(d).standard_normal((50, d))
+    want = np.abs(points[:, 0]) if d == 1 else np.sqrt(np.sum(points * points, axis=-1))
+    calls = []
+    total = np.sum
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return total(*args, **kwargs)
+
+    monkeypatch.setattr(np, "sum", counting)
+    assert np.array_equal(_point_norms(points), want)
+    assert len(calls) == sums
 
 
 def test_intersection_margin_is_the_least_part():

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -143,3 +144,25 @@ def test_a_vacuous_gap_fails_the_eta_floor(monkeypatch):
     assert check.name == "lower-min-at-eta"
     assert not check.passed
     assert check.detail == "min gap over cells at eta=0.6 is inf vs floor -0.3"
+
+
+def _run_all_scenarios_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_scenarios.py"
+    spec = importlib.util.spec_from_file_location("run_all_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_all_scenarios_runs_each_seed_of_a_seed_range(tmp_path, capsys):
+    script = _run_all_scenarios_script()
+    name = "dz-lower-unbounded"
+    assert script.main(["--only", name, "--seeds", "3:4", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2/2 scenario runs passed"
+    for seed in (3, 4):
+        run(name, seed=seed, out=str(tmp_path / "want.json"))
+        assert (tmp_path / f"{name}-seed{seed}.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    for bad in ("4:3", "3", "a:b", "3:4:5"):
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--only", name, "--seeds", bad])
+        assert exc.value.code == 2
